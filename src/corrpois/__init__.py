@@ -51,6 +51,7 @@ from .corrected import (
     invert_moments,
     spec_phi2,
     spec_phi3,
+    spec_for_order,
     spec_phi3_tilde,
     spec_poisson,
 )

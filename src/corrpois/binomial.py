@@ -25,9 +25,13 @@ an equivalent differential one, both implemented on coefficients.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
+from typing import Mapping
+
 __all__ = [
     "RationalPolynomial",
     "GammaTable",
@@ -126,9 +130,7 @@ def stirling_unsigned(m: int, k: int) -> int:
     return e[k]
 
 
-_STIRLING_POLY_CACHE: dict[int, RationalPolynomial] = {}
-
-
+@functools.cache
 def stirling_poly(k: int) -> RationalPolynomial:
     """A_k(m-1) as an exact polynomial in m, of degree 2k.
 
@@ -138,8 +140,6 @@ def stirling_poly(k: int) -> RationalPolynomial:
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    if k in _STIRLING_POLY_CACHE:
-        return _STIRLING_POLY_CACHE[k]
     pts = [(Fraction(m), Fraction(stirling_unsigned(m, k))) for m in range(2 * k + 1)]
     poly = _lagrange(pts)
     for m in range(2 * k + 1, 2 * k + 5):
@@ -148,7 +148,6 @@ def stirling_poly(k: int) -> RationalPolynomial:
     for m in range(k + 1):
         if poly.eval_exact(m) != 0 and k > 0:
             raise AssertionError(f"A_{k} does not vanish at m = {m}")
-    _STIRLING_POLY_CACHE[k] = poly
     return poly
 
 
@@ -222,7 +221,7 @@ class GammaTable:
     """
 
     nu: int
-    entries: dict[int, RationalPolynomial]
+    entries: Mapping[int, RationalPolynomial]
 
     def gamma_at(self, j: int, n: int) -> Fraction:
         poly = self.entries.get(j)
@@ -238,6 +237,7 @@ class GammaTable:
         }
 
 
+@functools.cache
 def solve_gamma_table(nu: int) -> GammaTable:
     """Exact gamma_j(nu) for the equal-probability corrected measure.
 
@@ -262,7 +262,8 @@ def solve_gamma_table(nu: int) -> GammaTable:
         top = max(powers)
         coeffs = [powers.get(i, Fraction(0)) for i in range(top + 1)]
         polys[j] = RationalPolynomial(tuple(coeffs))
-    table = GammaTable(nu, polys)
+    # read-only: the cached table is shared by every caller
+    table = GammaTable(nu, MappingProxyType(polys))
     if table.entries[2].coeffs != (Fraction(0), Fraction(1, 2)):
         raise AssertionError("gamma_2 must equal 1/(2n) for every order")
     return table

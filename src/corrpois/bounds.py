@@ -31,15 +31,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .binomial import gamma_floats
-from .corrected import (
-    CorrectionSpec,
-    build_phi_nu,
-    spec_phi2,
-    spec_phi3,
-    spec_phi3_tilde,
-    spec_poisson,
-)
+from .charlier import falling_factorial
+from .corrected import build_phi_nu, spec_for_order, spec_phi2, spec_phi3, spec_poisson
 from .distances import d2, d2_exact_product, tv
 from .pmf import (
     PowerSums,
@@ -154,16 +147,9 @@ def theta(j: int, m: int, s: int, ps: PowerSums) -> float:
     return value
 
 
-def _ff(m: int, j: int) -> float:
-    out = 1.0
-    for i in range(j):
-        out *= m - i
-    return out
-
-
 def _moment_term(m: int, j: int, divisor: float, coef: float, lam: float) -> float:
     """(m)_j / divisor * coef * lam^(m-j), safe when the falling factorial is 0."""
-    f = _ff(m, j)
+    f = falling_factorial(m, j)
     if f == 0.0:
         return 0.0
     return f / divisor * coef * lam ** (m - j)
@@ -182,10 +168,10 @@ def refined_lower(ps: PowerSums, m: int) -> float:
     """The sharper lower bound carrying the lambda_4 correction."""
     lam = ps.lam
     _, upper = sandwich_sides(ps, m)
-    f4 = _ff(m, 4)
+    f4 = falling_factorial(m, 4)
     if f4 == 0.0:
         return upper
-    return upper - f4 * _ff(m, 2) / 48.0 * ps[4] * lam ** (m - 4)
+    return upper - f4 * falling_factorial(m, 2) / 48.0 * ps[4] * lam ** (m - 4)
 
 
 def check_sandwich(p: ProbVector, mmax: int) -> list[BoundReport]:
@@ -292,21 +278,6 @@ def check_classic_chain(p: ProbVector) -> list[BoundReport]:
     ]
 
 
-def _binomial_spec(order: int | str, n: int, lam: float) -> CorrectionSpec:
-    p = equal_probs(n, lam)
-    if order == "3t":
-        return spec_phi3_tilde(p)
-    if not isinstance(order, int) or order < 1:
-        raise ValueError(f"unsupported order: {order!r}")
-    if order == 1:
-        return spec_poisson(lam)
-    if order == 2:
-        return spec_phi2(p)
-    if order == 3:
-        return spec_phi3(p)
-    return CorrectionSpec(order, lam, gamma_floats(order, n), "binomial-closed-form")
-
-
 def fit_loglog(grid: Sequence[int], distances: Sequence[float],
                order: int | str) -> RateFit:
     """Ordinary least squares of log(distance) on log(n)."""
@@ -339,7 +310,7 @@ def rate_distance(order: int | str, n: int, lam: float, metric: str) -> float:
     """One point of the rate curve: the metric between Bin(n, lam/n) and the
     corrected measure of the given order."""
     p = equal_probs(n, lam)
-    spec = _binomial_spec(order, n, lam)
+    spec = spec_for_order(p, order)
     if metric == "tv":
         fn = poisson_binomial_pmf(p)
         phi = build_phi_nu(spec)

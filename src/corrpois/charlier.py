@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -29,6 +29,7 @@ __all__ = [
     "charlier",
     "charlier_values",
     "default_kmax",
+    "poly_tail_envelope",
     "OrthogonalityReport",
     "CovarianceReport",
     "orthogonality_check",
@@ -46,18 +47,23 @@ def falling_factorial(k: int, m: int) -> float:
     return out
 
 
+def _charlier_at(m: int, lam: float, ks: np.ndarray) -> np.ndarray:
+    """P_m at the integer points ks: the explicit sum, one compensated sum per point."""
+    rows = []
+    ff = np.ones(ks.size)  # (k)_j
+    for j in range(m + 1):
+        rows.append((-1.0) ** (m - j) * math.comb(m, j) * lam ** (m - j) * ff)
+        ff = ff * (ks - j)
+    return np.array([math.fsum(terms) for terms in np.array(rows).T.tolist()])
+
+
 def charlier(m: int, lam: float, k: int) -> float:
     """Value of the degree-m Charlier polynomial at integer k."""
     if m < 0 or k < 0:
         raise ValueError("require m >= 0 and k >= 0")
     if lam <= 0:
         raise ValueError("lam must be positive")
-    terms = []
-    ff = 1.0  # (k)_j
-    for j in range(m + 1):
-        terms.append((-1.0) ** (m - j) * math.comb(m, j) * lam ** (m - j) * ff)
-        ff *= k - j
-    return math.fsum(terms)
+    return float(_charlier_at(m, lam, np.array([float(k)]))[0])
 
 
 def charlier_values(m: int, lam: float, kmax: int) -> np.ndarray:
@@ -66,14 +72,7 @@ def charlier_values(m: int, lam: float, kmax: int) -> np.ndarray:
         raise ValueError("require m >= 0 and kmax >= 0")
     if lam <= 0:
         raise ValueError("lam must be positive")
-    ks = np.arange(kmax + 1, dtype=float)
-    ff = np.ones((m + 1, kmax + 1))
-    for j in range(1, m + 1):
-        ff[j] = ff[j - 1] * (ks - (j - 1))
-    coef = [(-1.0) ** (m - j) * math.comb(m, j) * lam ** (m - j) for j in range(m + 1)]
-    out = np.array(
-        [math.fsum(coef[j] * ff[j, k] for j in range(m + 1)) for k in range(kmax + 1)]
-    )
+    out = _charlier_at(m, lam, np.arange(kmax + 1, dtype=float))
     out.flags.writeable = False
     return out
 
@@ -88,10 +87,19 @@ def default_kmax(lam: float, degree: int) -> int:
     return max(50, math.ceil(lam + 20.0 * math.sqrt(lam) + 4 * degree))
 
 
-def _poly_tail_envelope(lam: float, kmax: int, values: Callable[[int], float]) -> float:
-    """Tail estimate: Chernoff mass beyond kmax times a lookahead envelope."""
-    env = max(abs(values(k)) for k in range(kmax + 1, kmax + 51))
-    return poisson_tail_bound(lam, kmax + 1) * (1.0 + env)
+def poly_tail_envelope(lam: float, kmax: int,
+                       rows: Callable[[np.ndarray], Iterable[np.ndarray]]) -> float:
+    """Tail estimate for Poisson(lam) weighted by a sum of polynomial rows.
+
+    Returns the Chernoff mass beyond kmax times 1 + sum over rows of the
+    largest |row| on the 50 points kmax+1..kmax+50; ``rows`` maps those
+    points to the row values.  This is an estimate from 50 lookahead points,
+    not a proven bound on the infinite tail.
+    """
+    env = 1.0
+    for row in rows(np.arange(kmax + 1, kmax + 51, dtype=float)):
+        env += float(np.max(np.abs(row)))
+    return poisson_tail_bound(lam, kmax + 1) * env
 
 
 @dataclass(frozen=True)
@@ -130,7 +138,8 @@ def orthogonality_check(m: int, nu: int, lam: float, tol: float = 1e-9) -> Ortho
     pn = pm if nu == m else charlier_values(nu, lam, kmax)
     value = math.fsum(pois.mass[k] * pm[k] * pn[k] for k in range(kmax + 1))
     expected = math.factorial(m) * lam**m if m == nu else 0.0
-    tail = _poly_tail_envelope(lam, kmax, lambda k: charlier(m, lam, k) * charlier(nu, lam, k))
+    tail = poly_tail_envelope(
+        lam, kmax, lambda ks: [_charlier_at(m, lam, ks) * _charlier_at(nu, lam, ks)])
     dev = abs(value - expected)
     return OrthogonalityReport(m, nu, lam, value, expected, dev, tail, kmax,
                                dev <= tol + tail)
@@ -164,7 +173,6 @@ def covariance_identity_check(m: int, lam: float, g: Callable[[int], float],
     rhs = lam**m * math.fsum(
         pois.mass[k] * forward_difference(g, m, k) for k in range(kmax + 1)
     )
-    tail = _poly_tail_envelope(
-        lam, kmax, lambda k: charlier(m, lam, k) * g(k)
-    )
+    tail = poly_tail_envelope(
+        lam, kmax, lambda ks: [_charlier_at(m, lam, ks) * np.array([g(int(k)) for k in ks])])
     return CovarianceReport(m, lam, lhs, rhs, lhs - rhs, tail, kmax)

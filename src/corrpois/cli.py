@@ -7,7 +7,8 @@ emitted with 17 significant digits so output round-trips bit-exactly, and
 identical invocations produce byte-identical output.
 
 Exit codes: 0 success (and, for bounds, all checks hold), 2 input error,
-3 domain error, 4 metric domain error, 5 insufficient data.
+3 domain error or numeric overflow, 4 metric domain error, 5 insufficient
+data.
 """
 
 from __future__ import annotations
@@ -24,13 +25,7 @@ import numpy as np
 
 from . import binomial as _binomial
 from . import bounds as _bounds
-from .corrected import (
-    CorrectionSpec,
-    build_phi_nu,
-    spec_phi2,
-    spec_phi3,
-    spec_poisson,
-)
+from .corrected import CorrectionSpec, build_phi_nu, spec_for_order
 from .distances import d2, d2_exact_product, d2_tilde, hellinger, tv, wasserstein
 from .pmf import (
     ProbVector,
@@ -144,26 +139,12 @@ def _load_vector(args: argparse.Namespace) -> ProbVector:
 
 
 def _spec_for_order(p: ProbVector, order: int) -> CorrectionSpec:
+    if not 1 <= order <= 8:
+        raise CliInputError(f"unsupported order: {order} (orders 1..8 are supported)")
     try:
-        if order == 1:
-            return spec_poisson(p.lam)
-        if order == 2:
-            return spec_phi2(p)
-        if order == 3:
-            return spec_phi3(p)
-        if order >= 4:
-            probs = set(p.probs)
-            if len(probs) != 1:
-                raise CliDomainError(
-                    f"order {order} corrections exist in closed form only for equal "
-                    "probabilities; supply --binomial")
-            if order > 8:
-                raise CliInputError("orders above 8 are not tabulated")
-            return CorrectionSpec(order, p.lam, _binomial.gamma_floats(order, p.n),
-                                  "binomial-closed-form")
+        return spec_for_order(p, order)
     except ValueError as exc:
         raise CliDomainError(str(exc)) from exc
-    raise CliInputError(f"unsupported order: {order}")
 
 
 # ---------------------------------------------------------------------------
@@ -219,6 +200,8 @@ def _cmd_distance(args: argparse.Namespace) -> int:
             result = d2_tilde(factorial_moments_sn(p), spec.moments())
     except ValueError as exc:
         raise CliDomainError(str(exc)) from exc
+    if not math.isfinite(result.value):
+        raise CliDomainError(result.note or f"{args.metric} is not finite")
     payload = {
         "value": result.value,
         "truncation_error": result.truncation_error,
@@ -465,8 +448,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--j", type=int, default=None)
     sp.add_argument("--m", type=int, default=None)
     sp.add_argument("--s", type=int, default=None)
-    sp.add_argument("--seed", type=int, default=0,
-                    help="recorded in digests for reproducibility")
     sp.add_argument("--atol", type=float, default=None)
     sp.add_argument("--rtol", type=float, default=None)
     sp.add_argument("--format", choices=("json", "csv"), default="json")
@@ -491,7 +472,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--orders", required=True,
                     help="comma-separated correction orders (integers or 3t)")
     sp.add_argument("--metric", choices=("tv", "d2"), default="d2")
-    sp.add_argument("--seed", type=int, default=0)
     sp.set_defaults(func=_cmd_scan)
 
     return parser
@@ -523,6 +503,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except InsufficientDataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 5
+    except OverflowError as exc:
+        print(f"error: numeric overflow: {exc}", file=sys.stderr)
+        return 3
 
 
 def entrypoint() -> None:

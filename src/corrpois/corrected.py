@@ -33,13 +33,18 @@ from typing import Mapping
 
 import numpy as np
 
-from .charlier import charlier, charlier_values, falling_factorial
+from .binomial import gamma_floats
+from .charlier import (
+    _charlier_at,
+    charlier_values,
+    falling_factorial,
+    poly_tail_envelope,
+)
 from .pmf import (
     FactorialMoments,
     ProbVector,
     SignedPmf,
     poisson_pmf,
-    poisson_tail_bound,
     power_sums,
 )
 
@@ -50,6 +55,7 @@ __all__ = [
     "spec_phi2",
     "spec_phi3",
     "spec_phi3_tilde",
+    "spec_for_order",
     "build_phi_nu",
     "build_phi2",
     "build_phi3",
@@ -103,7 +109,7 @@ class CorrectionSpec:
         def mu(m: int) -> float:
             return lam**m * self.density_factor(m)
 
-        return FactorialMoments(mu, exact_upto=None, degree=self.degree)
+        return FactorialMoments(mu, degree=self.degree)
 
 
 def spec_poisson(lam: float) -> CorrectionSpec:
@@ -147,6 +153,30 @@ def spec_phi3_tilde(p: ProbVector) -> CorrectionSpec:
     return CorrectionSpec(3, lam, gamma, MOMENT_MATCHED)
 
 
+def spec_for_order(p: ProbVector, order: int | str) -> CorrectionSpec:
+    """The corrected-measure spec of the given order for S_n.
+
+    Orders 1, 2 and 3 are moment matched from the probabilities and "3t" is
+    the simplified order-3 variant.  Orders 4..8 exist in closed form only
+    for equal probabilities, from the exact binomial coefficient table.
+    Every other order raises ValueError.  The mean is always ``p.lam``.
+    """
+    if order == "3t":
+        return spec_phi3_tilde(p)
+    if order == 1:
+        return spec_poisson(p.lam)
+    if order == 2:
+        return spec_phi2(p)
+    if order == 3:
+        return spec_phi3(p)
+    if isinstance(order, int) and 4 <= order <= 8:
+        if len(set(p.probs)) != 1:
+            raise ValueError(f"order {order} corrections exist in closed form only for "
+                             "equal probabilities")
+        return CorrectionSpec(order, p.lam, gamma_floats(order, p.n), BINOMIAL_CLOSED_FORM)
+    raise ValueError(f"unsupported order: {order!r}")
+
+
 @dataclass(frozen=True)
 class CorrectedMeasure:
     spec: CorrectionSpec
@@ -155,17 +185,10 @@ class CorrectedMeasure:
 
 
 def _tail_bound(spec: CorrectionSpec, kmax: int) -> float:
-    """Poisson tail beyond kmax, inflated by the correction polynomial.
-
-    The corrections grow polynomially while the Poisson tail dies
-    superexponentially; a lookahead envelope of max |P_j| over the next 50
-    points absorbs the polynomial growth.
-    """
-    env = 1.0
-    for j, g in spec.gamma.items():
-        pj = max(abs(charlier(j, spec.lam, k)) for k in range(kmax + 1, kmax + 51))
-        env += abs(g) * pj
-    return poisson_tail_bound(spec.lam, kmax + 1) * env
+    """Poisson tail beyond kmax, inflated by the correction polynomial."""
+    return poly_tail_envelope(
+        spec.lam, kmax,
+        lambda ks: [abs(g) * _charlier_at(j, spec.lam, ks) for j, g in spec.gamma.items()])
 
 
 def _auto_kmax(spec: CorrectionSpec) -> int:

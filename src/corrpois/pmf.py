@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -206,15 +206,13 @@ class SignedPmf:
 class FactorialMoments:
     """A factorial moment sequence m -> mu_m with mu_0 = 1.
 
-    ``exact_upto`` limits the orders the callable serves (None means every
-    order is available).  ``degree`` is the highest falling-factorial order
-    appearing in a closed form (0 when not applicable) and ``mmax_hint`` the
-    natural series length (n for a sum of n indicators); both only steer
-    series truncation heuristics downstream.
+    ``degree`` is the highest falling-factorial order appearing in a closed
+    form (0 when not applicable) and ``mmax_hint`` the natural series length
+    (n for a sum of n indicators); both only steer series truncation
+    heuristics downstream.
     """
 
     mu: Callable[[int], float]
-    exact_upto: int | None = None
     degree: int = 0
     mmax_hint: int = 0
 
@@ -225,8 +223,6 @@ class FactorialMoments:
     def __call__(self, m: int) -> float:
         if m < 0:
             raise ValueError("moment order must be >= 0")
-        if self.exact_upto is not None and m > self.exact_upto:
-            raise ValueError(f"moments available only up to order {self.exact_upto}")
         return self.mu(m)
 
 
@@ -263,38 +259,41 @@ def poisson_pmf(lam: float, kmax: int) -> SignedPmf:
     return SignedPmf(mass, tail, "poisson")
 
 
+def _linear_product(a: Iterable[float], b: Iterable[float], length: int) -> np.ndarray:
+    """Coefficients 0..length-1 of prod_i (a_i + b_i x), one factor at a time.
+
+    Each factor applies c_k <- a_i c_k + b_i c_(k-1) to the coefficients it
+    can reach; terms of degree length and above are dropped.
+    """
+    c = np.zeros(length)
+    c[0] = 1.0
+    for i, (ai, bi) in enumerate(zip(a, b)):
+        top = min(i + 2, length)
+        c[1:top] = c[1:top] * ai + c[: top - 1] * bi
+        c[0] *= ai
+    return c
+
+
 def poisson_binomial_pmf(p: ProbVector) -> SignedPmf:
-    """Exact distribution of S_n by the one-indicator-at-a-time convolution.
+    """Exact distribution of S_n, the coefficients of prod_i ((1-p_i) + p_i x).
 
     The recurrence f(k) <- (1-p_i) f(k) + p_i f(k-1) is exact and keeps every
     intermediate nonnegative, so the result is a proper distribution with
     zero tail bound and support 0..n.
     """
-    f = np.array([1.0])
-    for pi in p.probs:
-        g = np.empty(f.size + 1)
-        g[0] = f[0] * (1.0 - pi)
-        g[1:-1] = f[1:] * (1.0 - pi) + f[:-1] * pi
-        g[-1] = f[-1] * pi
-        f = g
+    f = _linear_product([1.0 - pi for pi in p.probs], p.probs, p.n + 1)
     return SignedPmf(f, 0.0, "poisson-binomial")
 
 
 def elementary_symmetric(p: ProbVector, mmax: int) -> np.ndarray:
     """Elementary symmetric functions S_{n,m} of the probabilities, m = 0..mmax.
 
-    Computed by the standard one-element-at-a-time recurrence; entries with
-    m > n are exactly zero.
+    These are the coefficients of prod_i (1 + p_i x); entries with m > n are
+    exactly zero.
     """
     if mmax < 0:
         raise ValueError("mmax must be >= 0")
-    e = np.zeros(mmax + 1)
-    e[0] = 1.0
-    top = min(mmax, p.n)
-    for i, pi in enumerate(p.probs):
-        hi = min(i + 1, top)
-        for j in range(hi, 0, -1):
-            e[j] += pi * e[j - 1]
+    e = _linear_product([1.0] * p.n, p.probs, mmax + 1)
     e.flags.writeable = False
     return e
 
@@ -325,4 +324,4 @@ def factorial_moments_sn(p: ProbVector, mmax: int | None = None) -> FactorialMom
             return 0.0
         return math.exp(math.lgamma(m + 1) + math.log(e[m]))
 
-    return FactorialMoments(mu, exact_upto=None, degree=0, mmax_hint=n)
+    return FactorialMoments(mu, degree=0, mmax_hint=n)

@@ -61,6 +61,14 @@ class TestCharlierValues:
                     b = charlier_by_recurrence(m, lam, k)
                     assert abs(a - b) <= 1e-9 * max(1.0, abs(b))
 
+    def test_array_matches_recurrence_oracle(self):
+        ks = np.arange(51, dtype=float)
+        for lam in (0.5, 1.0, 2.0):
+            for m in range(9):
+                a = charlier_values(m, lam, 50)
+                b = charlier_by_recurrence(m, lam, ks)
+                assert np.all(np.abs(a - b) <= 1e-9 * np.maximum(1.0, np.abs(b))), (m, lam)
+
     def test_vectorized_agrees_with_scalar(self):
         vals = charlier_values(4, 1.5, 30)
         for k in range(31):

@@ -115,6 +115,25 @@ class TestDistanceCommand:
         r = run_cli("distance", "--metric", "tv", "--probs", probs_file, "--exact")
         assert r.returncode == 2
 
+    @pytest.mark.parametrize("args", [
+        ("distance", "--metric", "d2", "--exact", "--binomial", "400", "100", "--order", "3"),
+        ("bounds", "--check", "theorem2", "--binomial", "400", "100"),
+        ("distance", "--metric", "d2", "--binomial", "1000", "155", "--order", "2"),
+    ])
+    def test_overflow_is_domain_error(self, args):
+        r = run_cli(*args)
+        assert r.returncode == 3
+        assert r.stdout == ""
+        assert r.stderr.startswith("error: numeric overflow")
+        assert len(r.stderr.strip().splitlines()) == 1
+
+    def test_infinite_value_is_domain_error(self):
+        r = run_cli("distance", "--metric", "d2tilde", "--binomial", "60", "30",
+                    "--order", "2")
+        assert r.returncode == 3
+        assert r.stdout == ""
+        assert r.stderr == "error: series overflowed before certification\n"
+
     def test_seventeen_digit_floats(self):
         r = run_cli("distance", "--metric", "d2", "--binomial", "16", "1",
                     "--order", "2", "--exact")
@@ -234,6 +253,15 @@ class TestScanCommand:
         for line in lines[1:-1]:
             _, _, dist, bound = line.split(",")
             assert float(dist) <= float(bound)
+
+    def test_row_equals_distance_command(self):
+        scan = run_cli("scan", "--lambda", "1.7", "--n-grid", "20,40,80", "--orders", "5")
+        assert scan.returncode == 0
+        row = scan.stdout.splitlines()[3]
+        assert row.startswith("80,5,")
+        r = run_cli("distance", "--metric", "d2", "--exact", "--binomial", "80", "1.7",
+                    "--order", "5")
+        assert row.split(",")[2] == re.search(r'"value": ([^,]+),', r.stdout).group(1)
 
     def test_too_few_points(self):
         r = run_cli("scan", "--lambda", "1", "--n-grid", "4", "--orders", "2")

@@ -17,6 +17,7 @@ from corrpois import (
     poisson_binomial_pmf,
     poisson_pmf,
     power_sums,
+    spec_for_order,
     spec_phi2,
     spec_phi3,
     spec_phi3_tilde,
@@ -56,6 +57,28 @@ class TestSpecs:
         assert spec.gamma[2] == pytest.approx(ps[2] / (2 * lam**2), rel=1e-15)
         assert spec.gamma[3] == pytest.approx(-ps[3] / (3 * lam**3), rel=1e-15)
         assert spec.gamma[4] == pytest.approx(-ps[2] ** 2 / (8 * lam**4), rel=1e-15)
+
+
+class TestSpecForOrder:
+    def test_orders_match_named_specs(self):
+        p = equal_probs(12, 1.5)
+        assert spec_for_order(p, 1) == spec_poisson(p.lam)
+        assert spec_for_order(p, 2) == spec_phi2(p)
+        assert spec_for_order(p, 3) == spec_phi3(p)
+        assert spec_for_order(p, "3t") == spec_phi3_tilde(p)
+        spec = spec_for_order(p, 6)
+        assert spec.lam == p.lam
+        assert spec.gamma == {j: g for j, g in gamma_floats(6, 12).items() if g != 0.0}
+
+    def test_high_order_needs_equal_probabilities(self):
+        with pytest.raises(ValueError, match="equal probabilities"):
+            spec_for_order(P123, 4)
+
+    def test_orders_outside_range_refused(self):
+        p = equal_probs(12, 1.5)
+        for order in (0, 9, -1, "4t"):
+            with pytest.raises(ValueError, match="unsupported order"):
+                spec_for_order(p, order)
 
 
 class TestBuildPhi2:

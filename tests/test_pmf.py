@@ -19,6 +19,17 @@ from corrpois import (
 from conftest import enumerated_factorial_moment, enumerated_pmf
 
 
+def elementary_symmetric_by_loop(probs, mmax):
+    """Reference: the element-at-a-time recurrence e_j += p_i e_(j-1)."""
+    e = np.zeros(mmax + 1)
+    e[0] = 1.0
+    top = min(mmax, len(probs))
+    for i, pi in enumerate(probs):
+        for j in range(min(i + 1, top), 0, -1):
+            e[j] += pi * e[j - 1]
+    return e
+
+
 class TestProbVector:
     def test_zero_entries_dropped(self):
         p = ProbVector((0.0, 0.3, 0.0, 0.7))
@@ -114,6 +125,15 @@ class TestElementarySymmetric:
     def test_beyond_n_is_zero(self):
         e = elementary_symmetric(ProbVector((0.1, 0.2, 0.3)), 4)
         assert e[4] == 0.0
+
+    def test_equals_reference_loop_exactly(self):
+        rng = np.random.default_rng(11)
+        for _ in range(60):
+            n = int(rng.integers(1, 201))
+            p = ProbVector(tuple(rng.uniform(0.0, 1.0, n).tolist()))
+            for mmax in (0, 3, p.n, p.n + 5):
+                want = elementary_symmetric_by_loop(p.probs, mmax)
+                assert elementary_symmetric(p, mmax).tolist() == want.tolist(), (n, mmax)
 
 
 class TestFactorialMoments:
