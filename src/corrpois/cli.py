@@ -138,9 +138,13 @@ def _load_vector(args: argparse.Namespace) -> ProbVector:
         raise CliDomainError(str(exc)) from exc
 
 
-def _spec_for_order(p: ProbVector, order: int) -> CorrectionSpec:
+def _check_order(order: int) -> None:
     if not 1 <= order <= 8:
         raise CliInputError(f"unsupported order: {order} (orders 1..8 are supported)")
+
+
+def _spec_for_order(p: ProbVector, order: int) -> CorrectionSpec:
+    _check_order(order)
     try:
         return spec_for_order(p, order)
     except ValueError as exc:
@@ -370,6 +374,7 @@ def _parse_orders(text: str) -> tuple[int | str, ...]:
                 orders.append(int(tok))
             except ValueError as exc:
                 raise CliInputError(f"--orders expects integers or 3t: {tok!r}") from exc
+            _check_order(orders[-1])
     return tuple(orders)
 
 

@@ -4,20 +4,16 @@ A corrected measure of order nu multiplies the Poisson(lam) mass by the
 polynomial factor 1 - sum_{j=2}^{2nu-2} gamma_j P_j(k).  Because every P_j
 integrates to zero against the Poisson weight, the result always sums to 1,
 but it may dip negative: it is a signed measure, not a distribution.  Its
-payoff is an exact factorial moment sequence
+factorial moments mu_m = lam^m (1 - sum_j gamma_j (m)_j) have the generating
+function e^(lam t) (1 - sum_j gamma_j (lam t)^j), while that of S_n is
 
-    mu_m = lam^m (1 - sum_j gamma_j (m)_j),
+    prod_i (1 + p_i t) = e^(lam t) exp(L(t)),  L(t) = sum_{j>=2} (-1)^(j+1) lambda_j t^j / j.
 
-which the orders nu = 2, 3 use to match the moments of S_n:
-
-  * order 2: gamma_2 = lambda_2 / (2 lam^2), matching mean and variance;
-  * order 3: additionally gamma_3 = -lambda_3 / (3 lam^3) and
-    gamma_4 = -lambda_2^2 / (8 lam^4), matching moments up to order three.
-
-The sign convention is fixed once and for all by the (1 - sum gamma_j P_j)
-form above; the order-3 coefficients come out negative so that the P_3 and
-P_4 corrections enter with plus signs.  The difference
-mu_4 - mu_4(S_n) = 6 lambda_4 pins the convention in the tests.
+Giving lambda_j the weight j - 1, the order-nu spec keeps the part of exp(L)
+of weight below nu (``gamma_from_power_sums``) and so matches the factorial
+moments of S_n up to order nu, for any probabilities: order 2 has
+gamma_2 = lambda_2 / (2 lam^2), order 3 adds gamma_3 = -lambda_3 / (3 lam^3)
+and gamma_4 = -lambda_2^2 / (8 lam^4), and mu_4 - mu_4(S_n) = 6 lambda_4.
 
 A simplified order-3 variant keeps only the P_2 and P_3 corrections.  It
 matches moments up to order three as well, yet approximates S_n markedly
@@ -28,25 +24,14 @@ is exactly what makes it interesting as a counterexample.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from .binomial import gamma_floats
-from .charlier import (
-    _charlier_at,
-    charlier_values,
-    falling_factorial,
-    poly_tail_envelope,
-)
-from .pmf import (
-    FactorialMoments,
-    ProbVector,
-    SignedPmf,
-    poisson_pmf,
-    power_sums,
-)
+from .charlier import _charlier_at, charlier_values, falling_factorial, poly_tail_envelope
+from .pmf import FactorialMoments, ProbVector, SignedPmf, poisson_pmf, power_sums
 
 __all__ = [
     "CorrectionSpec",
@@ -56,6 +41,7 @@ __all__ = [
     "spec_phi3",
     "spec_phi3_tilde",
     "spec_for_order",
+    "gamma_from_power_sums",
     "build_phi_nu",
     "build_phi2",
     "build_phi3",
@@ -64,7 +50,6 @@ __all__ = [
 ]
 
 MOMENT_MATCHED = "moment-matched-from-ProbVector"
-BINOMIAL_CLOSED_FORM = "binomial-closed-form"
 USER_SUPPLIED = "user-supplied"
 
 
@@ -119,62 +104,66 @@ def spec_poisson(lam: float) -> CorrectionSpec:
 
 def spec_phi2(p: ProbVector) -> CorrectionSpec:
     """Variance-matching order-2 spec for the given indicator probabilities."""
-    ps = power_sums(p, 2)
-    lam = ps.lam
-    if not lam > 0:
-        raise ValueError("corrected measures require a positive mean")
-    return CorrectionSpec(2, lam, {2: ps[2] / (2.0 * lam**2)}, MOMENT_MATCHED)
+    return spec_for_order(p, 2)
 
 
 def spec_phi3(p: ProbVector) -> CorrectionSpec:
     """Order-3 spec matching the factorial moments of S_n up to order three."""
-    ps = power_sums(p, 3)
-    lam = ps.lam
-    if not lam > 0:
-        raise ValueError("corrected measures require a positive mean")
-    gamma = {
-        2: ps[2] / (2.0 * lam**2),
-        3: -ps[3] / (3.0 * lam**3),
-        4: -ps[2] ** 2 / (8.0 * lam**4),
-    }
-    return CorrectionSpec(3, lam, gamma, MOMENT_MATCHED)
+    return spec_for_order(p, 3)
 
 
 def spec_phi3_tilde(p: ProbVector) -> CorrectionSpec:
     """Simplified order-3 spec: P_2 and P_3 corrections only."""
-    ps = power_sums(p, 3)
-    lam = ps.lam
-    if not lam > 0:
-        raise ValueError("corrected measures require a positive mean")
-    gamma = {
-        2: ps[2] / (2.0 * lam**2),
-        3: -ps[3] / (3.0 * lam**3),
-    }
-    return CorrectionSpec(3, lam, gamma, MOMENT_MATCHED)
+    return spec_for_order(p, "3t")
+
+
+def gamma_from_power_sums(lams: Sequence, order: int) -> dict:
+    """gamma_2..gamma_{2 order - 2} from the power sums lams[j - 1] = lambda_j.
+
+    The weight-w part E_w of exp(L) obeys w E_w = sum_{k=1}^{w} k L_k E_{w-k},
+    where L_k = (-1)^k lambda_{k+1} t^(k+1) / (k+1) is the weight-k part of L,
+    and T = sum_{w < order} E_w, so gamma_j = -[t^j] T / lam^j.  Needs
+    lambda_1..lambda_order.  Only +, * and / touch the power sums, so
+    Fractions give the exact coefficients.
+    """
+    lam = lams[0]
+    parts = [{0: 1}]  # parts[w][d] = [t^d] E_w
+    total = {}  # [t^d] T for d >= 2
+    for w in range(1, order):
+        e = {}
+        for k in range(1, w + 1):
+            a = (-1) ** k * k * lams[k] / (k + 1)
+            for d, x in parts[w - k].items():
+                e[d + k + 1] = e.get(d + k + 1, 0) + a * x
+        parts.append({d: x / w for d, x in e.items()})
+        for d, x in parts[w].items():
+            total[d] = total.get(d, 0) + x
+    return {j: -x / lam**j for j, x in sorted(total.items())}
 
 
 def spec_for_order(p: ProbVector, order: int | str) -> CorrectionSpec:
-    """The corrected-measure spec of the given order for S_n.
+    """The moment-matched corrected-measure spec of the given order for S_n.
 
-    Orders 1, 2 and 3 are moment matched from the probabilities and "3t" is
-    the simplified order-3 variant.  Orders 4..8 exist in closed form only
-    for equal probabilities, from the exact binomial coefficient table.
-    Every other order raises ValueError.  The mean is always ``p.lam``.
+    Orders 1..8 match the factorial moments of S_n up to that order, for any
+    probabilities; "3t" is order 3 without its gamma_4.  Every other order
+    raises ValueError, and so does a mean whose power lam^(2 order - 2)
+    falls below the normal floating-point range, where the coefficients
+    would lose their precision or divide by zero.
     """
+    nu = 3 if order == "3t" else order
+    if nu not in range(1, 9):
+        raise ValueError(f"unsupported order: {order!r}")
+    nu = int(nu)
+    lams = power_sums(p, nu).values
+    lam = lams[0]
+    if not lam > 0:
+        raise ValueError("corrected measures require a positive mean")
+    if lam ** (2 * nu - 2) < sys.float_info.min:
+        raise ValueError(f"mean {lam!r} too small for order {nu}: lam^{2 * nu - 2} underflows")
+    gamma = gamma_from_power_sums(lams, nu)
     if order == "3t":
-        return spec_phi3_tilde(p)
-    if order == 1:
-        return spec_poisson(p.lam)
-    if order == 2:
-        return spec_phi2(p)
-    if order == 3:
-        return spec_phi3(p)
-    if isinstance(order, int) and 4 <= order <= 8:
-        if len(set(p.probs)) != 1:
-            raise ValueError(f"order {order} corrections exist in closed form only for "
-                             "equal probabilities")
-        return CorrectionSpec(order, p.lam, gamma_floats(order, p.n), BINOMIAL_CLOSED_FORM)
-    raise ValueError(f"unsupported order: {order!r}")
+        del gamma[4]
+    return CorrectionSpec(nu, lam, gamma, MOMENT_MATCHED)
 
 
 @dataclass(frozen=True)
@@ -191,20 +180,23 @@ def _tail_bound(spec: CorrectionSpec, kmax: int) -> float:
         lambda ks: [abs(g) * _charlier_at(j, spec.lam, ks) for j, g in spec.gamma.items()])
 
 
-def _auto_kmax(spec: CorrectionSpec) -> int:
+def _auto_kmax(spec: CorrectionSpec) -> tuple[int, float]:
+    """The first accepted cutoff and its tail bound."""
     k = max(16, math.ceil(spec.lam + 10.0 * math.sqrt(spec.lam)))
-    while _tail_bound(spec, k) >= 1e-13:
+    while (bound := _tail_bound(spec, k)) >= 1e-13:
         k *= 2
         if k > 1_000_000:
             raise RuntimeError("tail bound failed to converge; mean too large?")
-    return k
+    return k, bound
 
 
 def build_phi_nu(spec: CorrectionSpec, kmax: int | None = None,
                  label: str | None = None) -> CorrectedMeasure:
     """Corrected measure of arbitrary order from an explicit coefficient spec."""
     if kmax is None:
-        kmax = _auto_kmax(spec)
+        kmax, tail = _auto_kmax(spec)
+    else:
+        tail = _tail_bound(spec, kmax)
     pois = poisson_pmf(spec.lam, kmax)
     if spec.gamma:
         rows = [charlier_values(j, spec.lam, kmax) * (-g) for j, g in sorted(spec.gamma.items())]
@@ -214,7 +206,7 @@ def build_phi_nu(spec: CorrectionSpec, kmax: int | None = None,
     mass = pois.mass * factor
     if label is None:
         label = f"phi{spec.nu}" if spec.gamma or spec.nu == 1 else "poisson"
-    pmf = SignedPmf(mass, _tail_bound(spec, kmax), label)
+    pmf = SignedPmf(mass, tail, label)
     return CorrectedMeasure(spec, pmf, spec.moments())
 
 

@@ -24,9 +24,9 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from decimal import Context, Decimal, localcontext
 from typing import Callable
 
-import mpmath as mp
 import numpy as np
 
 from .corrected import CorrectionSpec
@@ -44,7 +44,7 @@ __all__ = [
     "weighted_l1",
 ]
 
-_PRODUCT_DPS = 50
+_PRODUCT_DIGITS = 50
 
 
 @dataclass(frozen=True)
@@ -215,13 +215,13 @@ def d2_exact_product(p: ProbVector, spec: CorrectionSpec,
         fallback = d2(factorial_moments_sn(p), spec.moments(), mmax)
         return DistanceResult(fallback.value, fallback.truncation_error,
                               "moment-series", note=str(exc))
-    with mp.workdps(_PRODUCT_DPS):
-        prod = mp.mpf(1)
+    with localcontext(Context(prec=_PRODUCT_DIGITS)):
+        prod = Decimal(1)
         for x in p.probs:
-            prod *= 1 + 2 * mp.mpf(x)
-        lam = mp.mpf(spec.lam)
-        corr = mp.mpf(1)
+            prod *= 1 + 2 * Decimal(x)
+        lam2 = 2 * Decimal(spec.lam)
+        corr = Decimal(1)
         for j, g in sorted(spec.gamma.items()):
-            corr -= mp.mpf(g) * (2 * lam) ** j
-        value = abs(prod - mp.e ** (2 * lam) * corr) / 2
+            corr -= Decimal(g) * lam2**j
+        value = abs(prod - lam2.exp() * corr) / 2
         return DistanceResult(float(value), 0.0, "exact-product")

@@ -65,6 +65,20 @@ class TestPmfCommand:
         r = run_cli("pmf", "--probs", str(f), "--order", "2")
         assert r.returncode == 3
 
+    def test_tiny_mean_with_correction_is_domain_error(self, tmp_path):
+        f = tmp_path / "tiny.txt"
+        f.write_text("1e-200\n")
+        r = run_cli("pmf", "--probs", str(f), "--order", "2")
+        assert r.returncode == 3
+        assert r.stderr.startswith("error: mean 1e-200 too small for order 2")
+
+    def test_unequal_probabilities_order5(self, probs_file):
+        r = run_cli("pmf", "--probs", probs_file, "--order", "5")
+        assert r.returncode == 0, r.stderr
+        payload = json.loads(r.stdout)
+        assert payload["label"] == "phi5"
+        assert abs(math.fsum(payload["mass"]) - 1.0) <= payload["tail_bound"] + 1e-12
+
     def test_json_array_file(self, tmp_path):
         f = tmp_path / "p.json"
         f.write_text("[0.1, 0.2, 0.3]")
@@ -262,6 +276,13 @@ class TestScanCommand:
         r = run_cli("distance", "--metric", "d2", "--exact", "--binomial", "80", "1.7",
                     "--order", "5")
         assert row.split(",")[2] == re.search(r'"value": ([^,]+),', r.stdout).group(1)
+
+    @pytest.mark.parametrize("orders", ["9", "0", "2,9"])
+    def test_order_outside_range_is_input_error(self, orders):
+        r = run_cli("scan", "--lambda", "1", "--n-grid", "8,16,32", "--orders", orders)
+        assert r.returncode == 2
+        assert "orders 1..8 are supported" in r.stderr
+        assert r.stdout == ""
 
     def test_too_few_points(self):
         r = run_cli("scan", "--lambda", "1", "--n-grid", "4", "--orders", "2")

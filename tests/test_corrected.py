@@ -1,7 +1,11 @@
 import math
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corrpois import (
     CorrectionSpec,
@@ -17,12 +21,14 @@ from corrpois import (
     poisson_binomial_pmf,
     poisson_pmf,
     power_sums,
+    solve_gamma_table,
     spec_for_order,
     spec_phi2,
     spec_phi3,
     spec_phi3_tilde,
     spec_poisson,
 )
+from corrpois.corrected import gamma_from_power_sums
 
 P123 = ProbVector((0.1, 0.2, 0.3))
 
@@ -68,11 +74,46 @@ class TestSpecForOrder:
         assert spec_for_order(p, "3t") == spec_phi3_tilde(p)
         spec = spec_for_order(p, 6)
         assert spec.lam == p.lam
-        assert spec.gamma == {j: g for j, g in gamma_floats(6, 12).items() if g != 0.0}
+        want = gamma_floats(6, 12)
+        assert set(spec.gamma) == {j for j, g in want.items() if g != 0.0}
+        for j, g in want.items():
+            assert spec.gamma[j] == pytest.approx(g, rel=1e-14, abs=0.0)
 
-    def test_high_order_needs_equal_probabilities(self):
-        with pytest.raises(ValueError, match="equal probabilities"):
-            spec_for_order(P123, 4)
+    @pytest.mark.parametrize("nu", range(2, 9))
+    @pytest.mark.parametrize("n", [7, 20, 101])
+    def test_exact_recurrence_is_the_binomial_table(self, n, nu):
+        lams = [Fraction(1, n) ** j * n for j in range(1, nu + 1)]
+        table = solve_gamma_table(nu)
+        got = gamma_from_power_sums(lams, nu)
+        assert got == {j: table.gamma_at(j, n) for j in range(2, 2 * nu - 1)}
+
+    def test_high_orders_match_moments_for_unequal_probabilities(self):
+        p = ProbVector((0.05, 0.3, 0.9, 0.45, 1.0, 0.12, 0.7))
+        mu = factorial_moments_sn(p)
+        for nu in range(4, 9):
+            phi = spec_for_order(p, nu).moments()
+            for m in range(1, nu + 1):
+                assert phi(m) == pytest.approx(mu(m), rel=0.0, abs=1e-12 * p.lam**m)
+            assert abs(phi(nu + 1) - mu(nu + 1)) > 1e-9 * p.lam ** (nu + 1)
+
+    def test_tiny_mean_refused(self):
+        p = ProbVector((1e-200,))
+        assert spec_for_order(p, 1).lam == 1e-200
+        with pytest.raises(ValueError, match="too small for order 2"):
+            spec_for_order(p, 2)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=60), st.integers(1, 8))
+    def test_moments_matched_up_to_order(self, probs, nu):
+        p = ProbVector(tuple(probs))
+        if not p.lam > 0 or p.lam ** (2 * nu - 2) < sys.float_info.min:
+            with pytest.raises(ValueError):
+                spec_for_order(p, nu)
+            return
+        phi = spec_for_order(p, nu).moments()
+        mu = factorial_moments_sn(p)
+        for m in range(1, nu + 1):
+            assert abs(phi(m) - mu(m)) <= 1e-10 * max(p.lam**m, abs(mu(m)))
 
     def test_orders_outside_range_refused(self):
         p = equal_probs(12, 1.5)

@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -148,6 +150,12 @@ class TestD2ExactProduct:
             res = d2_exact_product(p, spec)
         assert res.method == "moment-series"
         assert "sign change" in res.note
+
+    def test_package_import_leaves_out_mpmath(self):
+        code = "import sys, corrpois; print('mpmath' in sys.modules)"
+        r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert r.returncode == 0, r.stderr
+        assert r.stdout.strip() == "False"
 
 
 class TestD2Tilde:
