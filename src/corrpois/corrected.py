@@ -30,8 +30,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .charlier import _charlier_at, charlier_values, falling_factorial, poly_tail_envelope
-from .pmf import FactorialMoments, ProbVector, SignedPmf, poisson_pmf, power_sums
+from .charlier import _charlier_at, charlier_values, poly_tail_envelope
+from .pmf import (FactorialMoments, ProbVector, SignedPmf, poisson_pmf, poisson_tail_bound,
+                  power_sums)
 
 __all__ = [
     "CorrectionSpec",
@@ -78,23 +79,42 @@ class CorrectionSpec:
                 raise ValueError(f"gamma degree {j} outside 2..{2 * self.nu - 2}")
         object.__setattr__(self, "gamma", gamma)
 
-    @property
-    def degree(self) -> int:
-        """Highest correction degree present (0 for plain Poisson)."""
-        return max(self.gamma, default=0)
-
-    def density_factor(self, m: int) -> float:
-        """1 - sum_j gamma_j (m)_j, the factor multiplying lam^m in mu_m."""
-        return math.fsum([1.0] + [-g * falling_factorial(m, j) for j, g in self.gamma.items()])
-
     def moments(self) -> FactorialMoments:
-        """Closed-form factorial moments lam^m (1 - sum_j gamma_j (m)_j)."""
-        lam = self.lam
+        """Weighted factorial moments 2^m mu_m / m! = a_m - sum_j gamma_j (2 lam)^j a_(m-j).
 
-        def mu(m: int) -> float:
-            return lam**m * self.density_factor(m)
+        Here a_m = (2 lam)^m / m!.  With A(K) = sum_{m>K} a_m, at most
+        e^(2 lam) P(Z >= K + 1) for Z ~ Poisson(2 lam) (Chernoff), and
+        m a_(m-j) = 2 lam a_(m-j-1) + j a_(m-j), the moments past M satisfy
 
-        return FactorialMoments(mu, degree=self.degree)
+            sum_{m>M} m |w_m| <= 2 lam A(M-1)
+                + sum_j |gamma_j| (2 lam)^j (2 lam A(M-1-j) + j A(M-j)).
+
+        M is the first order from 2 nu on at which this bound falls to 2^-70
+        of e^(2 lam) (1 + sum_j |gamma_j| (2 lam)^j), so every correction
+        degree and the first unmatched moment are stored.  Raises
+        OverflowError when e^(2 lam) exceeds binary64 (lam above about 354).
+        """
+        x = 2.0 * self.lam
+        scale = math.exp(x)
+        c = {j: abs(g) * x**j for j, g in self.gamma.items()}
+
+        def tail_over_scale(top: int) -> float:  # the bound above with M = top
+            return x * poisson_tail_bound(x, top) + sum(
+                cj * (x * poisson_tail_bound(x, top - j) + j * poisson_tail_bound(x, top - j + 1))
+                for j, cj in c.items())
+
+        budget = 2.0**-70 * (1.0 + sum(c.values()))
+        lo = top = max(int(x), 2 * self.nu)
+        while tail_over_scale(top) > budget:  # the bound falls with M: gallop, then bisect
+            lo, top = top + 1, 2 * top + 1
+        while lo < top:
+            mid = (lo + top) // 2
+            lo, top = (mid + 1, top) if tail_over_scale(mid) > budget else (lo, mid)
+        a = np.cumprod(np.concatenate(([1.0], x / np.arange(1.0, top + 1))))
+        w = a.copy()
+        for j, g in self.gamma.items():
+            w[j:] -= g * x**j * a[: top + 1 - j]
+        return FactorialMoments(w, scale * tail_over_scale(top))
 
 
 def spec_poisson(lam: float) -> CorrectionSpec:
@@ -170,7 +190,12 @@ def spec_for_order(p: ProbVector, order: int | str) -> CorrectionSpec:
 class CorrectedMeasure:
     spec: CorrectionSpec
     pmf: SignedPmf
-    moments: FactorialMoments
+
+    @property
+    def moments(self) -> FactorialMoments:
+        """The spec's factorial moments, computed on access: they need
+        e^(2 lam), which overflows long before the masses do."""
+        return self.spec.moments()
 
 
 def _tail_bound(spec: CorrectionSpec, kmax: int) -> float:
@@ -206,8 +231,7 @@ def build_phi_nu(spec: CorrectionSpec, kmax: int | None = None,
     mass = pois.mass * factor
     if label is None:
         label = f"phi{spec.nu}" if spec.gamma or spec.nu == 1 else "poisson"
-    pmf = SignedPmf(mass, tail, label)
-    return CorrectedMeasure(spec, pmf, spec.moments())
+    return CorrectedMeasure(spec, SignedPmf(mass, tail, label))
 
 
 def build_phi2(p: ProbVector, kmax: int | None = None) -> CorrectedMeasure:
@@ -225,33 +249,23 @@ def build_phi3_tilde(p: ProbVector, kmax: int | None = None) -> CorrectedMeasure
     return build_phi_nu(spec_phi3_tilde(p), kmax, label="phi3-tilde")
 
 
-def invert_moments(moments: FactorialMoments, kmax: int, mmax: int | None = None) -> SignedPmf:
+def invert_moments(moments: FactorialMoments, kmax: int) -> SignedPmf:
     """Recover a mass function from its factorial moments.
 
-    Applies g(k) = (1/k!) sum_{m>=k} (-1)^(m-k) mu_m / (m-k)!, truncating the
-    alternating series at mmax.  The magnitude of the first omitted term,
-    summed over k, is folded into the recorded tail bound together with the
-    mass deficit of the truncated support.
+    Applies g(k) = sum_{m>=k} (-1)^(m-k) C(m, k) 2^-m w_m to the stored
+    weighted moments w_m = 2^m mu_m / m!, as one matrix-vector product.
+    Since C(m, k) 2^-m <= 1, each g(k) misses at most the moments' tail; the
+    recorded tail bound is (kmax + 1) times that plus the mass deficit of
+    the truncated support.
     """
     if kmax < 0:
         raise ValueError("kmax must be >= 0")
-    if mmax is None:
-        mmax = max(moments.mmax_hint, 60)
-    if mmax < kmax:
-        raise ValueError("mmax must be at least kmax")
-    mu = [moments(m) for m in range(mmax + 2)]
-    mass = np.empty(kmax + 1)
-    remainder = 0.0
-    inv_fact_k = 1.0  # 1/k!
-    for k in range(kmax + 1):
-        if k > 0:
-            inv_fact_k /= k
-        terms = []
-        w = 1.0  # (-1)^(m-k) / (m-k)!
-        for m in range(k, mmax + 1):
-            terms.append(w * mu[m])
-            w = -w / (m + 1 - k)
-        mass[k] = inv_fact_k * math.fsum(terms)
-        remainder += inv_fact_k * abs(w * mu[mmax + 1])
+    rows = []
+    row = np.zeros(kmax + 1)  # (-1)^(m-k) C(m, k) 2^-m for k = 0..kmax, by Pascal's rule
+    row[0] = 1.0
+    for _ in range(moments.weighted.size):
+        rows.append(row)
+        row = 0.5 * (np.concatenate(([0.0], row[:-1])) - row)
+    mass = moments.weighted @ np.array(rows)
     deficit = abs(1.0 - math.fsum(mass.tolist()))
-    return SignedPmf(mass, deficit + remainder, "inverted")
+    return SignedPmf(mass, deficit + (kmax + 1) * moments.tail, "inverted")

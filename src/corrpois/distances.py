@@ -7,10 +7,10 @@ The factorial-moment distances
     d2      = (1/2) sum_m 2^m / m!       |mu_m(g1) - mu_m(g2)|
     d2tilde =       sum_m 2^(m-1)/(m-1)! |mu_m(g1) - mu_m(g2)|
 
-are stronger than total variation (d_tv <= d2) and are evaluated from moment
-sequences with a certified geometric cutoff.  When one moment sequence
-dominates the other at every order, d2 against a corrected measure collapses
-to the closed form
+are stronger than total variation (d_tv <= d2) and are sums over stored
+weighted moments 2^m mu_m / m! with proven tail bounds.  When one moment
+sequence dominates the other at every order, d2 against a corrected measure
+collapses to the closed form
 
     (1/2) | prod_i (1 + 2 p_i) - e^(2 lam) (1 - sum_j gamma_j (2 lam)^j) |,
 
@@ -57,18 +57,19 @@ class DistanceResult:
     note: str = ""
 
 
-def _aligned(g1: SignedPmf, g2: SignedPmf) -> tuple[np.ndarray, np.ndarray]:
-    k = max(g1.mass.size, g2.mass.size)
+def _aligned(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The two arrays zero-padded to a common length."""
+    k = max(x.size, y.size)
     a = np.zeros(k)
     b = np.zeros(k)
-    a[: g1.mass.size] = g1.mass
-    b[: g2.mass.size] = g2.mass
+    a[: x.size] = x
+    b[: y.size] = y
     return a, b
 
 
 def tv(g1: SignedPmf, g2: SignedPmf) -> DistanceResult:
     """Total variation distance, half the pointwise L1 difference."""
-    a, b = _aligned(g1, g2)
+    a, b = _aligned(g1.mass, g2.mass)
     value = 0.5 * math.fsum(np.abs(a - b).tolist())
     return DistanceResult(value, 0.5 * (g1.tail_bound + g2.tail_bound), "pointwise")
 
@@ -77,7 +78,7 @@ def hellinger(g1: SignedPmf, g2: SignedPmf) -> DistanceResult:
     """Hellinger distance; defined only for proper (nonnegative) inputs."""
     if not g1.is_proper or not g2.is_proper:
         raise ValueError("Hellinger distance is undefined for signed measures")
-    a, b = _aligned(g1, g2)
+    a, b = _aligned(g1.mass, g2.mass)
     sq = 0.5 * math.fsum(((np.sqrt(a) - np.sqrt(b)) ** 2).tolist())
     # Discarded tail contributes at most half the missing mass of each input.
     return DistanceResult(math.sqrt(sq), 0.5 * (g1.tail_bound + g2.tail_bound), "pointwise")
@@ -91,7 +92,7 @@ def wasserstein(g1: SignedPmf, g2: SignedPmf) -> DistanceResult:
     off by at most the input's tail bound, and beyond the support the tails
     themselves are bounded by it, whence the recorded truncation error.
     """
-    a, b = _aligned(g1, g2)
+    a, b = _aligned(g1.mass, g2.mass)
     ta = np.cumsum(a[::-1])[::-1]
     tb = np.cumsum(b[::-1])[::-1]
     value = math.fsum(np.abs(ta[1:] - tb[1:]).tolist())
@@ -101,7 +102,7 @@ def wasserstein(g1: SignedPmf, g2: SignedPmf) -> DistanceResult:
 
 def weighted_l1(h: Callable[[int], float], g1: SignedPmf, g2: SignedPmf) -> DistanceResult:
     """sum_k h(k) |g1(k) - g2(k)| for a nonnegative weight h."""
-    a, b = _aligned(g1, g2)
+    a, b = _aligned(g1.mass, g2.mass)
     weights = []
     for k in range(a.size):
         hk = h(k)
@@ -114,105 +115,71 @@ def weighted_l1(h: Callable[[int], float], g1: SignedPmf, g2: SignedPmf) -> Dist
                           note="truncation bound uses the max retained weight")
 
 
-def _moment_series(m1: FactorialMoments, m2: FactorialMoments, mmax: int | None,
-                   half: bool) -> DistanceResult:
-    """Shared engine for d2 (half=True) and d2tilde (half=False).
+def _moment_distance(m1: FactorialMoments, m2: FactorialMoments, tilde: bool) -> DistanceResult:
+    """(1/2) sum_m |w1_m - w2_m|, times m for d2tilde, over the weighted
+    moments w_m = 2^m mu_m / m! with the shorter array zero-padded.
 
-    Terms are w_m |mu_m(g1) - mu_m(g2)| with w_m = 2^m/m! resp.
-    2^(m-1)/(m-1)!.  Summation starts no earlier than the natural series
-    length of either input and max(8 lam, 8) + 2 deg, then continues until
-    three consecutive terms at least halve and the current term has fallen
-    below 1e-16 of the running sum; past that point the sequence is
-    dominated by a geometric series of ratio 1/2, so twice the largest of
-    the last terms bounds the tail.  If the cap mmax arrives first the
-    truncation error is reported as unbounded (inf).
+    Each omitted term is bounded by its sequence's tail, sum_{m>M} m |w_m|,
+    so half the sum of the two tails bounds the truncation.
     """
-    lam_eff = max(abs(m1(1)), abs(m2(1)), 1.0)
-    deg = max(m1.degree, m2.degree)
-    start = max(m1.mmax_hint, m2.mmax_hint, math.ceil(8.0 * lam_eff) + 2 * deg, 8)
-    cap = mmax if mmax is not None else max(4 * start, 400)
-    total = 0.0
-    w = 1.0
-    sub_half = 0
-    window: list[float] = [0.0, 0.0, 0.0]
-    m = 0
-    certified = False
-    while m < cap:
-        m += 1
-        if half:
-            w *= 2.0 / m  # 2^m / m!
-        else:
-            w = 1.0 if m == 1 else w * 2.0 / (m - 1)  # 2^(m-1) / (m-1)!
-        term = w * abs(m1(m) - m2(m))
-        if not math.isfinite(term):
-            return DistanceResult(math.inf, math.inf, "moment-series",
-                                  note="series overflowed before certification")
-        total += term
-        prev = window[-1]
-        window = window[1:] + [term]
-        sub_half = sub_half + 1 if term <= 0.5 * prev or term == 0.0 else 0
-        if (m >= start and m >= 4.0 * lam_eff + deg and sub_half >= 3
-                and term <= 1e-16 * total):
-            certified = True
-            break
-    scale = 0.5 if half else 1.0
-    if not certified:
-        return DistanceResult(scale * total, math.inf, "moment-series",
-                              note=f"tail not certified within mmax = {cap}")
-    return DistanceResult(scale * total, scale * 2.0 * max(window), "moment-series")
+    a, b = _aligned(m1.weighted, m2.weighted)
+    gap = np.abs(a - b)
+    if tilde:
+        gap *= np.arange(gap.size)
+    tail = 0.5 * (m1.tail + m2.tail)
+    note = "" if math.isfinite(tail) else "moment tail unbounded: a sequence was cut short"
+    return DistanceResult(0.5 * math.fsum(gap.tolist()), tail, "moment-series", note)
 
 
-def d2(m1: FactorialMoments, m2: FactorialMoments, mmax: int | None = None) -> DistanceResult:
+def d2(m1: FactorialMoments, m2: FactorialMoments) -> DistanceResult:
     """Order-two factorial moment distance from two moment sequences."""
-    return _moment_series(m1, m2, mmax, half=True)
+    return _moment_distance(m1, m2, tilde=False)
 
 
-def d2_tilde(m1: FactorialMoments, m2: FactorialMoments,
-             mmax: int | None = None) -> DistanceResult:
+def d2_tilde(m1: FactorialMoments, m2: FactorialMoments) -> DistanceResult:
     """The (m-1)!-weighted variant dominating the Wasserstein distance."""
-    return _moment_series(m1, m2, mmax, half=False)
+    return _moment_distance(m1, m2, tilde=True)
 
 
-def certify_domination(p: ProbVector, spec: CorrectionSpec,
-                       mmax: int | None = None) -> int:
-    """Check that mu_m(S_n) - mu_m(spec) keeps one sign for m = 1..horizon.
+def certify_domination(p: ProbVector, spec: CorrectionSpec) -> int:
+    """Check that mu_m(S_n) - mu_m(spec) keeps one sign for m = 1..M.
 
-    Returns +1 (S_n dominates), -1 (the corrected measure dominates) or 0
-    (all differences vanish).  Differences within 1e-12 of the working scale
+    M is the last order the spec's moments store.  Returns +1 (S_n
+    dominates), -1 (the corrected measure dominates) or 0 (all differences
+    vanish).  Weighted differences within 1e-12 max(|w1_m|, |w2_m|, 2^m/m!)
     count as zero, since domination is a weak inequality.  A genuine sign
     change raises ValueError.
     """
-    lam = p.lam
-    horizon = mmax if mmax is not None else max(p.n, math.ceil(8.0 * lam) + 2 * spec.degree, 40)
-    mu_sn = factorial_moments_sn(p, min(horizon, p.n))
-    mu_phi = spec.moments()
-    seen = 0
-    for m in range(1, horizon + 1):
-        a, b = mu_sn(m), mu_phi(m)
-        diff = a - b
-        tol = 1e-12 * max(abs(a), abs(b), 1.0)
-        sign = 0 if abs(diff) <= tol else (1 if diff > 0 else -1)
-        if sign and seen and sign != seen:
-            raise ValueError(f"moment domination fails: sign change at order {m}")
-        seen = seen or sign
-    return seen
+    phi = spec.moments().weighted
+    sn, phi = _aligned(factorial_moments_sn(p, phi.size - 1).weighted, phi)
+    diff = sn - phi
+    unit = np.cumprod(np.concatenate(([1.0], 2.0 / np.arange(1.0, phi.size))))
+    tol = 1e-12 * np.maximum.reduce([np.abs(sn), np.abs(phi), unit])
+    signs = np.sign(diff) * (np.abs(diff) > tol)
+    seen = signs[signs != 0]
+    if seen.size == 0:
+        return 0
+    flips = np.flatnonzero(signs == -seen[0])
+    if flips.size:
+        raise ValueError(f"moment domination fails: sign change at order {flips[0]}")
+    return int(seen[0])
 
 
-def d2_exact_product(p: ProbVector, spec: CorrectionSpec,
-                     mmax: int | None = None) -> DistanceResult:
+def d2_exact_product(p: ProbVector, spec: CorrectionSpec) -> DistanceResult:
     """Closed-form d2 between S_n and a corrected measure.
 
-    Valid only under one-sided moment domination, which is verified up to
-    the series horizon first; on a sign change the closed form is refused
-    and the moment series is returned instead, with a diagnostic note and a
-    warning.  The closed form itself is evaluated with 50 significant
-    digits, so its truncation error is zero at binary64 resolution.
+    Valid only under one-sided moment domination, which is verified first
+    over the spec's stored moments; on a sign change the closed form is
+    refused and the moment series is returned instead, with a diagnostic
+    note and a warning.  The closed form itself is evaluated with 50
+    significant digits, so its truncation error is zero at binary64
+    resolution.
     """
     try:
-        certify_domination(p, spec, mmax)
+        certify_domination(p, spec)
     except ValueError as exc:
         warnings.warn(f"exact product refused: {exc}", stacklevel=2)
-        fallback = d2(factorial_moments_sn(p), spec.moments(), mmax)
+        fallback = d2(factorial_moments_sn(p), spec.moments())
         return DistanceResult(fallback.value, fallback.truncation_error,
                               "moment-series", note=str(exc))
     with localcontext(Context(prec=_PRODUCT_DIGITS)):

@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Iterable
 
 import numpy as np
 
@@ -70,11 +70,6 @@ class ProbVector:
     def lam(self) -> float:
         """Mean of S_n, the first power sum."""
         return math.fsum(self.probs)
-
-    def power_sum(self, j: int) -> float:
-        if j < 1:
-            raise ValueError("power sum order must be >= 1")
-        return math.fsum(x**j for x in self.probs)
 
 
 def equal_probs(n: int, lam: float) -> ProbVector:
@@ -204,26 +199,52 @@ class SignedPmf:
 
 @dataclass(frozen=True)
 class FactorialMoments:
-    """A factorial moment sequence m -> mu_m with mu_0 = 1.
+    """A factorial moment sequence, stored weighted by the d2 weights.
 
-    ``degree`` is the highest falling-factorial order appearing in a closed
-    form (0 when not applicable) and ``mmax_hint`` the natural series length
-    (n for a sum of n indicators); both only steer series truncation
-    heuristics downstream.
+    ``weighted[m]`` = 2^m mu_m / m! for m = 0..M (read-only, weighted[0] = 1)
+    and ``tail`` bounds sum_{m>M} m |2^m mu_m / m!|: 0 when every later
+    moment vanishes, inf when nothing is known about them.  Calling the
+    object returns mu_m itself.
     """
 
-    mu: Callable[[int], float]
-    degree: int = 0
-    mmax_hint: int = 0
+    weighted: np.ndarray
+    tail: float
 
     def __post_init__(self) -> None:
-        if abs(self.mu(0) - 1.0) > 1e-12:
+        w = np.array(self.weighted, dtype=float)
+        if w.ndim != 1 or w.size == 0:
+            raise ValueError("weighted moments must be a nonempty 1-D array")
+        if abs(w[0] - 1.0) > 1e-12:
             raise ValueError("mu(0) must equal 1")
+        if not self.tail >= 0:
+            raise ValueError("tail must be nonnegative")
+        w.flags.writeable = False
+        object.__setattr__(self, "weighted", w)
 
     def __call__(self, m: int) -> float:
+        """mu_m, or OverflowError when it lies beyond binary64.
+
+        An entry of ``weighted`` that underflowed still reads as 0.0 (m = 1500
+        for 1500 probabilities 20/1500, where mu_m is about 1e1301); only
+        scaled elementary symmetric functions would keep it.
+        """
         if m < 0:
             raise ValueError("moment order must be >= 0")
-        return self.mu(m)
+        if m >= self.weighted.size:
+            if self.tail == 0.0:
+                return 0.0
+            raise ValueError(f"moments stored only up to order {self.weighted.size - 1}")
+        w = float(self.weighted[m])
+        if m <= 170:
+            mu = w * math.ldexp(math.prod(range(2, m + 1), start=1.0), -m)
+        elif (e := math.ldexp(abs(w), -m)) == 0.0:
+            return 0.0
+        else:
+            # m! overflows binary64 past m = 170: assemble m! |w| / 2^m in log space
+            mu = math.copysign(math.exp(math.lgamma(m + 1) + math.log(e)), w)
+        if not math.isfinite(mu):
+            raise OverflowError(f"factorial moment of order {m} exceeds the float range")
+        return mu
 
 
 def poisson_tail_bound(lam: float, kfirst: int) -> float:
@@ -299,29 +320,18 @@ def elementary_symmetric(p: ProbVector, mmax: int) -> np.ndarray:
 
 
 def factorial_moments_sn(p: ProbVector, mmax: int | None = None) -> FactorialMoments:
-    """Factorial moments of S_n: mu_m = m! S_{n,m}, zero for every m > n."""
+    """Factorial moments of S_n up to order min(mmax, n), zero past n.
+
+    The weighted moments 2^m mu_m / m! = 2^m S_{n,m} are the coefficients of
+    prod_i (1 + 2 p_i x); doubling is exact, so each equals 2^m
+    ``elementary_symmetric(p, m)[m]`` bit for bit.  The tail is 0 when the
+    array reaches n and unknown (inf) when mmax cuts it short.
+    """
     if mmax is None:
         mmax = p.n
     if mmax < 0:
         raise ValueError("mmax must be >= 0")
-    e = elementary_symmetric(p, min(mmax, p.n))
-    n = p.n
-    # m! overflows binary64 past m = 170 while S_{n,m} underflows in step;
-    # beyond that the product is assembled in log space instead
-    direct = min(mmax, n, 170)
-    factorials = [1.0]
-    for m in range(1, direct + 1):
-        factorials.append(factorials[-1] * m)
-
-    def mu(m: int) -> float:
-        if m > n:
-            return 0.0
-        if m > mmax:
-            raise ValueError(f"moments computed only up to order {mmax}")
-        if m <= direct:
-            return float(factorials[m] * e[m])
-        if e[m] == 0.0:
-            return 0.0
-        return math.exp(math.lgamma(m + 1) + math.log(e[m]))
-
-    return FactorialMoments(mu, degree=0, mmax_hint=n)
+    top = min(mmax, p.n)
+    with np.errstate(over="ignore"):  # an overflowed entry raises when it is read
+        w = _linear_product([1.0] * p.n, [2.0 * x for x in p.probs], top + 1)
+    return FactorialMoments(w, 0.0 if top == p.n else math.inf)

@@ -285,7 +285,7 @@ def test_criterion_11_oracles_and_inversion():
     pois = build_phi_nu(spec_poisson(p.lam), kmax=35)
     pairs.append((pois.moments, pois.pmf.mass))
     for moments, mass in pairs:
-        inv = invert_moments(moments, kmax=len(mass) - 1, mmax=60)
+        inv = invert_moments(moments, kmax=len(mass) - 1)
         ok &= bool(np.max(np.abs(inv.mass - mass)) <= 1e-9)
     report(11, "enumeration oracles and moment-inversion round-trips", ok)
 

@@ -7,7 +7,17 @@ import sys
 import numpy as np
 import pytest
 
-from corrpois import build_phi2, d2_exact_product, equal_probs, poisson_pmf, spec_phi2
+from corrpois import (
+    build_phi2,
+    build_phi_nu,
+    d2_exact_product,
+    equal_probs,
+    poisson_binomial_pmf,
+    poisson_pmf,
+    spec_phi2,
+    spec_poisson,
+    tv,
+)
 
 
 def run_cli(*args, **kwargs):
@@ -129,24 +139,47 @@ class TestDistanceCommand:
         r = run_cli("distance", "--metric", "tv", "--probs", probs_file, "--exact")
         assert r.returncode == 2
 
+    def test_large_mean_exact_matches_series(self):
+        args = ("distance", "--metric", "d2", "--binomial", "400", "100", "--order", "3")
+        exact, series = run_cli(*args, "--exact"), run_cli(*args)
+        assert exact.returncode == 0 and series.returncode == 0
+        value = json.loads(exact.stdout)["value"]
+        assert math.isfinite(value)
+        assert value == pytest.approx(json.loads(series.stdout)["value"], rel=1e-11)
+
+    def test_large_mean_theorem2_holds(self):
+        r = run_cli("bounds", "--check", "theorem2", "--binomial", "400", "100")
+        assert r.returncode == 0
+        assert json.loads(r.stdout)["all_hold"] is True
+
     @pytest.mark.parametrize("args", [
-        ("distance", "--metric", "d2", "--exact", "--binomial", "400", "100", "--order", "3"),
-        ("bounds", "--check", "theorem2", "--binomial", "400", "100"),
-        ("distance", "--metric", "d2", "--binomial", "1000", "155", "--order", "2"),
+        ("--metric", "d2", "--binomial", "1000", "155", "--order", "2"),
+        ("--metric", "d2tilde", "--binomial", "60", "30", "--order", "2"),
     ])
-    def test_overflow_is_domain_error(self, args):
-        r = run_cli(*args)
+    def test_large_mean_moment_series(self, args):
+        r = run_cli("distance", *args)
+        assert r.returncode == 0
+        payload = json.loads(r.stdout)
+        assert math.isfinite(payload["value"])
+        assert 0 <= payload["truncation_error"] <= 1e-12 * payload["value"]
+
+    def test_overflow_is_domain_error(self):
+        # e^(2 lam) itself leaves binary64 at lam = 450
+        r = run_cli("distance", "--metric", "d2", "--binomial", "3000", "450", "--order", "2")
         assert r.returncode == 3
         assert r.stdout == ""
         assert r.stderr.startswith("error: numeric overflow")
         assert len(r.stderr.strip().splitlines()) == 1
 
-    def test_infinite_value_is_domain_error(self):
-        r = run_cli("distance", "--metric", "d2tilde", "--binomial", "60", "30",
-                    "--order", "2")
-        assert r.returncode == 3
-        assert r.stdout == ""
-        assert r.stderr == "error: series overflowed before certification\n"
+    def test_large_mean_masses_need_no_moments(self):
+        p = equal_probs(1000, 400.0)
+        r = run_cli("pmf", "--binomial", "1000", "400", "--order", "2")
+        assert r.returncode == 0
+        assert json.loads(r.stdout)["mass"] == build_phi2(p).pmf.mass.tolist()
+        r = run_cli("distance", "--metric", "tv", "--binomial", "1000", "400", "--order", "1")
+        assert r.returncode == 0
+        want = tv(poisson_binomial_pmf(p), build_phi_nu(spec_poisson(p.lam)).pmf)
+        assert json.loads(r.stdout)["value"] == want.value
 
     def test_seventeen_digit_floats(self):
         r = run_cli("distance", "--metric", "d2", "--binomial", "16", "1",

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from corrpois import (
@@ -120,6 +120,56 @@ class TestSpecForOrder:
         for order in (0, 9, -1, "4t"):
             with pytest.raises(ValueError, match="unsupported order"):
                 spec_for_order(p, order)
+
+
+def omitted_moment_sum(spec, top, count=600):
+    """sum_{m=top+1}^{top+count} m |w_m| with w_m = 2^m mu_m / m!, term by term.
+
+    w_m = x^m / m! - sum_j gamma_j x^m / (m - j)! with x = 2 lam, each power
+    over a factorial taken in log space through math.lgamma.
+    """
+    logx = math.log(2.0 * spec.lam)
+    total = 0.0
+    for m in range(top + 1, top + count + 1):
+        terms = [math.exp(m * logx - math.lgamma(m + 1))]
+        terms += [-g * math.exp(m * logx - math.lgamma(m - j + 1)) for j, g in spec.gamma.items()]
+        total += m * abs(math.fsum(terms))
+    return total
+
+
+class TestMomentTail:
+    def check_tail(self, spec):
+        fm = spec.moments()
+        top = fm.weighted.size - 1
+        assert omitted_moment_sum(spec, top) <= fm.tail < math.inf
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=60), st.integers(1, 8))
+    def test_tail_bounds_omitted_moments(self, probs, nu):
+        p = ProbVector(tuple(probs))
+        assume(p.lam > 0 and p.lam ** (2 * nu - 2) >= sys.float_info.min)
+        self.check_tail(spec_for_order(p, nu))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.floats(0.01, 150.0), st.integers(0, 300), st.integers(1, 8))
+    def test_tail_bounds_omitted_moments_equal_probs(self, lam, extra, nu):
+        self.check_tail(spec_for_order(equal_probs(math.ceil(lam) + extra, lam), nu))
+
+    def test_weighted_moments_match_closed_form(self):
+        spec = spec_phi3(P123)
+        fm = spec.moments()
+        for m in range(fm.weighted.size):
+            mu = spec.lam**m * math.fsum(
+                [1.0] + [-g * math.perm(m, j) for j, g in spec.gamma.items()])
+            assert fm.weighted[m] == pytest.approx(2.0**m * mu / math.factorial(m),
+                                                   rel=1e-13, abs=1e-300)
+
+    def test_moments_computed_on_access(self):
+        # e^(2 lam) overflows at lam = 400, yet the masses are fine
+        phi = build_phi2(equal_probs(1000, 400.0))
+        assert phi.pmf.mass.size > 400
+        with pytest.raises(OverflowError):
+            phi.moments
 
 
 class TestBuildPhi2:
@@ -268,7 +318,7 @@ class TestInvertMoments:
     def test_indicator_sum_roundtrip(self):
         mu = factorial_moments_sn(P123)
         pmf = poisson_binomial_pmf(P123)
-        inv = invert_moments(mu, kmax=3, mmax=40)
+        inv = invert_moments(mu, kmax=3)
         assert np.max(np.abs(inv.mass - pmf.mass)) <= 1e-9
 
     def test_phi2_roundtrip(self):
@@ -280,5 +330,3 @@ class TestInvertMoments:
         mu = factorial_moments_sn(P123)
         with pytest.raises(ValueError):
             invert_moments(mu, kmax=-1)
-        with pytest.raises(ValueError):
-            invert_moments(mu, kmax=50, mmax=10)

@@ -178,6 +178,23 @@ class TestFactorialMoments:
             for m in range(1, 21):
                 assert mu(m) <= lam**m * (1 + 1e-12)
 
+    def test_weighted_is_doubled_elementary_symmetric(self):
+        rng = np.random.default_rng(23)
+        p = ProbVector(tuple(rng.uniform(0, 1, 40).tolist()))
+        fm = factorial_moments_sn(p)
+        e = elementary_symmetric(p, p.n)
+        assert fm.weighted.tolist() == [math.ldexp(x, m) for m, x in enumerate(e.tolist())]
+        assert fm.tail == 0.0
+        assert factorial_moments_sn(p, 5).tail == math.inf
+        with pytest.raises(ValueError):
+            factorial_moments_sn(p, 5)(6)
+
+    def test_beyond_float_range_raises(self):
+        with pytest.raises(OverflowError):
+            factorial_moments_sn(equal_probs(3000, 450.0))(170)
+        with pytest.raises(OverflowError):
+            factorial_moments_sn(equal_probs(1000, 20.0))(300)
+
 
 class TestPowerSums:
     def test_hand_value(self):
