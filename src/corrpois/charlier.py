@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
@@ -29,7 +29,6 @@ __all__ = [
     "charlier",
     "charlier_values",
     "default_kmax",
-    "poly_tail_envelope",
     "OrthogonalityReport",
     "CovarianceReport",
     "orthogonality_check",
@@ -78,28 +77,9 @@ def charlier_values(m: int, lam: float, kmax: int) -> np.ndarray:
 
 
 def default_kmax(lam: float, degree: int) -> int:
-    """Truncation point for expectations of degree-`degree` polynomials.
-
-    Polynomial-times-Poisson tails decay superexponentially past
-    lam + 20 sqrt(lam) + 4*degree; a Chernoff tail bound is attached to each
-    report so the truncation stays honest.
-    """
+    """Truncation point for expectations of degree-`degree` polynomials: past
+    lam + 20 sqrt(lam) + 4 degree their Poisson-weighted tails decay fast."""
     return max(50, math.ceil(lam + 20.0 * math.sqrt(lam) + 4 * degree))
-
-
-def poly_tail_envelope(lam: float, kmax: int,
-                       rows: Callable[[np.ndarray], Iterable[np.ndarray]]) -> float:
-    """Tail estimate for Poisson(lam) weighted by a sum of polynomial rows.
-
-    Returns the Chernoff mass beyond kmax times 1 + sum over rows of the
-    largest |row| on the 50 points kmax+1..kmax+50; ``rows`` maps those
-    points to the row values.  This is an estimate from 50 lookahead points,
-    not a proven bound on the infinite tail.
-    """
-    env = 1.0
-    for row in rows(np.arange(kmax + 1, kmax + 51, dtype=float)):
-        env += float(np.max(np.abs(row)))
-    return poisson_tail_bound(lam, kmax + 1) * env
 
 
 @dataclass(frozen=True)
@@ -127,22 +107,30 @@ class CovarianceReport:
 
 
 def orthogonality_check(m: int, nu: int, lam: float, tol: float = 1e-9) -> OrthogonalityReport:
-    """Compare the truncated sum E P_m(Z) P_nu(Z) with m! lam^m delta_{m,nu}."""
+    """Compare the truncated sum E P_m(Z) P_nu(Z) with m! lam^m delta_{m,nu}.
+
+    ``tol`` is relative to sqrt(m! lam^m nu! lam^nu), the Cauchy-Schwarz bound
+    on E |P_m P_nu|.  As |P_j(k)| <= (k + lam)^j, the terms past K total at
+    most pi(K + 1) (K + 1 + lam)^d / (1 - r), d = m + nu, with the ratio
+    r = lam / (K + 2) ((K + 2 + lam) / (K + 1 + lam))^d below 1 when supported.
+    """
     if m > 12 or nu > 12:
         raise ValueError("orthogonality check supports degrees up to 12")
     if lam > 10:
         raise ValueError("orthogonality check supports lam <= 10")
     kmax = default_kmax(lam, m + nu)
-    pois = poisson_pmf(lam, kmax)
+    pois = poisson_pmf(lam, kmax + 1).mass
     pm = charlier_values(m, lam, kmax)
     pn = pm if nu == m else charlier_values(nu, lam, kmax)
-    value = math.fsum(pois.mass[k] * pm[k] * pn[k] for k in range(kmax + 1))
+    value = math.fsum(pois[k] * pm[k] * pn[k] for k in range(kmax + 1))
     expected = math.factorial(m) * lam**m if m == nu else 0.0
-    tail = poly_tail_envelope(
-        lam, kmax, lambda ks: [_charlier_at(m, lam, ks) * _charlier_at(nu, lam, ks)])
+    d = m + nu
+    r = lam / (kmax + 2) * ((kmax + 2 + lam) / (kmax + 1 + lam)) ** d
+    tail = pois[kmax + 1] * (kmax + 1 + lam) ** d / (1.0 - r)
     dev = abs(value - expected)
+    scale = math.sqrt(math.factorial(m) * lam**m * math.factorial(nu) * lam**nu)
     return OrthogonalityReport(m, nu, lam, value, expected, dev, tail, kmax,
-                               dev <= tol + tail)
+                               dev <= tol * scale + tail)
 
 
 def forward_difference(g: Callable[[int], float], m: int, k: int) -> float:
@@ -157,9 +145,9 @@ def covariance_identity_check(m: int, lam: float, g: Callable[[int], float],
                               kmax: int | None = None) -> CovarianceReport:
     """Evaluate both sides of E P_m(Z) g(Z) = lam^m E D^m g(Z), truncated.
 
-    g must be evaluable on 0..kmax+m.  Both expectations are truncated at
-    kmax and the recorded tail bound covers the Poisson mass left out
-    (times a polynomial envelope for the left side).
+    g must be evaluable on 0..kmax+max(m, 50).  The recorded tail, the Poisson
+    Chernoff tail past kmax times 1 + the largest |P_m g| on the next 50
+    points, is an estimate, not a proven bound: g is arbitrary.
     """
     if m < 0:
         raise ValueError("m must be >= 0")
@@ -168,11 +156,11 @@ def covariance_identity_check(m: int, lam: float, g: Callable[[int], float],
     if kmax is None:
         kmax = default_kmax(lam, m)
     pois = poisson_pmf(lam, kmax)
-    pm = charlier_values(m, lam, kmax)
+    pm = charlier_values(m, lam, kmax + 50)
     lhs = math.fsum(pois.mass[k] * pm[k] * g(k) for k in range(kmax + 1))
     rhs = lam**m * math.fsum(
         pois.mass[k] * forward_difference(g, m, k) for k in range(kmax + 1)
     )
-    tail = poly_tail_envelope(
-        lam, kmax, lambda ks: [_charlier_at(m, lam, ks) * np.array([g(int(k)) for k in ks])])
+    tail = poisson_tail_bound(lam, kmax + 1) * (
+        1.0 + max(abs(pm[k] * g(k)) for k in range(kmax + 1, kmax + 51)))
     return CovarianceReport(m, lam, lhs, rhs, lhs - rhs, tail, kmax)

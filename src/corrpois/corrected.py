@@ -3,7 +3,10 @@
 A corrected measure of order nu multiplies the Poisson(lam) mass by the
 polynomial factor 1 - sum_{j=2}^{2nu-2} gamma_j P_j(k).  Because every P_j
 integrates to zero against the Poisson weight, the result always sums to 1,
-but it may dip negative: it is a signed measure, not a distribution.  Its
+but it may dip negative: it is a signed measure, not a distribution.  Since
+pi(k) (k)_i = lam^i pi(k - i), the explicit Charlier sum gives pi(k) P_j(k) =
+lam^j sum_i (-1)^(j-i) C(j, i) pi(k - i), so the measure is the convolution
+pi * c with the coefficients of c(x) = 1 - sum_j gamma_j lam^j (x - 1)^j.  Its
 factorial moments mu_m = lam^m (1 - sum_j gamma_j (m)_j) have the generating
 function e^(lam t) (1 - sum_j gamma_j (lam t)^j), while that of S_n is
 
@@ -30,7 +33,6 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .charlier import _charlier_at, charlier_values, poly_tail_envelope
 from .pmf import (FactorialMoments, ProbVector, SignedPmf, poisson_pmf, poisson_tail_bound,
                   power_sums)
 
@@ -198,37 +200,48 @@ class CorrectedMeasure:
         return self.spec.moments()
 
 
-def _tail_bound(spec: CorrectionSpec, kmax: int) -> float:
-    """Poisson tail beyond kmax, inflated by the correction polynomial."""
-    return poly_tail_envelope(
-        spec.lam, kmax,
-        lambda ks: [abs(g) * _charlier_at(j, spec.lam, ks) for j, g in spec.gamma.items()])
-
-
-def _auto_kmax(spec: CorrectionSpec) -> tuple[int, float]:
-    """The first accepted cutoff and its tail bound."""
-    k = max(16, math.ceil(spec.lam + 10.0 * math.sqrt(spec.lam)))
-    while (bound := _tail_bound(spec, k)) >= 1e-13:
-        k *= 2
-        if k > 1_000_000:
-            raise RuntimeError("tail bound failed to converge; mean too large?")
-    return k, bound
-
-
 def build_phi_nu(spec: CorrectionSpec, kmax: int | None = None,
                  label: str | None = None) -> CorrectedMeasure:
-    """Corrected measure of arbitrary order from an explicit coefficient spec."""
+    """Corrected measure of arbitrary order from an explicit coefficient spec.
+
+    The masses on 0..K are pi * c, the Poisson(lam) masses convolved with the
+    kernel of the module docstring.  A binary64 number is an integer over a
+    power of two, so each c_i is found exactly, over the largest denominator,
+    and rounded once.  With S = sum_i |c_i|, u = 2^-53 and g_n = n u / (1 - n u),
+    the tail bound S (P(Z >= K + 3 - 2 nu) + (2 lam + 2 nu + 3) u) /
+    (1 - (2K + 2 nu + 2) u), Z ~ Poisson(lam), bounds the masses past K plus
+    the rounding of those up to K, both in absolute value:
+
+    * |phi(k)| <= sum_i |c_i| pi(k - i), i <= 2 nu - 2, gives the first term
+      (Chernoff).  Without ``kmax``, K doubles from lam + 10 sqrt(lam) until
+      that term is below 1e-13.
+    * For lam < 708 (e^-lam normal), the correctly rounded c_i cost u S; the
+      pi(m) of ``poisson_pmf``, each within a relative g_(2m+2) (exp within
+      an ulp, two roundings a step), cost S sum_m pi(m) g_(2m+2), about
+      (2 lam + 2) u S; a mass sums 2 nu - 1 products c_i pi(k - i), erring
+      by g_(2 nu - 1) times their absolute sum: about (2 nu - 1) u S.  The
+      products of these errors stay below u S for lam < 10^13, and the
+      denominator covers each g_n and the rounding of S.
+    """
+    a, b = spec.lam.as_integer_ratio()
+    den = max([1] + [g.as_integer_ratio()[1] * b**j for j, g in spec.gamma.items()])
+    c = [den] + [0] * (2 * spec.nu - 2)
+    for j, g in spec.gamma.items():
+        n, d = g.as_integer_ratio()
+        num = n * a**j * (den // (d * b**j))
+        for i in range(j + 1):
+            c[i] -= (-1) ** (j - i) * math.comb(j, i) * num
+    c = np.array([x / den for x in c])
+    size = math.fsum(np.abs(c).tolist())
     if kmax is None:
-        kmax, tail = _auto_kmax(spec)
-    else:
-        tail = _tail_bound(spec, kmax)
-    pois = poisson_pmf(spec.lam, kmax)
-    if spec.gamma:
-        rows = [charlier_values(j, spec.lam, kmax) * (-g) for j, g in sorted(spec.gamma.items())]
-        factor = np.array([math.fsum([1.0] + [r[k] for r in rows]) for k in range(kmax + 1)])
-    else:
-        factor = np.ones(kmax + 1)
-    mass = pois.mass * factor
+        kmax = max(16, math.ceil(spec.lam + 10.0 * math.sqrt(spec.lam)))
+        while size * poisson_tail_bound(spec.lam, kmax + 3 - 2 * spec.nu) >= 1e-13:
+            kmax *= 2  # ends: the Chernoff bound tends to 0
+    u = 2.0**-53
+    tail = size * (poisson_tail_bound(spec.lam, kmax + 3 - 2 * spec.nu)
+                   + (2.0 * spec.lam + 2 * spec.nu + 3) * u)
+    tail /= 1.0 - (2 * kmax + 2 * spec.nu + 2) * u
+    mass = np.convolve(poisson_pmf(spec.lam, kmax).mass, c)[: kmax + 1]
     if label is None:
         label = f"phi{spec.nu}" if spec.gamma or spec.nu == 1 else "poisson"
     return CorrectedMeasure(spec, SignedPmf(mass, tail, label))

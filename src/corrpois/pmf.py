@@ -158,11 +158,10 @@ def power_sums(p: ProbVector, jmax: int = 6) -> PowerSums:
 class SignedPmf:
     """A finitely supported, possibly signed, mass function on {0, 1, ...}.
 
-    ``mass[k]`` is the mass at k for k = 0..support_max.  ``tail_bound`` is a
-    rigorous bound on the total mass ignored beyond support_max, so the
-    retained masses always sum to 1 within tail_bound.  Proper distributions
-    (e.g. the Poisson-binomial itself) carry tail_bound = 0 and nonnegative
-    mass everywhere.
+    ``mass[k]`` is the mass at k for k = 0..support_max.  ``tail_bound``
+    bounds the mass beyond support_max plus any rounding the builder records
+    (``build_phi_nu`` does), so the masses sum to 1 within tail_bound and a
+    fixed 1e-12 the constructor allows.  The exact S_n pmf has tail_bound 0.
     """
 
     mass: np.ndarray

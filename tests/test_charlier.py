@@ -103,6 +103,21 @@ class TestOrthogonality:
                     rep = orthogonality_check(m, nu, lam)
                     assert rep.deviation <= 1e-9 + rep.tail_bound, (m, nu, lam)
 
+    def test_supported_range_within_tolerance_and_tail(self):
+        # terms reach 12! 10^12, so the tolerance is relative; the tail is proven
+        for lam in (0.1, 0.5, 1.0, 2.0, 3.0, 5.0, 7.0, 10.0):
+            for m in range(13):
+                for nu in range(13):
+                    rep = orthogonality_check(m, nu, lam)
+                    assert rep.within_tol, (m, nu, lam)
+                    top = rep.kmax
+                    pois = poisson_pmf(lam, top + 60).mass
+                    beyond = math.fsum(
+                        abs(pois[k] * charlier_by_recurrence(m, lam, k)
+                            * charlier_by_recurrence(nu, lam, k))
+                        for k in range(top + 1, top + 61))
+                    assert beyond <= rep.tail_bound, (m, nu, lam)
+
     def test_preconditions_enforced(self):
         with pytest.raises(ValueError):
             orthogonality_check(13, 2, 1.0)

@@ -89,6 +89,14 @@ class TestPmfCommand:
         assert payload["label"] == "phi5"
         assert abs(math.fsum(payload["mass"]) - 1.0) <= payload["tail_bound"] + 1e-12
 
+    def test_rounding_of_a_large_kernel_is_bounded(self):
+        # sum |c_i| = 1.2e5: the rounding of the masses, not their truncation,
+        # keeps the sum off 1, and the recorded bound must cover it
+        r = run_cli("pmf", "--binomial", "507", "85.61372097324887", "--order", "6")
+        assert r.returncode == 0, r.stderr
+        payload = json.loads(r.stdout)
+        assert abs(math.fsum(payload["mass"]) - 1.0) <= payload["tail_bound"]
+
     def test_json_array_file(self, tmp_path):
         f = tmp_path / "p.json"
         f.write_text("[0.1, 0.2, 0.3]")

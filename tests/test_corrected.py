@@ -14,6 +14,7 @@ from corrpois import (
     build_phi3,
     build_phi3_tilde,
     build_phi_nu,
+    charlier_values,
     equal_probs,
     factorial_moments_sn,
     gamma_floats,
@@ -306,6 +307,74 @@ class TestBuildPhiNu:
             spec = CorrectionSpec(3, 1.5, gamma)
             phi = build_phi_nu(spec)
             assert abs(phi.pmf.total() - 1.0) <= phi.pmf.tail_bound + 1e-12
+
+
+def charlier_masses(spec, kmax):
+    """The masses as pi(k) (1 - sum_j gamma_j P_j(k)), one Charlier row per
+    gamma_j and a compensated sum at every point: the construction the
+    package used before the kernel convolution, kept as an oracle.
+
+    Also returns pi(k) (1 + sum_j |gamma_j| (k + lam)^j), which bounds the
+    oracle's own rounding at k when multiplied by (2 nu + 5) u, u = 2^-53:
+    the terms of the explicit Charlier sum, of absolute sum at most
+    (k + lam)^j, are rounded up to j + 3 times each; P_j(k), its product
+    with gamma_j, the factor and its product with pi(k) once each.  The
+    rounding of pi(k) itself is common to both constructions.
+    """
+    pois = poisson_pmf(spec.lam, kmax).mass
+    rows = [charlier_values(j, spec.lam, kmax) * (-g) for j, g in sorted(spec.gamma.items())]
+    factor = np.array([math.fsum([1.0] + [r[k] for r in rows]) for k in range(kmax + 1)])
+    ks = np.arange(kmax + 1.0)
+    scale = 1.0 + sum(abs(g) * (ks + spec.lam) ** j for j, g in spec.gamma.items())
+    return pois * factor, pois * scale
+
+
+def kernel_size(spec):
+    """sum_i |c_i| over c(x) = 1 - sum_j gamma_j lam^j (x - 1)^j, exactly."""
+    lam = Fraction(spec.lam)
+    c = [Fraction(1)] + [Fraction(0)] * (2 * spec.nu - 2)
+    for j, g in spec.gamma.items():
+        for i in range(j + 1):
+            c[i] -= (-1) ** (j - i) * math.comb(j, i) * Fraction(g) * lam**j
+    return float(sum(map(abs, c)))
+
+
+ORDERS = st.sampled_from([1, 2, 3, 4, 5, 6, 7, 8, "3t"])
+
+
+def moment_matched(probs, order):
+    p = ProbVector(tuple(probs))
+    nu = 3 if order == "3t" else order
+    assume(p.lam > 0 and p.lam ** (2 * nu - 2) >= sys.float_info.min)
+    return spec_for_order(p, order)
+
+
+class TestKernelConstruction:
+    def check_against_oracle(self, spec):
+        phi = build_phi_nu(spec)
+        want, scale = charlier_masses(spec, phi.pmf.support_max)
+        tol = 1e-15 * kernel_size(spec) + (2 * spec.nu + 5) * 2.0**-53 * scale
+        assert np.all(np.abs(phi.pmf.mass - want) <= tol)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(0.0, 0.5), min_size=1, max_size=60), ORDERS)
+    def test_masses_match_charlier_oracle(self, probs, order):
+        self.check_against_oracle(moment_matched(probs, order))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(0.01, 90.0), st.integers(0, 300), ORDERS)
+    def test_masses_match_charlier_oracle_equal_probs(self, lam, extra, order):
+        self.check_against_oracle(spec_for_order(equal_probs(math.ceil(lam) + extra, lam), order))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(0.0, 0.5), min_size=1, max_size=60), ORDERS,
+           st.one_of(st.none(), st.integers(0, 40)))
+    def test_tail_bound_covers_next_600_masses(self, probs, order, kmax):
+        spec = moment_matched(probs, order)
+        phi = build_phi_nu(spec, kmax)
+        top = phi.pmf.support_max
+        beyond = charlier_masses(spec, top + 600)[0][top + 1:]
+        assert math.fsum(np.abs(beyond).tolist()) <= phi.pmf.tail_bound
 
 
 class TestInvertMoments:
