@@ -63,12 +63,19 @@ REL_TOL = 1e-9
 
 
 def _digest(payload: dict) -> str:
+    """First 16 hex digits of the SHA-256 of ``payload`` as sorted-key JSON."""
     canon = json.dumps(payload, sort_keys=True, default=str).encode()
     return hashlib.sha256(canon).hexdigest()[:16]
 
 
 @dataclass(frozen=True)
 class BoundReport:
+    """One checked inequality lhs <= rhs with its slack and tolerance.
+
+    ``inputs_digest`` is ``_digest`` of the check's inputs: computed once per
+    check call and shared by every report that call returns.
+    """
+
     name: str
     lhs: float
     rhs: float
@@ -78,10 +85,9 @@ class BoundReport:
     inputs_digest: str
 
     @staticmethod
-    def make(name: str, lhs: float, rhs: float, inputs: dict) -> "BoundReport":
+    def make(name: str, lhs: float, rhs: float, digest: str) -> "BoundReport":
         tol = ABS_TOL + REL_TOL * max(abs(lhs), abs(rhs))
-        return BoundReport(name, lhs, rhs, lhs <= rhs + tol, rhs - lhs, tol,
-                           _digest(inputs))
+        return BoundReport(name, lhs, rhs, lhs <= rhs + tol, rhs - lhs, tol, digest)
 
     def to_json_dict(self) -> dict:
         return {
@@ -180,13 +186,13 @@ def check_sandwich(p: ProbVector, mmax: int) -> list[BoundReport]:
         raise ValueError("mmax must be >= 1")
     ps = power_sums(p, 4)
     mu = factorial_moments_sn(p, mmax)
-    inputs = {"probs": list(p.probs), "mmax": mmax}
+    digest = _digest({"probs": list(p.probs), "mmax": mmax})
     reports = []
     for m in range(1, mmax + 1):
         lower, upper = sandwich_sides(ps, m)
         value = mu(m)
-        reports.append(BoundReport.make(f"mu-lower2[m={m}]", lower, value, inputs))
-        reports.append(BoundReport.make(f"mu-upper3[m={m}]", value, upper, inputs))
+        reports.append(BoundReport.make(f"mu-lower2[m={m}]", lower, value, digest))
+        reports.append(BoundReport.make(f"mu-upper3[m={m}]", value, upper, digest))
     return reports
 
 
@@ -196,9 +202,9 @@ def check_lower3(p: ProbVector, mmax: int) -> list[BoundReport]:
         raise ValueError("mmax must be >= 1")
     ps = power_sums(p, 4)
     mu = factorial_moments_sn(p, mmax)
-    inputs = {"probs": list(p.probs), "mmax": mmax}
+    digest = _digest({"probs": list(p.probs), "mmax": mmax})
     return [
-        BoundReport.make(f"mu-lower-refined[m={m}]", refined_lower(ps, m), mu(m), inputs)
+        BoundReport.make(f"mu-lower-refined[m={m}]", refined_lower(ps, m), mu(m), digest)
         for m in range(1, mmax + 1)
     ]
 
@@ -213,7 +219,7 @@ def check_order2_bound(p: ProbVector) -> list[BoundReport]:
     """
     ps = power_sums(p, 3)
     lam = ps.lam
-    inputs = {"probs": list(p.probs)}
+    digest = _digest({"probs": list(p.probs)})
     dist = d2_exact_product(p, spec_phi2(p))
     rhs1 = (4.0 / 3.0 * ps[3] + ps[2] ** 2) * math.exp(2.0 * lam)
     rhs2 = (4.0 / 3.0 + lam) * math.exp(2.0 * lam) * ps[3]
@@ -221,11 +227,11 @@ def check_order2_bound(p: ProbVector) -> list[BoundReport]:
     pois = build_phi_nu(spec_poisson(lam), label="phi1")
     dtv = tv(fn, pois.pmf)
     return [
-        BoundReport.make("d2-bound-order2", dist.value, rhs1, inputs),
-        BoundReport.make("d2-bound-order2-weaker", rhs1, rhs2, inputs),
-        BoundReport.make("cauchy-l2sq-le-lam-l3", ps[2] ** 2, lam * ps[3], inputs),
+        BoundReport.make("d2-bound-order2", dist.value, rhs1, digest),
+        BoundReport.make("d2-bound-order2-weaker", rhs1, rhs2, digest),
+        BoundReport.make("cauchy-l2sq-le-lam-l3", ps[2] ** 2, lam * ps[3], digest),
         BoundReport.make("tv-poisson-classic-upper", dtv.value,
-                         (1.0 - math.exp(-lam)) / lam * ps[2], inputs),
+                         (1.0 - math.exp(-lam)) / lam * ps[2], digest),
     ]
 
 
@@ -233,10 +239,10 @@ def check_order3_bound(p: ProbVector) -> list[BoundReport]:
     """The order-3 distance bound d2 <= (2/3)(lam^2+4lam+3) e^(2lam) l4."""
     ps = power_sums(p, 4)
     lam = ps.lam
-    inputs = {"probs": list(p.probs)}
+    digest = _digest({"probs": list(p.probs)})
     dist = d2_exact_product(p, spec_phi3(p))
     rhs = 2.0 / 3.0 * (lam**2 + 4.0 * lam + 3.0) * math.exp(2.0 * lam) * ps[4]
-    return [BoundReport.make("d2-bound-order3", dist.value, rhs, inputs)]
+    return [BoundReport.make("d2-bound-order3", dist.value, rhs, digest)]
 
 
 def check_classic_chain(p: ProbVector) -> list[BoundReport]:
@@ -252,7 +258,7 @@ def check_classic_chain(p: ProbVector) -> list[BoundReport]:
         raise ValueError("the Hellinger bound requires every probability below 1")
     ps = power_sums(p, 2)
     lam = ps.lam
-    inputs = {"probs": list(p.probs)}
+    digest = _digest({"probs": list(p.probs)})
     fn = poisson_binomial_pmf(p)
     pois = build_phi_nu(spec_poisson(lam), label="phi1").pmf
     dtv = tv(fn, pois).value
@@ -265,16 +271,16 @@ def check_classic_chain(p: ProbVector) -> list[BoundReport]:
     hel_rhs = math.fsum(x**3 / (1.0 - x) for x in p.probs) / lam
     return [
         BoundReport.make("tv-poisson-classic-lower",
-                         min(1.0, 1.0 / lam) / 32.0 * ps[2], dtv, inputs),
+                         min(1.0, 1.0 / lam) / 32.0 * ps[2], dtv, digest),
         BoundReport.make("tv-poisson-classic-upper", dtv,
-                         (1.0 - math.exp(-lam)) / lam * ps[2], inputs),
-        BoundReport.make("hellinger-sq-bound", dh**2, hel_rhs, inputs),
+                         (1.0 - math.exp(-lam)) / lam * ps[2], digest),
+        BoundReport.make("hellinger-sq-bound", dh**2, hel_rhs, digest),
         BoundReport.make("tv-le-hellinger-chain", dtv,
-                         dh * math.sqrt(max(0.0, 2.0 - dh**2)), inputs),
-        BoundReport.make("tv-le-d2", dtv, d2v, inputs),
-        BoundReport.make("wasserstein-le-d2tilde", dw, d2t, inputs),
+                         dh * math.sqrt(max(0.0, 2.0 - dh**2)), digest),
+        BoundReport.make("tv-le-d2", dtv, d2v, digest),
+        BoundReport.make("wasserstein-le-d2tilde", dw, d2t, digest),
         BoundReport.make("d2tilde-classic-bound", d2t,
-                         2.0 * (1.0 + lam) * math.exp(2.0 * lam) * ps[2], inputs),
+                         2.0 * (1.0 + lam) * math.exp(2.0 * lam) * ps[2], digest),
     ]
 
 

@@ -236,14 +236,14 @@ def _retolerated(reports: list[_bounds.BoundReport],
 
 def _theta_reports(p: ProbVector, args: argparse.Namespace) -> list[_bounds.BoundReport]:
     explicit = [x is not None for x in (args.j, args.m, args.s)]
-    inputs = {"probs": list(p.probs)}
+    digest = _bounds._digest({"probs": list(p.probs)})
     if any(explicit):
         if not all(explicit):
             raise CliInputError("--j, --m and --s must be given together")
         ps = _bounds.power_sums(p, args.m + args.s)
         value = _bounds.theta(args.j, args.m, args.s, ps)
         return [_bounds.BoundReport.make(
-            f"theta[j={args.j},m={args.m},s={args.s}]", 0.0, value, inputs)]
+            f"theta[j={args.j},m={args.m},s={args.s}]", 0.0, value, digest)]
     ps = _bounds.power_sums(p, 12)
     worst = math.inf
     at = None
@@ -254,7 +254,7 @@ def _theta_reports(p: ProbVector, args: argparse.Namespace) -> list[_bounds.Boun
                 if value < worst:
                     worst, at = value, (j, m, s)
     return [_bounds.BoundReport.make(
-        f"theta-min[j={at[0]},m={at[1]},s={at[2]}]", 0.0, worst, inputs)]
+        f"theta-min[j={at[0]},m={at[1]},s={at[2]}]", 0.0, worst, digest)]
 
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
@@ -271,7 +271,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
         limit = math.exp(-args.lam) * args.lam**4 / 8.0
         report = _bounds.BoundReport.make(
             "simplified-order3-limit-gap", abs(scaled - limit), 0.05 * limit,
-            {"lambda": args.lam, "grid": list(grid)})
+            _bounds._digest({"lambda": args.lam, "grid": list(grid)}))
         reports = _retolerated([report], args)
         _emit({"fit": fit.to_json_dict(),
                "n2_scaled_last": scaled,

@@ -207,21 +207,35 @@ def build_phi_nu(spec: CorrectionSpec, kmax: int | None = None,
     The masses on 0..K are pi * c, the Poisson(lam) masses convolved with the
     kernel of the module docstring.  A binary64 number is an integer over a
     power of two, so each c_i is found exactly, over the largest denominator,
-    and rounded once.  With S = sum_i |c_i|, u = 2^-53 and g_n = n u / (1 - n u),
-    the tail bound S (P(Z >= K + 3 - 2 nu) + (2 lam + 2 nu + 3) u) /
-    (1 - (2K + 2 nu + 2) u), Z ~ Poisson(lam), bounds the masses past K plus
-    the rounding of those up to K, both in absolute value:
+    and rounded once.  With S = sum_i |c_i|, u = 2^-53, g_n = n u / (1 - n u),
+    Z ~ Poisson(lam) and s = 3 for lam < 708, 6 from there on, the tail bound
+
+        (sum_i |c_i| P(Z >= K + 1 - i) + (2 lam + 2 nu + s) u S
+         + (S + 2 nu) (K + 1) 2^-1021) / (1 - (2K + 2 nu + 2) u)
+
+    bounds the masses past K plus the rounding of those up to K, both in
+    absolute value:
 
     * |phi(k)| <= sum_i |c_i| pi(k - i), i <= 2 nu - 2, gives the first term
-      (Chernoff).  Without ``kmax``, K doubles from lam + 10 sqrt(lam) until
-      that term is below 1e-13.
-    * For lam < 708 (e^-lam normal), the correctly rounded c_i cost u S; the
-      pi(m) of ``poisson_pmf``, each within a relative g_(2m+2) (exp within
-      an ulp, two roundings a step), cost S sum_m pi(m) g_(2m+2), about
-      (2 lam + 2) u S; a mass sums 2 nu - 1 products c_i pi(k - i), erring
-      by g_(2 nu - 1) times their absolute sum: about (2 nu - 1) u S.  The
-      products of these errors stay below u S for lam < 10^13, and the
-      denominator covers each g_n and the rounding of S.
+      (Chernoff, one coefficient at a time).  Without ``kmax``, K doubles
+      from lam + 10 sqrt(lam) until the coarser S P(Z >= K + 3 - 2 nu) is
+      below 1e-13, which leaves room for factorial moments summed over the
+      masses.
+    * The correctly rounded c_i cost u S.  The pi(m) of ``poisson_pmf`` are
+      each within a relative g_(2m+2) below lam = 708 (exp within an ulp,
+      two roundings a step) and g_(2m+5) from there on, which covers its
+      scaled start h 2^E h: from h = e^(-lam/2) within an ulp, that is
+      within about 5u.  They cost S sum_m pi(m) g_(2m+s-1), about
+      (2 lam + s - 1) u S.  A mass sums
+      2 nu - 1 products c_i pi(k - i), erring by g_(2 nu - 1) times their
+      absolute sum: about (2 nu - 1) u S.  The products of these errors stay
+      below u S for the supported lam < 1416, and the denominator covers
+      each g_n and the rounding of S and of the first term.
+    * Below 2^-1022 relative bounds give way to absolute ones.  A mass that
+      ``poisson_pmf`` scales back below 2^-1022 is off by at most 2^-1075
+      more, and one that its recurrence takes there past the mode is, like
+      its exact value, below 2^-1021; a product c_i pi(k - i) that underflows
+      is off by at most 2^-1075.  That is the third term.
     """
     a, b = spec.lam.as_integer_ratio()
     den = max([1] + [g.as_integer_ratio()[1] * b**j for j, g in spec.gamma.items()])
@@ -232,14 +246,18 @@ def build_phi_nu(spec: CorrectionSpec, kmax: int | None = None,
         for i in range(j + 1):
             c[i] -= (-1) ** (j - i) * math.comb(j, i) * num
     c = np.array([x / den for x in c])
-    size = math.fsum(np.abs(c).tolist())
+    weights = np.abs(c).tolist()
+    size = math.fsum(weights)
     if kmax is None:
         kmax = max(16, math.ceil(spec.lam + 10.0 * math.sqrt(spec.lam)))
         while size * poisson_tail_bound(spec.lam, kmax + 3 - 2 * spec.nu) >= 1e-13:
             kmax *= 2  # ends: the Chernoff bound tends to 0
     u = 2.0**-53
-    tail = size * (poisson_tail_bound(spec.lam, kmax + 3 - 2 * spec.nu)
-                   + (2.0 * spec.lam + 2 * spec.nu + 3) * u)
+    s = 3 if spec.lam < 708 else 6
+    tail = (math.fsum(w * poisson_tail_bound(spec.lam, kmax + 1 - i)
+                      for i, w in enumerate(weights))
+            + size * (2.0 * spec.lam + 2 * spec.nu + s) * u
+            + (size + 2 * spec.nu) * (kmax + 1) * 2.0**-1021)
     tail /= 1.0 - (2 * kmax + 2 * spec.nu + 2) * u
     mass = np.convolve(poisson_pmf(spec.lam, kmax).mass, c)[: kmax + 1]
     if label is None:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -262,6 +263,12 @@ def poisson_tail_bound(lam: float, kfirst: int) -> float:
 def poisson_pmf(lam: float, kmax: int) -> SignedPmf:
     """Poisson(lam) masses on 0..kmax via the multiplicative recurrence.
 
+    The recurrence starts at e^-lam.  Where that is subnormal (lam above
+    about 708) it starts instead at h 2^E h, with h = e^(-lam/2) and
+    E = ceil(lam / (2 ln 2)): a normal number within about 5u of e^-lam 2^E
+    (u = 2^-53), and the masses are scaled back by 2^-E at the end.  Means
+    from 1416 on raise ValueError, since there h is no longer normal.
+
     The tail bound is the exact complement of the retained mass (plus a
     small rounding guard), which is both rigorous and tighter than the
     Chernoff form; the Chernoff bound remains available separately for
@@ -269,12 +276,21 @@ def poisson_pmf(lam: float, kmax: int) -> SignedPmf:
     """
     if lam <= 0:
         raise ValueError("lam must be positive")
+    if lam >= 1416:
+        raise ValueError(f"Poisson mean {lam!r} too large: masses need lam < 1416")
     if kmax < 0:
         raise ValueError("kmax must be >= 0")
     mass = np.empty(kmax + 1)
     mass[0] = math.exp(-lam)
+    scale = 0
+    if mass[0] < sys.float_info.min:
+        h = math.exp(-lam / 2.0)
+        scale = math.ceil(lam / (2.0 * math.log(2.0)))
+        mass[0] = h * math.ldexp(h, scale)
     for k in range(1, kmax + 1):
         mass[k] = mass[k - 1] * (lam / k)
+    if scale:
+        mass = np.ldexp(mass, -scale)
     tail = max(0.0, 1.0 - math.fsum(mass.tolist())) + 1e-15 * (kmax + 2)
     return SignedPmf(mass, tail, "poisson")
 

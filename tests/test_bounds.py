@@ -21,7 +21,8 @@ from corrpois import (
     random_prob_vectors,
     theta,
 )
-from corrpois.bounds import refined_lower, sandwich_sides
+from corrpois import bounds
+from corrpois.bounds import _digest, refined_lower, sandwich_sides
 
 P345 = ProbVector((0.3, 0.4, 0.5))
 
@@ -188,21 +189,21 @@ class TestSimplifiedOrder3Probe:
 
 class TestReportPlumbing:
     def test_digest_deterministic(self):
-        a = BoundReport.make("x", 1.0, 2.0, {"probs": [0.1, 0.2]})
-        b = BoundReport.make("x", 1.0, 2.0, {"probs": [0.1, 0.2]})
+        a = BoundReport.make("x", 1.0, 2.0, _digest({"probs": [0.1, 0.2]}))
+        b = BoundReport.make("x", 1.0, 2.0, _digest({"probs": [0.1, 0.2]}))
         assert a == b
         assert len(a.inputs_digest) == 16
 
     def test_holds_tolerance(self):
-        r = BoundReport.make("tight", 1.0 + 1e-13, 1.0, {})
+        r = BoundReport.make("tight", 1.0 + 1e-13, 1.0, _digest({}))
         assert r.holds
-        r = BoundReport.make("loose", 1.1, 1.0, {})
+        r = BoundReport.make("loose", 1.1, 1.0, _digest({}))
         assert not r.holds
 
     def test_json_round_trip(self):
         import json
 
-        r = BoundReport.make("x", 0.5, 1.0, {"seed": 0})
+        r = BoundReport.make("x", 0.5, 1.0, _digest({"seed": 0}))
         payload = json.dumps(r.to_json_dict())
         assert json.loads(payload)["holds"] is True
 
@@ -210,3 +211,32 @@ class TestReportPlumbing:
         a = random_prob_vectors(5, seed=42)
         b = random_prob_vectors(5, seed=42)
         assert [x.probs for x in a] == [y.probs for y in b]
+
+
+P20 = ProbVector(tuple((i + 1) / 50 for i in range(20)))
+
+# each check with its arguments and the digest of its inputs, kept as a
+# literal so that any change to the hashed form shows
+DIGEST_CASES = [
+    (check_sandwich, (P20, 15), "9e39c5f4d5149ecb"),
+    (check_lower3, (P20, 10), "9312686c2199e6dd"),
+    (check_order2_bound, (P20,), "2ffeb5f11076b188"),
+    (check_classic_chain, (P20,), "2ffeb5f11076b188"),
+]
+
+
+class TestInputsDigest:
+    @pytest.mark.parametrize("check,args,expected", DIGEST_CASES,
+                             ids=[case[0].__name__ for case in DIGEST_CASES])
+    def test_inputs_hashed_once_per_call(self, monkeypatch, check, args, expected):
+        calls = []
+
+        def counting(payload):
+            calls.append(payload)
+            return _digest(payload)
+
+        monkeypatch.setattr(bounds, "_digest", counting)
+        reports = check(*args)
+        assert len(calls) == 1
+        assert len(reports) > 1
+        assert {r.inputs_digest for r in reports} == {expected}

@@ -97,6 +97,19 @@ class TestPmfCommand:
         payload = json.loads(r.stdout)
         assert abs(math.fsum(payload["mass"]) - 1.0) <= payload["tail_bound"]
 
+    @pytest.mark.parametrize("lam,order", [("728", "2"), ("735", "1"), ("740", "1"),
+                                           ("800", "1")])
+    def test_means_where_exp_underflows(self, lam, order):
+        r = run_cli("pmf", "--binomial", "2000", lam, "--order", order)
+        assert r.returncode == 0, r.stderr
+        payload = json.loads(r.stdout)
+        assert abs(math.fsum(payload["mass"]) - 1.0) <= payload["tail_bound"]
+
+    def test_mean_from_1416_is_domain_error(self):
+        r = run_cli("pmf", "--binomial", "3000", "1416", "--order", "1")
+        assert r.returncode == 3
+        assert "1416" in r.stderr
+
     def test_json_array_file(self, tmp_path):
         f = tmp_path / "p.json"
         f.write_text("[0.1, 0.2, 0.3]")

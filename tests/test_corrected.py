@@ -1,5 +1,7 @@
+import decimal
 import math
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -375,6 +377,42 @@ class TestKernelConstruction:
         top = phi.pmf.support_max
         beyond = charlier_masses(spec, top + 600)[0][top + 1:]
         assert math.fsum(np.abs(beyond).tolist()) <= phi.pmf.tail_bound
+
+
+
+def decimal_masses(spec, kmax, digits=60):
+    """The masses pi * c on 0..kmax with ``digits`` significant digits, from
+    the exact binary64 mean and coefficients, plus the absolute mass the
+    support misses (summed until a mass falls below 10^-40)."""
+    lam = Fraction(spec.lam)
+    c = [Fraction(1)] + [Fraction(0)] * (2 * spec.nu - 2)
+    for j, g in spec.gamma.items():
+        for i in range(j + 1):
+            c[i] -= (-1) ** (j - i) * math.comb(j, i) * Fraction(g) * lam**j
+    with decimal.localcontext() as ctx:
+        ctx.prec = digits
+        c = [Decimal(x.numerator) / Decimal(x.denominator) for x in c]
+        pi = [(-Decimal(spec.lam)).exp()]
+        masses = []
+        while True:
+            k = len(masses)
+            masses.append(sum(ci * pi[k - i] for i, ci in enumerate(c[: k + 1])))
+            if k > max(kmax, spec.lam) and abs(masses[-1]) < Decimal("1e-40"):
+                return masses[: kmax + 1], sum(map(abs, masses[kmax + 1:]))
+            pi.append(pi[-1] * Decimal(spec.lam) / (k + 1))
+
+
+class TestScaledPoissonStart:
+    @pytest.mark.parametrize("lam", [720.0, 1000.0])
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_error_within_tail_bound(self, lam, order):
+        spec = spec_for_order(equal_probs(2000, lam), order)
+        phi = build_phi_nu(spec)
+        want, beyond = decimal_masses(spec, phi.pmf.support_max)
+        with decimal.localcontext() as ctx:
+            ctx.prec = 60
+            err = sum((abs(Decimal(float(x)) - w) for x, w in zip(phi.pmf.mass, want)), beyond)
+        assert err <= Decimal(phi.pmf.tail_bound)
 
 
 class TestInvertMoments:

@@ -77,6 +77,29 @@ class TestPoissonPmf:
         with pytest.raises(ValueError):
             poisson_pmf(-1.0, 10)
 
+    @pytest.mark.parametrize("lam", [0.5, 5.0, 85.6, 700.0, 707.9])
+    def test_plain_start_below_708(self, lam):
+        kmax = math.ceil(2 * lam) + 20
+        want = np.empty(kmax + 1)
+        want[0] = math.exp(-lam)
+        for k in range(1, kmax + 1):
+            want[k] = want[k - 1] * (lam / k)
+        assert poisson_pmf(lam, kmax).mass.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("lam", [708.5, 720.0, 745.0, 800.0, 1000.0, 1415.9])
+    def test_scaled_start_where_exp_underflows(self, lam):
+        kmax = math.ceil(lam + 12 * math.sqrt(lam))
+        mass = poisson_pmf(lam, kmax).mass
+        assert abs(math.fsum(mass.tolist()) - 1.0) <= 1e-12
+        mode = math.floor(lam)
+        want = math.exp(-lam + mode * math.log(lam) - math.lgamma(mode + 1))
+        assert mass[mode] == pytest.approx(want, rel=1e-10)
+
+    def test_mean_from_1416_refused(self):
+        poisson_pmf(1415.99, 10)
+        with pytest.raises(ValueError, match="1416"):
+            poisson_pmf(1416.0, 10)
+
 
 class TestPoissonBinomial:
     def test_single_bernoulli(self):
