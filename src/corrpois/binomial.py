@@ -354,8 +354,8 @@ def c_constant_series(nu: int, lam: float, rel_tol: float = 1e-14) -> tuple[floa
     """
     if nu < 1:
         raise ValueError("nu must be >= 1")
-    if lam <= 0:
-        raise ValueError("lam must be positive")
+    if not 0 < lam < math.inf:
+        raise ValueError("lam must be finite and positive")
     total = 0.0
     w = 1.0  # (2 lam)^m / m!
     m = 0
@@ -381,8 +381,8 @@ def c_constant(nu: int, lam: float) -> float:
     """
     if nu < 1:
         raise ValueError("nu must be >= 1")
-    if lam <= 0:
-        raise ValueError("lam must be positive")
+    if not 0 < lam < math.inf:
+        raise ValueError("lam must be finite and positive")
     value = lam ** (nu + 1) * math.exp(2.0 * lam) * q_polynomial(nu - 1).eval_float(lam)
     series, tail = c_constant_series(nu, lam)
     if abs(value - series) > tail + 1e-10 * abs(value):

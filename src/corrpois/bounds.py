@@ -322,9 +322,6 @@ def rate_distance(order: int | str, n: int, lam: float, metric: str) -> float:
         phi = build_phi_nu(spec)
         return tv(fn, phi.pmf).value
     if metric == "d2":
-        if order == "3t":
-            # domination genuinely fails for the simplified variant
-            return d2(factorial_moments_sn(p), spec.moments()).value
         return d2_exact_product(p, spec).value
     raise ValueError(f"unknown metric: {metric!r}")
 
@@ -358,6 +355,8 @@ def check_simplified_order3(lam: float, n_grid: Sequence[int] | None = None) -> 
     is second-order only.  Probabilities are equal, so f_n(0) = (1-lam/n)^n
     in closed form.
     """
+    if not 0 < lam < math.inf:
+        raise ValueError("lam must be finite and positive")
     if n_grid is None:
         n_grid = (10, 100, 1000, 10_000)
     grid = list(n_grid)

@@ -138,6 +138,11 @@ def _load_vector(args: argparse.Namespace) -> ProbVector:
         raise CliDomainError(str(exc)) from exc
 
 
+def _check_lambda(lam: float) -> None:
+    if not 0 < lam < math.inf:
+        raise CliDomainError(f"--lambda must be finite and positive, got {lam!r}")
+
+
 def _check_order(order: int) -> None:
     if not 1 <= order <= 8:
         raise CliInputError(f"unsupported order: {order} (orders 1..8 are supported)")
@@ -261,6 +266,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     if args.check == "remark2":
         if args.lam is None:
             raise CliInputError("--check remark2 requires --lambda")
+        _check_lambda(args.lam)
         grid = _parse_grid(args.n_grid) if args.n_grid else (10, 100, 1000, 10_000)
         try:
             fit = _bounds.check_simplified_order3(args.lam, grid)
@@ -345,8 +351,7 @@ def _cmd_qpoly(args: argparse.Namespace) -> int:
         "coefficients": [str(c) for c in q.coeffs],
     }
     if args.lam is not None:
-        if args.lam <= 0:
-            raise CliDomainError("--lambda must be positive")
+        _check_lambda(args.lam)
         payload["c_order"] = args.nu + 1
         payload["c_value"] = _binomial.c_constant(args.nu + 1, args.lam)
     _emit(payload)
@@ -379,8 +384,7 @@ def _parse_orders(text: str) -> tuple[int | str, ...]:
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:
-    if args.lam <= 0:
-        raise CliDomainError("--lambda must be positive")
+    _check_lambda(args.lam)
     grid = _parse_grid(args.n_grid)
     orders = _parse_orders(args.orders)
     rows = []

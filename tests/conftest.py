@@ -1,8 +1,11 @@
 import itertools
+from decimal import Context, Decimal, localcontext
+from fractions import Fraction
 
 import pytest
 
 from corrpois import random_prob_vectors
+from corrpois.corrected import gamma_from_power_sums
 
 # Single shared corpus for the randomized verification suites: sizes up to
 # 30, entries up to 0.5, fixed seed so failures are reproducible verbatim.
@@ -54,3 +57,40 @@ def enumerated_factorial_moment(probs, m):
 
 def rel_close(a, b, rtol, floor=1.0):
     return abs(a - b) <= rtol * max(floor, abs(a), abs(b))
+
+
+def exact_d2_oracle(probs, nu, spec=None):
+    """d2 between S_n and the order-nu measure with exact coefficients, or
+    the measure of ``spec`` with its binary64 mean and gamma, by the closed
+    product form.
+
+    The power sums of the binary64 probabilities are exact Fractions, so are
+    the gamma of ``gamma_from_power_sums`` and the product prod_i (1 + 2 p_i);
+    only e^(2 lam) is rounded, at 80 digits and then at twice as many until
+    two precisions agree to 40 digits on a nonzero value (e^(2 lam) is
+    irrational, so the value is never zero), which outlasts the cancellation in
+    (1/2) |prod_i (1 + 2 p_i) - e^(2 lam) (1 - sum_j gamma_j (2 lam)^j)|.
+    """
+    ps = [Fraction(x) for x in probs]
+    if spec is None:
+        lams = [sum(x**j for x in ps) for j in range(1, nu + 1)]
+        gamma, two_lam = gamma_from_power_sums(lams, nu), 2 * lams[0]
+    else:
+        gamma = {j: Fraction(g) for j, g in spec.gamma.items()}
+        two_lam = 2 * Fraction(spec.lam)
+    low = 1 - sum(g * two_lam**j for j, g in gamma.items())
+    prod = Fraction(1)
+    for x in ps:
+        prod *= 1 + 2 * x
+
+    def dec(f):
+        return Decimal(f.numerator) / Decimal(f.denominator)
+
+    last, prec = None, 80
+    while True:
+        with localcontext(Context(prec=prec, Emin=-10**9, Emax=10**9)):
+            value = abs(dec(prod) - dec(two_lam).exp() * dec(low)) / 2
+            if value and last is not None and abs(value - last) <= Decimal(10) ** -40 * value:
+                return float(value)
+        last, prec = value, 2 * prec
+        assert prec <= 10**5, "oracle failed to settle"

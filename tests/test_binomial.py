@@ -226,3 +226,10 @@ class TestCConstant:
             c_constant(0, 1.0)
         with pytest.raises(ValueError):
             c_constant(1, 0.0)
+
+    @pytest.mark.parametrize("lam", [0.0, -1.0, math.nan, math.inf])
+    def test_mean_must_be_finite_and_positive(self, lam):
+        # otherwise a nan mean runs 10^4 series terms before the series gives up
+        for fun in (c_constant, c_constant_series):
+            with pytest.raises(ValueError, match="finite and positive"):
+                fun(2, lam)

@@ -176,6 +176,11 @@ class TestSimplifiedOrder3Probe:
         with pytest.raises(ValueError):
             check_simplified_order3(1.0, [10, 100])
 
+    @pytest.mark.parametrize("lam", [0.0, -1.0, math.nan, math.inf])
+    def test_mean_must_be_finite_and_positive(self, lam):
+        with pytest.raises(ValueError, match="finite and positive"):
+            check_simplified_order3(lam)
+
     def test_limit_direction_lambda2(self):
         fit = check_simplified_order3(2.0, [10, 100, 1000])
         limit = math.exp(-2.0) * 2.0**4 / 8

@@ -347,3 +347,22 @@ class TestScanCommand:
         a, b = run_cli(*args), run_cli(*args)
         assert a.stdout == b.stdout
         assert a.returncode == b.returncode == 0
+
+
+@pytest.mark.parametrize("args", [
+    ("qpoly", "--nu", "2", "--lambda", "nan"),
+    ("qpoly", "--nu", "2", "--lambda", "inf"),
+    ("bounds", "--check", "remark2", "--lambda", "-1"),
+    ("bounds", "--check", "remark2", "--lambda", "0"),
+    ("bounds", "--check", "remark2", "--lambda", "nan"),
+    ("bounds", "--check", "remark2", "--lambda", "inf"),
+    ("scan", "--lambda", "nan", "--n-grid", "8,16,32", "--orders", "2"),
+    ("scan", "--lambda", "inf", "--n-grid", "8,16,32", "--orders", "2"),
+])
+def test_lambda_must_be_finite_and_positive(args):
+    # the timeout makes a runaway series (as a nan mean can start) fail, not hang
+    r = run_cli(*args, timeout=60)
+    assert r.returncode == 3
+    assert r.stdout == ""
+    assert len(r.stderr.strip().splitlines()) == 1
+    assert "--lambda must be finite and positive" in r.stderr

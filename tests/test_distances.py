@@ -1,11 +1,19 @@
+import json
 import math
+import pathlib
+import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import corrpois
 from corrpois import (
+    CorrectionSpec,
     ProbVector,
     SignedPmf,
     build_phi2,
@@ -14,11 +22,14 @@ from corrpois import (
     d2,
     d2_exact_product,
     d2_tilde,
+    equal_probs,
     factorial_moments_sn,
+    fit_rate,
     hellinger,
     poisson_binomial_pmf,
     poisson_pmf,
     power_sums,
+    spec_for_order,
     spec_phi2,
     spec_phi3,
     spec_phi3_tilde,
@@ -27,6 +38,8 @@ from corrpois import (
     wasserstein,
     weighted_l1,
 )
+
+from conftest import exact_d2_oracle
 
 P123 = ProbVector((0.1, 0.2, 0.3))
 
@@ -146,7 +159,8 @@ class TestD2ExactProduct:
         spec = spec_phi3_tilde(p)
         with pytest.raises(ValueError):
             certify_domination(p, spec)
-        with pytest.warns(UserWarning):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             res = d2_exact_product(p, spec)
         assert res.method == "moment-series"
         assert "sign change" in res.note
@@ -295,3 +309,72 @@ class TestMetricAxioms:
                 lhs = tv(fn, phi.pmf).value
                 rhs = d2(mu, spec.moments()).value
                 assert lhs <= rhs * (1 + 1e-9) + 1e-12
+
+
+def rel_err(value, exact):
+    """|value - exact| over exact; below the normal range binary64 keeps
+    only an absolute precision, so 2^-1022 counts as an absolute floor."""
+    return abs(value - exact) / max(exact, 2.0**-1022)
+
+
+def assert_matches_oracle(res, want):
+    assert res.method == "exact-product"
+    assert abs(res.value - want) <= res.truncation_error
+    assert rel_err(res.value, want) <= 1e-13
+
+
+class TestD2ExactGradedRemainder:
+    """d2_exact_product against the exact-coefficient oracle of conftest."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(0.0, 0.5), min_size=1, max_size=60), st.integers(1, 8))
+    def test_matches_oracle(self, probs, nu):
+        p = ProbVector(tuple(probs))
+        assume(p.n > 0 and p.lam ** (2 * nu - 2) >= sys.float_info.min)
+        res = d2_exact_product(p, spec_for_order(p, nu))
+        assume(res.method == "exact-product")
+        assert_matches_oracle(res, exact_d2_oracle(p.probs, nu))
+
+    @pytest.mark.parametrize("lam", [0.5, 1.0, 1.7])
+    @pytest.mark.parametrize("n", [40, 80, 160, 320, 640])
+    def test_equal_probability_grid(self, lam, n):
+        p = equal_probs(n, lam)
+        for nu in range(1, 9):
+            res = d2_exact_product(p, spec_for_order(p, nu))
+            assert_matches_oracle(res, exact_d2_oracle(p.probs, nu))
+
+    def test_corpus(self, corpus):
+        for p in corpus:
+            for spec in (spec_poisson(p.lam), spec_phi2(p), spec_phi3(p)):
+                res = d2_exact_product(p, spec)
+                assert_matches_oracle(res, exact_d2_oracle(p.probs, spec.nu))
+
+    def test_large_mean(self):
+        # p = 1/4: the graded sum would need hundreds of weights, expm1 does not cancel
+        p = equal_probs(400, 100.0)
+        assert_matches_oracle(d2_exact_product(p, spec_phi3(p)), exact_d2_oracle(p.probs, 3))
+
+    @pytest.mark.parametrize("spec", [CorrectionSpec(1, 0.7),
+                                      CorrectionSpec(3, 0.6, {2: 0.05, 3: -0.01}),
+                                      spec_phi3_tilde(P123)])
+    def test_other_specs_use_their_gamma(self, spec):
+        assert_matches_oracle(d2_exact_product(P123, spec),
+                              exact_d2_oracle(P123.probs, spec.nu, spec))
+
+    @pytest.mark.parametrize("lam", [0.5, 1.0, 1.7])
+    def test_rate_slopes_reach_order_eight(self, lam):
+        for fit in fit_rate(lam, range(5, 9), [40, 80, 160, 320, 640]):
+            assert abs(fit.slope + fit.order) <= 0.05
+            assert fit.r_squared >= 0.999
+
+    def test_cli_value_pinned(self):
+        r = subprocess.run([sys.executable, "-m", "corrpois", "distance", "--metric", "d2",
+                            "--exact", "--binomial", "80", "1.7", "--order", "5"],
+                           capture_output=True, text=True, timeout=120)
+        assert r.returncode == 0, r.stderr
+        # the value with the exact rational gamma of the order-5 table
+        assert rel_err(json.loads(r.stdout)["value"], 1.19437030146916e-05) <= 1e-14
+
+    def test_source_computes_in_binary64_only(self):
+        for path in pathlib.Path(corrpois.__file__).parent.glob("*.py"):
+            assert not re.search(r"^\s*(import|from)\s+decimal\b", path.read_text(), re.M), path
