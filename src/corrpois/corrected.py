@@ -175,8 +175,13 @@ def spec_for_order(p: ProbVector, order: int | str) -> CorrectionSpec:
     nu = 3 if order == "3t" else order
     if nu not in range(1, 9):
         raise ValueError(f"unsupported order: {order!r}")
-    nu = int(nu)
-    lams = power_sums(p, nu).values
+    return _spec_from_power_sums(power_sums(p, int(nu)).values, order)
+
+
+def _spec_from_power_sums(lams: Sequence[float], order: int | str) -> CorrectionSpec:
+    """``spec_for_order`` for a supported order, from the power sums
+    lams[j - 1] = lambda_j (j = 1..nu at least; later ones are not read)."""
+    nu = 3 if order == "3t" else int(order)
     lam = lams[0]
     if not lam > 0:
         raise ValueError("corrected measures require a positive mean")

@@ -30,8 +30,9 @@ from typing import Callable
 
 import numpy as np
 
-from .corrected import CorrectionSpec, spec_for_order
-from .pmf import FactorialMoments, ProbVector, SignedPmf, factorial_moments_sn, power_sums
+from .corrected import CorrectionSpec, _spec_from_power_sums
+from .pmf import (FactorialMoments, ProbVector, SignedPmf, _power_sum_values,
+                  factorial_moments_sn, power_sums)
 
 __all__ = [
     "DistanceResult",
@@ -230,11 +231,12 @@ def d2_exact_product(p: ProbVector, spec: CorrectionSpec) -> DistanceResult:
         fallback = d2(factorial_moments_sn(p), spec.moments())
         return DistanceResult(fallback.value, fallback.truncation_error,
                               "moment-series", note=str(exc))
+    lam, nu, n, u = spec.lam, spec.nu, p.n, _U
+    lams = power_sums(p, min(nu, 8)).values  # the graded route extends, never recomputes
     try:
-        matched = spec == spec_for_order(p, spec.nu)
+        matched = nu <= 8 and spec == _spec_from_power_sums(lams, nu)
     except ValueError:
         matched = False
-    lam, nu, n, u = spec.lam, spec.nu, p.n, _U
     shift = [-2.0 * x for x in p.probs] if matched else [-2.0 * lam]
     s = math.fsum([math.log1p(2.0 * x) for x in p.probs] + shift)
     err_s = 4.0 * u * p.lam + u * abs(s) + (n + 1) * _TINY
@@ -242,7 +244,7 @@ def d2_exact_product(p: ProbVector, spec: CorrectionSpec) -> DistanceResult:
     bound = math.exp(s + err_s) * err_s + 2.0 * u * abs(x)
     if matched:
         top = nu - 1
-        parts, majorant = _graded_parts(p, top)
+        parts, majorant = _graded_parts(lams, top)
         rem = math.fsum([x] + [-e for e in parts[1:]])
         bound += _recurrence_error(n, majorant, 1)
     else:
@@ -253,7 +255,7 @@ def d2_exact_product(p: ProbVector, spec: CorrectionSpec) -> DistanceResult:
         bound += 3.0 * u * math.fsum(abs(c) for c in terms) + _recurrence_error(n, [1.0], 1)
     bound += u * abs(rem)
     if matched and bound > 64.0 * u * abs(rem) and max(p.probs) < 0.5:
-        graded = _graded_remainder(p, nu, bound)
+        graded = _graded_remainder(p, lams, nu, bound)
         if graded[1] < bound:
             rem, bound, top = graded
     value = 0.5 * math.exp(2.0 * lam) * abs(rem)
@@ -262,10 +264,10 @@ def d2_exact_product(p: ProbVector, spec: CorrectionSpec) -> DistanceResult:
     return DistanceResult(value, err, "exact-product")
 
 
-def _graded_parts(p: ProbVector, top: int) -> tuple[list[float], list[float]]:
+def _graded_parts(lams: tuple[float, ...], top: int) -> tuple[list[float], list[float]]:
     """E_w(2) and its majorant A_w for w = 0..top (``d2_exact_product``), by
-    the recurrence of ``gamma_from_power_sums`` run on scalars."""
-    lams = power_sums(p, top + 1).values
+    the recurrence of ``gamma_from_power_sums`` run on scalars, from the
+    power sums lams[j - 1] = lambda_j, j = 1..top + 1."""
     a = np.array([(-1) ** k * (k * 2.0 ** (k + 1) / (k + 1)) * lams[k]
                   for k in range(1, top + 1)])
     parts, majorant = np.ones(top + 1), np.ones(top + 1)
@@ -296,18 +298,23 @@ def _cauchy_tail(q: float, l2: float, top: int) -> float:
     return math.exp(2.0 * r * l2 / s) * r ** -(top + 1) / (1.0 - 1.0 / r)
 
 
-def _graded_remainder(p: ProbVector, nu: int, target: float) -> tuple[float, float, int]:
+def _graded_remainder(p: ProbVector, lams: tuple[float, ...], nu: int,
+                      target: float) -> tuple[float, float, int]:
     """(R, its bound, W) by the graded sum, or a bound of at least
     ``target`` as soon as it cannot beat it.  W is the first weight from
     2 nu + 8 on whose tail is below the rounding bound; a first pass at
-    2 nu + 8 gives that bound, from which the next W is read off the tail."""
+    2 nu + 8 gives that bound, from which the next W is read off the tail.
+    ``lams`` holds the power sums computed so far; each pass adds only the
+    ones it lacks."""
     q = 2.0 * max(p.probs)
-    l2 = power_sums(p, 2)[2] * (1.0 + 4.0 * _U) + (p.n + 1) * _TINY
+    lams += _power_sum_values(p, len(lams) + 1, 2)
+    l2 = lams[1] * (1.0 + 4.0 * _U) + (p.n + 1) * _TINY
     if not _cauchy_tail(q, l2, _MAX_WEIGHT) < target:
         return 0.0, math.inf, 0
     top = 2 * nu + 8
     while True:
-        parts, majorant = _graded_parts(p, top)
+        lams += _power_sum_values(p, len(lams) + 1, top + 1)
+        parts, majorant = _graded_parts(lams, top)
         rem = math.fsum(parts[nu:])
         rounding = _U * abs(rem) + _recurrence_error(p.n, majorant, nu)
         tail = _cauchy_tail(q, l2, top)

@@ -1,10 +1,11 @@
 """Exact machinery for sums of independent Bernoulli indicators.
 
-Given success probabilities p_1..p_n, this module computes the exact
-distribution of S_n = I_1 + ... + I_n (the Poisson-binomial distribution),
-its factorial moments through elementary symmetric functions, the power sums
-of the probabilities, and the plain Poisson mass function used as the base
-of every corrected approximation.
+Given success probabilities p_1..p_n, this module computes the distribution
+of S_n = I_1 + ... + I_n (the Poisson-binomial distribution) and its
+factorial moments through elementary symmetric functions, both by one
+product tree with a derived rounding bound; also the power sums of the
+probabilities and the plain Poisson mass function used as the base of every
+corrected approximation.
 
 All scalars are binary64.  Plain summations go through ``math.fsum`` so that
 quantities of order n^-3 .. n^-4 survive with comfortable headroom.
@@ -16,7 +17,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Sequence
 
 import numpy as np
 
@@ -43,7 +44,7 @@ class ProbVector:
     Entries equal to zero are exactly neutral for every downstream quantity
     and only bloat n, so they are dropped at construction; ``dropped_zeros``
     records how many were removed.  Entries equal to one are legal: they pass
-    through the distribution recurrence as a deterministic shift.
+    through the product of ``poisson_binomial_pmf`` as a deterministic shift.
     """
 
     probs: tuple[float, ...]
@@ -152,7 +153,13 @@ def power_sums(p: ProbVector, jmax: int = 6) -> PowerSums:
     """Exact power sums lambda_1..lambda_jmax with compensated accumulation."""
     if jmax < 1:
         raise ValueError("jmax must be >= 1")
-    return PowerSums(tuple(math.fsum(x**j for x in p.probs) for j in range(1, jmax + 1)))
+    return PowerSums(_power_sum_values(p, 1, jmax))
+
+
+def _power_sum_values(p: ProbVector, first: int, last: int) -> tuple[float, ...]:
+    """lambda_first..lambda_last, one fsum each, so a longer run repeats the
+    bits of a shorter one and a run can be extended without recomputing."""
+    return tuple(math.fsum(x**j for x in p.probs) for j in range(first, last + 1))
 
 
 @dataclass(frozen=True)
@@ -162,7 +169,8 @@ class SignedPmf:
     ``mass[k]`` is the mass at k for k = 0..support_max.  ``tail_bound``
     bounds the mass beyond support_max plus any rounding the builder records
     (``build_phi_nu`` does), so the masses sum to 1 within tail_bound and a
-    fixed 1e-12 the constructor allows.  The exact S_n pmf has tail_bound 0.
+    fixed 1e-12 the constructor allows.  The S_n pmf has tail_bound 0: it is
+    not cut, and its rounding is not recorded.
     """
 
     mass: np.ndarray
@@ -295,27 +303,84 @@ def poisson_pmf(lam: float, kmax: int) -> SignedPmf:
     return SignedPmf(mass, tail, "poisson")
 
 
-def _linear_product(a: Iterable[float], b: Iterable[float], length: int) -> np.ndarray:
-    """Coefficients 0..length-1 of prod_i (a_i + b_i x), one factor at a time.
+def _linear_product(a: Sequence[float], b: Sequence[float], length: int) -> np.ndarray:
+    """Coefficients 0..length-1 of P(x) = prod_i (a_i + b_i x), for a_i, b_i >= 0.
 
-    Each factor applies c_k <- a_i c_k + b_i c_(k-1) to the coefficients it
-    can reach; terms of degree length and above are dropped.
+    A pairwise tree: the n factors are the rows of an n x 2 array, each level
+    multiplies rows 2r and 2r+1 truncated at ``length``, and an odd last row
+    is carried up unchanged, so D = ceil(log2 n) levels do all the work.  The
+    carried row is held apart from the array: padded with zeros, it would
+    meet an overflowed coefficient as inf * 0 = NaN.  A level of h pairs of
+    rows d long takes one slice update over all h pairs per offset where
+    h >= d, and one np.convolve per pair where h < d.  What np.convolve and
+    the carried row return loses the trailing coefficients that are zero in
+    every row: exact zeros add nothing, and far out the coefficients of a
+    product of many factors underflow to zero, where the top levels would
+    spend most of their O(n^2) products.
+
+    Rounding.  Every term of P_j is a product of n nonnegative factor
+    coefficients, so the error is relative: with u = 2^-53 and
+    g_K = K u / (1 - K u), the computed c_j is within g_K P_j if no term
+    meets more than K roundings on its way up the tree.  A term meets
+    * one multiplication at each of the n - 1 nodes, except that a product
+      with an exact 1 is exact: when every a_i = 1, only the max(j - 1, 0)
+      nodes joining two parts of the term round;
+    * at a node of n_v factors, where its partial coefficient j_v is a sum
+      of t <= min(j_v, n_v - j_v) + 1 products, at most t - 1 additions, in
+      whatever order np.convolve takes them.  The nodes of one level share
+      no factor, so their j_v add up to at most j: a level adds at most
+      min(j, n - j).
+    So K_j = m_j + D min(j, n - j), with m_j = n - 1, or max(j - 1, 0) when
+    every a_i = 1.  That is not g_O(log n) for every j: for the elementary
+    symmetric functions it is about (j + 1) D roundings, against n + j for
+    the factor-at-a-time recurrence, and for a general product it is larger
+    than that recurrence's 2n at central j.
+    Underflow.  A multiplication below 2^-1022 may lose 2^-1075 more, an
+    addition nothing.  A node makes at most (j + 1)(j + 2) / 2 products
+    that reach c_j, and a loss in coefficient i there reaches c_j times a
+    coefficient of the other factors' product, at most B = prod_i max(1,
+    a_i + b_i).  So c_j is also off by at most (n - 1)(j + 1)(j + 2) B
+    2^-1076 (1 + g_K) in absolute terms.
     """
+    rows = np.column_stack((a, b))[:, :length]
+    carried = np.ones(1)  # product of the rows carried so far; 1 is exact
+    while rows.shape[0] > 1:
+        if rows.shape[0] % 2:
+            carried = _cut_zeros(np.convolve(rows[-1], carried)[:length])
+            rows = rows[:-1]
+        left, right = rows[0::2], rows[1::2]
+        pairs, d = left.shape
+        k = min(2 * d - 1, length)
+        if pairs >= d:
+            rows = np.zeros((pairs, k))
+            for i in range(d):
+                w = min(d, k - i)
+                rows[:, i:i + w] += left[:, i:i + 1] * right[:, :w]
+        else:
+            rows = _cut_zeros(np.array([np.convolve(x, y)[:k] for x, y in zip(left, right)]))
     c = np.zeros(length)
-    c[0] = 1.0
-    for i, (ai, bi) in enumerate(zip(a, b)):
-        top = min(i + 2, length)
-        c[1:top] = c[1:top] * ai + c[: top - 1] * bi
-        c[0] *= ai
+    top = np.convolve(rows[0], carried)[:length] if rows.shape[0] else carried
+    c[:top.size] = top
     return c
 
 
-def poisson_binomial_pmf(p: ProbVector) -> SignedPmf:
-    """Exact distribution of S_n, the coefficients of prod_i ((1-p_i) + p_i x).
+def _cut_zeros(x: np.ndarray) -> np.ndarray:
+    """x without the trailing columns that are zero in every row (one kept)."""
+    if x[..., -1].any():
+        return x
+    nonzero = np.flatnonzero(np.any(x.reshape(-1, x.shape[-1]) != 0.0, axis=0))
+    return x[..., :nonzero[-1] + 1 if nonzero.size else 1]
 
-    The recurrence f(k) <- (1-p_i) f(k) + p_i f(k-1) is exact and keeps every
-    intermediate nonnegative, so the result is a proper distribution with
-    zero tail bound and support 0..n.
+
+def poisson_binomial_pmf(p: ProbVector) -> SignedPmf:
+    """Distribution of S_n, the coefficients of prod_i ((1 - p_i) + p_i x).
+
+    The pairwise tree of ``_linear_product`` keeps every intermediate
+    nonnegative, so the result is a proper distribution on 0..n with tail
+    bound 0.  The masses are not exact: the tree puts f(k) within g_K of
+    the product of the binary64 factors, K = n - 1 + D min(k, n - k) (D =
+    ceil(log2 n)), plus an underflow term, and rounding 1 - p_i adds at
+    most (n - k) u; the rounding is recorded nowhere yet.
     """
     f = _linear_product([1.0 - pi for pi in p.probs], p.probs, p.n + 1)
     return SignedPmf(f, 0.0, "poisson-binomial")
@@ -324,8 +389,11 @@ def poisson_binomial_pmf(p: ProbVector) -> SignedPmf:
 def elementary_symmetric(p: ProbVector, mmax: int) -> np.ndarray:
     """Elementary symmetric functions S_{n,m} of the probabilities, m = 0..mmax.
 
-    These are the coefficients of prod_i (1 + p_i x); entries with m > n are
-    exactly zero.
+    These are the coefficients of prod_i (1 + p_i x), by the pairwise tree
+    of ``_linear_product``; entries with m > n are exactly zero.  Every a_i
+    is 1, so S_{n,m} is within g_K, K = m - 1 + m ceil(log2 n), of the
+    exact value for the binary64 p_i (plus an underflow term), and S_{n,1}
+    is a pairwise sum.
     """
     if mmax < 0:
         raise ValueError("mmax must be >= 0")
@@ -339,8 +407,10 @@ def factorial_moments_sn(p: ProbVector, mmax: int | None = None) -> FactorialMom
 
     The weighted moments 2^m mu_m / m! = 2^m S_{n,m} are the coefficients of
     prod_i (1 + 2 p_i x); doubling is exact, so each equals 2^m
-    ``elementary_symmetric(p, m)[m]`` bit for bit.  The tail is 0 when the
-    array reaches n and unknown (inf) when mmax cuts it short.
+    ``elementary_symmetric(p, mmax)[m]`` bit for bit (short of underflow).
+    A different cut may change the last bit, since np.convolve's summation
+    order depends on the length of its rows.  The tail is 0 when the array
+    reaches n and unknown (inf) when mmax cuts it short.
     """
     if mmax is None:
         mmax = p.n

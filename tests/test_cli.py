@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import re
@@ -366,3 +367,40 @@ def test_lambda_must_be_finite_and_positive(args):
     assert r.stdout == ""
     assert len(r.stderr.strip().splitlines()) == 1
     assert "--lambda must be finite and positive" in r.stderr
+
+
+class TestEdgeInputsPinned:
+    """Inputs where the exact layer has nothing to round: stdout byte for byte."""
+
+    @pytest.mark.parametrize("lines, want", [
+        ("0\n0\n0\n", '{"support_max": 0, "mass": [1], "tail_bound": 0, '
+                       '"label": "poisson-binomial"}\n'),
+        ("1\n1\n0.5\n", '{"support_max": 3, "mass": [0, 0, 0.5, 0.5], "tail_bound": 0, '
+                         '"label": "poisson-binomial"}\n'),
+    ])
+    def test_pmf_of_a_file(self, tmp_path, lines, want):
+        f = tmp_path / "p.txt"
+        f.write_text(lines)
+        r = run_cli("pmf", "--probs", str(f), "--order", "0")
+        assert (r.returncode, r.stdout, r.stderr) == (0, want, "")
+
+    def test_pmf_of_certain_indicators(self):
+        r = run_cli("pmf", "--binomial", "5", "5", "--order", "0")
+        assert (r.returncode, r.stderr) == (0, "")
+        assert r.stdout == ('{"support_max": 5, "mass": [0, 0, 0, 0, 0, 1], "tail_bound": 0, '
+                            '"label": "poisson-binomial"}\n')
+
+    def test_sandwich_of_one_entry(self, tmp_path):
+        f = tmp_path / "p.txt"
+        f.write_text("0.3\n")
+        r = run_cli("bounds", "--check", "sandwich", "--probs", str(f))
+        assert (r.returncode, r.stderr) == (0, "")
+        assert r.stdout.startswith('{"reports": [{"name": "mu-sandwich[m=1]", '
+                                   '"lhs": 0.29999999999999999, "rhs": 0.29999999999999999, ')
+        digest = hashlib.sha256(r.stdout.encode()).hexdigest()
+        assert digest == "15c601ebc4c9e9e92ad0afda65d898c37fe9781cc09e8e3ffad53f7f6ee2807a"
+
+    def test_overflowing_mean_keeps_its_exit(self):
+        r = run_cli("distance", "--metric", "d2", "--binomial", "3000", "450", "--order", "2")
+        assert (r.returncode, r.stdout) == (3, "")
+        assert r.stderr == "error: numeric overflow: math range error\n"

@@ -349,6 +349,14 @@ class TestD2ExactGradedRemainder:
                 res = d2_exact_product(p, spec)
                 assert_matches_oracle(res, exact_d2_oracle(p.probs, spec.nu))
 
+    def test_power_sums_extend_bit_for_bit(self, corpus):
+        # d2_exact_product computes lambda_1..lambda_nu once and extends that
+        # run pass by pass, so it reads the bits a fresh power_sums would
+        for p in corpus:
+            longest = power_sums(p, 129).values
+            for j in (1, 2, 8, 25, 128):
+                assert power_sums(p, j).values == longest[:j]
+
     def test_large_mean(self):
         # p = 1/4: the graded sum would need hundreds of weights, expm1 does not cancel
         p = equal_probs(400, 100.0)

@@ -1,8 +1,11 @@
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corrpois import (
     ProbVector,
@@ -15,19 +18,51 @@ from corrpois import (
     poisson_pmf,
     power_sums,
 )
+from corrpois.pmf import _linear_product
 
 from conftest import enumerated_factorial_moment, enumerated_pmf
 
+U = Fraction(1, 2**53)
 
-def elementary_symmetric_by_loop(probs, mmax):
-    """Reference: the element-at-a-time recurrence e_j += p_i e_(j-1)."""
-    e = np.zeros(mmax + 1)
-    e[0] = 1.0
-    top = min(mmax, len(probs))
-    for i, pi in enumerate(probs):
-        for j in range(min(i + 1, top), 0, -1):
-            e[j] += pi * e[j - 1]
-    return e
+
+def exact_linear_product(a, b):
+    """Exact coefficients of prod_i (a_i + b_i x) for dyadic a_i, b_i (binary64
+    values or Fractions with power-of-two denominators), as Fractions: the
+    factors are scaled to integers by their largest denominator."""
+    a, b = [Fraction(x) for x in a], [Fraction(x) for x in b]
+    scale = max((x.denominator for x in a + b), default=1)
+    c = [1]
+    for ai, bi in zip(a, b):
+        ia, ib = (ai * scale).numerator, (bi * scale).numerator
+        c = [ia * x + ib * y for x, y in zip(c + [0], [0] + c)]
+    return [Fraction(x, scale ** len(a)) for x in c]
+
+
+def tree_error_bound(exact, j, n, ones, pmf=False, big=1):
+    """The rounding bound of ``pmf._linear_product`` on coefficient j of a
+    product of n factors: g_K exact + (n - 1)(j + 1)(j + 2) big 2^-1076 (1 + g_K)
+    with K = m_j + ceil(log2 n) min(j, n - j), m_j = max(j - 1, 0) when every
+    a_i = 1 (``ones``) and n - 1 otherwise, plus n - j for the rounding of
+    1 - p_i when ``exact`` is the pmf of the exact probabilities."""
+    if j > n:
+        return 0
+    k = n - j if pmf else 0
+    if n > 1:
+        k += (max(j - 1, 0) if ones else n - 1) + (n - 1).bit_length() * min(j, n - j)
+    g = k * U / (1 - k * U)
+    return g * exact + max(n - 1, 0) * (j + 1) * (j + 2) * big * Fraction(1, 2**1076) * (1 + g)
+
+
+def assert_within_tree_bound(got, exact, n, ones, pmf=False, big=1, seen=None):
+    """Every entry of ``got`` within ``tree_error_bound`` of ``exact`` (zero
+    past its end); ``seen`` caches (j, value) pairs already checked."""
+    seen = set() if seen is None else seen
+    for j, c in enumerate(got.tolist()):
+        if (j, c) in seen:
+            continue
+        want = exact[j] if j < len(exact) else 0
+        assert abs(Fraction(c) - want) <= tree_error_bound(want, j, n, ones, pmf, big), (j, c)
+        seen.add((j, c))
 
 
 class TestProbVector:
@@ -149,14 +184,52 @@ class TestElementarySymmetric:
         e = elementary_symmetric(ProbVector((0.1, 0.2, 0.3)), 4)
         assert e[4] == 0.0
 
-    def test_equals_reference_loop_exactly(self):
+    def test_within_tree_bound_of_exact_product(self):
         rng = np.random.default_rng(11)
         for _ in range(60):
             n = int(rng.integers(1, 201))
             p = ProbVector(tuple(rng.uniform(0.0, 1.0, n).tolist()))
+            exact = exact_linear_product([1.0] * p.n, p.probs)
+            big = math.prod(1 + Fraction(x) for x in p.probs)
             for mmax in (0, 3, p.n, p.n + 5):
-                want = elementary_symmetric_by_loop(p.probs, mmax)
-                assert elementary_symmetric(p, mmax).tolist() == want.tolist(), (n, mmax)
+                got = elementary_symmetric(p, mmax)
+                assert got.size == mmax + 1
+                assert_within_tree_bound(got, exact, p.n, ones=True, big=big)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.one_of(st.floats(0.0, 1.0), st.just(1.0)), max_size=60))
+    def test_tree_bound_at_every_cut(self, probs):
+        p = ProbVector(tuple(probs))
+        n, q = p.n, [Fraction(x) for x in p.probs]
+        sym = exact_linear_product([1] * n, q)
+        doubled = [x * 2**m for m, x in enumerate(sym)]
+        a = [1.0 - x for x in p.probs]
+        dist = exact_linear_product([1 - x for x in q], q)
+        big_sym = math.prod(1 + x for x in q)
+        big_doubled = math.prod(1 + 2 * x for x in q)
+        big_dist = math.prod(max(1, Fraction(x) + y) for x, y in zip(a, q))
+        seen = (set(), set(), set())
+        for length in range(1, n + 3):
+            assert_within_tree_bound(elementary_symmetric(p, length - 1), sym, n,
+                                     ones=True, big=big_sym, seen=seen[0])
+            assert_within_tree_bound(factorial_moments_sn(p, length - 1).weighted, doubled, n,
+                                     ones=True, big=big_doubled, seen=seen[1])
+            assert_within_tree_bound(_linear_product(a, p.probs, length), dist, n,
+                                     ones=False, pmf=True, big=big_dist, seen=seen[2])
+        mass = poisson_binomial_pmf(p).mass
+        assert mass.size == n + 1
+        assert_within_tree_bound(mass, dist, n, ones=False, pmf=True, big=big_dist, seen=seen[2])
+
+    def test_first_moment_is_a_pairwise_sum(self):
+        # ceil(log2 10^5) = 17 levels, against 10^5 sequential additions
+        p = equal_probs(10**5, 50.0)
+        got = factorial_moments_sn(p, 15)(1)
+        assert abs(got - math.fsum(p.probs)) <= 2 * 17 * 2.0**-53 * p.lam
+
+    def test_no_nan_where_moments_overflow(self):
+        w = factorial_moments_sn(equal_probs(3000, 450.0)).weighted
+        assert not np.isnan(w).any()
+        assert np.isinf(w).any()
 
 
 class TestFactorialMoments:
