@@ -17,7 +17,6 @@ from .binomial import (
     gamma_floats,
     q_polynomial,
     solve_gamma_table,
-    stirling_poly,
     stirling_unsigned,
 )
 from .bounds import (

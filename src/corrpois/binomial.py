@@ -1,17 +1,19 @@
 """Exact combinatorics for the equal-probability (binomial) case.
 
-With p_i = lam/n the factorial moments of S_n are (n)_m lam^m / n^m, and the
-falling factorial expands as
+With p_i = lam/n the power sums are lambda_(k+1) = lam^(k+1) n^(-k).  The
+weight-w part E_w of exp(L), graded as in ``corrected.gamma_from_power_sums``,
+is a sum of products of lambda_(k+1) whose k add up to w, so [t^j] E_w is
+lam^j n^(-w) times its value at unit power sums.  The correction coefficients
+gamma_j(nu) are therefore exact polynomials in 1/n, free of lam, and the
+n^(-w) column of the table is what the order-(w+1) spec adds to the order-w
+one at unit power sums.  Written out, the first nu terms of the falling
+factorial expansion
 
-    (n)_m = n^m - A_1 n^(m-1) + A_2 n^(m-2) - ...,
+    (n)_m / n^m = 1 - A_1/n + A_2/n^2 - ... +- A_(nu-1)/n^(nu-1) + ...
 
-where A_k = A_k(m-1) is the elementary symmetric function of 1..m-1 of order
-k (an unsigned Stirling number of the first kind).  Truncating the expansion
-after nu terms and matching it against the corrected-measure moment factor
-1 - sum_j gamma_j (m)_j yields, for each truncation order nu, exact rational
-coefficients gamma_j(nu) as polynomials in 1/n.  Matching is a triangular
-change of basis (powers of m into falling factorials), solved here by exact
-back-substitution from the highest degree down.
+equal 1 - sum_j gamma_j (m)_j exactly, where A_k = A_k(m-1) is the
+elementary symmetric function of 1..m-1 of order k (an unsigned Stirling
+number of the first kind).
 
 Everything in this module is exact: arbitrary-precision integers and
 ``fractions.Fraction`` throughout.  The companion constants
@@ -32,11 +34,12 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Mapping
 
+from .corrected import gamma_from_power_sums
+
 __all__ = [
     "RationalPolynomial",
     "GammaTable",
     "stirling_unsigned",
-    "stirling_poly",
     "falling_factorial_remainder",
     "solve_gamma_table",
     "gamma_floats",
@@ -77,14 +80,6 @@ class RationalPolynomial:
     def scale(self, s) -> "RationalPolynomial":
         s = Fraction(s)
         return RationalPolynomial(tuple(c * s for c in self.coeffs))
-
-    def __mul__(self, other: "RationalPolynomial") -> "RationalPolynomial":
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return RationalPolynomial(tuple(out))
 
     def derivative(self) -> "RationalPolynomial":
         if len(self.coeffs) == 1:
@@ -130,41 +125,6 @@ def stirling_unsigned(m: int, k: int) -> int:
     return e[k]
 
 
-@functools.cache
-def stirling_poly(k: int) -> RationalPolynomial:
-    """A_k(m-1) as an exact polynomial in m, of degree 2k.
-
-    Obtained by Lagrange interpolation on m = 0..2k; the degree-2k bound and
-    the vanishing at m = 0..k (binomial factor C(m, k+1)) are both asserted
-    against extra exact values.
-    """
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    pts = [(Fraction(m), Fraction(stirling_unsigned(m, k))) for m in range(2 * k + 1)]
-    poly = _lagrange(pts)
-    for m in range(2 * k + 1, 2 * k + 5):
-        if poly.eval_exact(m) != stirling_unsigned(m, k):
-            raise AssertionError(f"degree bound 2k failed for A_{k}")
-    for m in range(k + 1):
-        if poly.eval_exact(m) != 0 and k > 0:
-            raise AssertionError(f"A_{k} does not vanish at m = {m}")
-    return poly
-
-
-def _lagrange(points: list[tuple[Fraction, Fraction]]) -> RationalPolynomial:
-    total = RationalPolynomial((Fraction(0),))
-    for i, (xi, yi) in enumerate(points):
-        basis = RationalPolynomial((Fraction(1),))
-        denom = Fraction(1)
-        for j, (xj, _) in enumerate(points):
-            if j == i:
-                continue
-            basis = basis * RationalPolynomial((-xj, Fraction(1)))
-            denom *= xi - xj
-        total = total + basis.scale(yi / denom)
-    return total
-
-
 def falling_factorial_remainder(n: int, m: int, nu: int) -> tuple[int, Fraction]:
     """Truncate the (n)_m expansion after nu alternating terms.
 
@@ -187,29 +147,6 @@ def falling_factorial_remainder(n: int, m: int, nu: int) -> tuple[int, Fraction]
     if not 0 <= r <= stirling_unsigned(m, nu):
         raise AssertionError(f"remainder {r} outside [0, A_{nu}] for n={n}, m={m}")
     return trunc, r
-
-
-def _to_falling_basis(poly: RationalPolynomial) -> dict[int, Fraction]:
-    """Rewrite a polynomial in m as sum_j c_j (m)_j, highest degree first.
-
-    This is the triangular back-substitution behind the coefficient solver:
-    (m)_j is monic of degree j, so the top power-basis coefficient determines
-    c_deg, and the remainder has strictly smaller degree.
-    """
-    work = list(poly.coeffs)
-    out: dict[int, Fraction] = {}
-    for j in range(len(work) - 1, -1, -1):
-        c = work[j]
-        out[j] = c
-        if c:
-            ff = RationalPolynomial((Fraction(1),))
-            for i in range(j):
-                ff = ff * RationalPolynomial((Fraction(-i), Fraction(1)))
-            for d, fc in enumerate(ff.coeffs):
-                work[d] -= c * fc
-    if any(work):
-        raise AssertionError("falling-factorial conversion left a nonzero residue")
-    return {j: c for j, c in out.items() if c != 0}
 
 
 @dataclass(frozen=True)
@@ -241,27 +178,16 @@ class GammaTable:
 def solve_gamma_table(nu: int) -> GammaTable:
     """Exact gamma_j(nu) for the equal-probability corrected measure.
 
-    Equates the nu-term truncation of (n)_m / n^m, namely
-    1 - A_1/n + A_2/n^2 - ... +- A_(nu-1)/n^(nu-1), with the moment factor
-    1 - sum_j gamma_j (m)_j, as polynomial identities in m of degree
-    2 nu - 2.  Each A_k contributes its falling-factorial expansion to the
-    n^(-k) coefficient of gamma_j.
+    By the weight grading of the module docstring, the n^(-w) coefficient of
+    gamma_j is gamma_j at order w + 1 minus gamma_j at order w, both from
+    ``gamma_from_power_sums`` on unit power sums.
     """
     if not 2 <= nu <= 8:
         raise ValueError("supported truncation orders are 2..8")
-    entries: dict[int, dict[int, Fraction]] = {j: {} for j in range(2, 2 * nu - 1)}
-    for k in range(1, nu):
-        for j, c in _to_falling_basis(stirling_poly(k)).items():
-            if j < 2:
-                raise AssertionError("A_k must have no constant or linear falling part")
-            entries[j][k] = (-1) ** (k - 1) * c
-    polys = {}
-    for j, powers in entries.items():
-        if not powers:
-            continue
-        top = max(powers)
-        coeffs = [powers.get(i, Fraction(0)) for i in range(top + 1)]
-        polys[j] = RationalPolynomial(tuple(coeffs))
+    by_order = [gamma_from_power_sums([Fraction(1)] * nu, order) for order in range(1, nu + 1)]
+    polys = {j: RationalPolynomial((0, *(b.get(j, 0) - a.get(j, 0)
+                                         for a, b in zip(by_order, by_order[1:]))))
+             for j in range(2, 2 * nu - 1)}
     # read-only: the cached table is shared by every caller
     table = GammaTable(nu, MappingProxyType(polys))
     if table.entries[2].coeffs != (Fraction(0), Fraction(1, 2)):

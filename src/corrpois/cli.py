@@ -162,14 +162,11 @@ def _spec_for_order(p: ProbVector, order: int) -> CorrectionSpec:
 
 def _cmd_pmf(args: argparse.Namespace) -> int:
     p = _load_vector(args)
-    if args.order == 0:
-        pmf = poisson_binomial_pmf(p)
-    else:
-        spec = _spec_for_order(p, args.order)
-        try:
-            pmf = build_phi_nu(spec, args.kmax).pmf
-        except ValueError as exc:
-            raise CliDomainError(str(exc)) from exc
+    spec = None if args.order == 0 else _spec_for_order(p, args.order)
+    try:
+        pmf = poisson_binomial_pmf(p) if spec is None else build_phi_nu(spec, args.kmax).pmf
+    except ValueError as exc:
+        raise CliDomainError(str(exc)) from exc
     payload = {
         "support_max": pmf.support_max,
         "mass": pmf.mass,

@@ -12,7 +12,6 @@ from corrpois import (
     falling_factorial_remainder,
     q_polynomial,
     solve_gamma_table,
-    stirling_poly,
     stirling_unsigned,
 )
 from corrpois.binomial import RationalPolynomial
@@ -91,13 +90,6 @@ class TestStirling:
         )
         assert value == 7 * 6 * 5 * 4 * 3 == 2520
 
-    def test_polynomial_interpolation_consistent(self):
-        for k in range(7):
-            poly = stirling_poly(k)
-            assert poly.degree <= 2 * k
-            for m in range(0, 2 * k + 8):
-                assert poly.eval_exact(m) == stirling_unsigned(m, k)
-
 
 class TestFallingFactorialRemainder:
     def test_exact_when_order_exceeds_m(self):
@@ -153,6 +145,17 @@ class TestGammaTable:
                 for power, c in enumerate(poly.coeffs):
                     assert longer[power] == c
                 assert len(longer) <= len(poly.coeffs) + 1
+
+    @pytest.mark.parametrize("nu", range(2, 9))
+    def test_table_is_the_truncated_falling_factorial(self, nu):
+        # the defining identity, through stirling_unsigned: the first nu terms
+        # of (n)_m / n^m equal the moment factor 1 - sum_j gamma_j (m)_j
+        table = solve_gamma_table(nu)
+        for n in (1, 2, 7, 20, 101):
+            for m in range(2 * nu + 6):
+                trunc, _ = falling_factorial_remainder(n, m, nu)
+                factor = 1 - sum(table.gamma_at(j, n) * math.perm(m, j) for j in table.entries)
+                assert Fraction(trunc) / n**m == factor, (n, m)
 
     def test_json_export_shape(self):
         payload = solve_gamma_table(3).to_json_dict()

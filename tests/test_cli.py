@@ -282,6 +282,27 @@ class TestGammaTableCommand:
         assert mism[0]["published"] == "17/388"
         assert mism[0]["computed"] == "17/288"
 
+    @pytest.mark.parametrize("nu, compare, digest", [
+        (2, False, "6c28ee80d4c21cfe4634ceeea49db6830fe35e4688a68a9614058d85e2945de0"),
+        (2, True, "f547f64f63cfef43596a322ef66a8a6726babebba5784c07f6b9f99a4d41eb77"),
+        (3, False, "bcbd4713b9c3b89f451f6459e89353adb4cb7eb48ffcbb953af60e97c02df09d"),
+        (3, True, "ed2bca306c2777546f7b38afc8567f7d8c36c145bd630ca20191aeccd14dbe2e"),
+        (4, False, "3ffabaa0f72b781e65f1b334b8439c8ecb3ed976e5eda47345ff710b548f0ecb"),
+        (4, True, "3d40fc1e0e3b9f1700fcd54779e1b34bd8a06509d971ae18e8e333de8fa71d79"),
+        (5, False, "9c15ebf106747efef27ef9a03140253fc899e4dd190d7c3b689fe00ff61f2f8a"),
+        (5, True, "996c5d75a85d00b17f3eb4160066567f443f782812d62e4c79370f9b85ca0ee0"),
+        (6, False, "329ac07d3eb49b3e89f80911ea1e3be285f2bde1db5be0ee4426f8f71d5271d1"),
+        (6, True, "548ec061aaf6047c93d1bf328823dc8a340e5e5fce14d7b201f9c2b4545fee1c"),
+        (7, False, "d75c65085c500a354d6ebef4af9c17b9c0b1783eb384ed9138e04f0d7a6088ae"),
+        (7, True, "d5a7d68bd806367ba8d216100d838340629dc56d0fdc4db335c99851e2e14f1c"),
+        (8, False, "62fe18b8113522580d320c750f0de23f62c9df9f8475dfd2ccd851ec79294a2a"),
+        (8, True, "44c77dce30cc45e3ffd4fc74fc4de4908b824e2b1c76539a89007dbd1176fd6f"),
+    ])
+    def test_stdout_pinned(self, nu, compare, digest):
+        r = run_cli("gamma-table", "--nu", str(nu), *(["--compare-paper"] if compare else []))
+        assert (r.returncode, r.stderr) == (0, "")
+        assert hashlib.sha256(r.stdout.encode()).hexdigest() == digest
+
     def test_out_of_range(self):
         assert run_cli("gamma-table", "--nu", "9").returncode == 2
 
@@ -399,6 +420,13 @@ class TestEdgeInputsPinned:
                                    '"lhs": 0.29999999999999999, "rhs": 0.29999999999999999, ')
         digest = hashlib.sha256(r.stdout.encode()).hexdigest()
         assert digest == "15c601ebc4c9e9e92ad0afda65d898c37fe9781cc09e8e3ffad53f7f6ee2807a"
+
+    def test_pmf_rounding_refusal_is_one_line(self):
+        # the exact law's masses drift past SignedPmf's fixed 1e-12 slack at n = 10^5
+        r = run_cli("pmf", "--binomial", "100000", "50", "--order", "0")
+        assert (r.returncode, r.stdout) == (3, "")
+        assert len(r.stderr.splitlines()) == 1 and "Traceback" not in r.stderr
+        assert r.stderr.startswith("error: masses sum to ")
 
     def test_overflowing_mean_keeps_its_exit(self):
         r = run_cli("distance", "--metric", "d2", "--binomial", "3000", "450", "--order", "2")
