@@ -61,6 +61,7 @@ from .distances import (
     d2_exact_product,
     d2_tilde,
     hellinger,
+    sn_distance,
     tv,
     wasserstein,
     weighted_l1,

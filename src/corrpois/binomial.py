@@ -286,12 +286,15 @@ def c_constant_series(nu: int, lam: float, rel_tol: float = 1e-14) -> tuple[floa
     w = 1.0  # (2 lam)^m / m!
     m = 0
     last = math.inf
+    row = [1] + [0] * nu  # stirling_unsigned(m, k) for k = 0..nu, one step per m
     while True:
-        term = w * stirling_unsigned(m, nu) if m >= nu else 0.0
+        term = w * row[nu] if m >= nu else 0.0
         total += term
         w *= 2.0 * lam / (m + 1)
+        for j in range(min(nu, m), 0, -1):
+            row[j] += m * row[j - 1]
         m += 1
-        if m > nu + 2 and term > 0:
+        if m > nu + 2:  # a term 0 here has underflowed, as all later ones do
             if m > 4 * lam + 2 * nu + 4 and term <= 0.5 * last and term <= rel_tol * total:
                 return 0.5 * total, term
             last = term
@@ -303,13 +306,16 @@ def c_constant(nu: int, lam: float) -> float:
     """Closed form lam^(nu+1) e^(2 lam) Q_(nu-1)(lam).
 
     Cross-checked against the Stirling-number series before returning; a
-    disagreement beyond the series tail bound is an internal error.
+    disagreement beyond the series tail bound is an internal error.  Raises
+    OverflowError when the value leaves binary64.
     """
     if nu < 1:
         raise ValueError("nu must be >= 1")
     if not 0 < lam < math.inf:
         raise ValueError("lam must be finite and positive")
     value = lam ** (nu + 1) * math.exp(2.0 * lam) * q_polynomial(nu - 1).eval_float(lam)
+    if not math.isfinite(value):
+        raise OverflowError(f"C_{nu}(lam) exceeds binary64 at lam = {lam!r}")
     series, tail = c_constant_series(nu, lam)
     if abs(value - series) > tail + 1e-10 * abs(value):
         raise RuntimeError(

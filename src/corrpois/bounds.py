@@ -25,7 +25,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -33,7 +32,7 @@ import numpy as np
 
 from .charlier import falling_factorial
 from .corrected import build_phi_nu, spec_for_order, spec_phi2, spec_phi3, spec_poisson
-from .distances import d2, d2_exact_product, tv
+from .distances import d2_exact_product, hellinger, sn_distance
 from .pmf import (
     PowerSums,
     ProbVector,
@@ -111,6 +110,7 @@ class RateFit:
     slope: float
     intercept: float
     r_squared: float
+    note: str = ""  # dropped points and an unreliable fit, "" when neither
 
     def __post_init__(self) -> None:
         g = self.grid
@@ -127,6 +127,7 @@ class RateFit:
             "slope": self.slope,
             "intercept": self.intercept,
             "r_squared": self.r_squared,
+            "note": self.note,
         }
 
 
@@ -223,9 +224,7 @@ def check_order2_bound(p: ProbVector) -> list[BoundReport]:
     dist = d2_exact_product(p, spec_phi2(p))
     rhs1 = (4.0 / 3.0 * ps[3] + ps[2] ** 2) * math.exp(2.0 * lam)
     rhs2 = (4.0 / 3.0 + lam) * math.exp(2.0 * lam) * ps[3]
-    fn = poisson_binomial_pmf(p)
-    pois = build_phi_nu(spec_poisson(lam), label="phi1")
-    dtv = tv(fn, pois.pmf)
+    dtv = sn_distance(p, spec_poisson(lam), "tv")
     return [
         BoundReport.make("d2-bound-order2", dist.value, rhs1, digest),
         BoundReport.make("d2-bound-order2-weaker", rhs1, rhs2, digest),
@@ -252,22 +251,15 @@ def check_classic_chain(p: ProbVector) -> list[BoundReport]:
     requires every p_i < 1), the Hellinger-to-tv chain, tv <= d2 and the
     Wasserstein chain d_W <= d2tilde <= 2(1+lam) e^(2lam) l2.
     """
-    from .distances import d2_tilde, hellinger, wasserstein
-
     if any(x >= 1.0 for x in p.probs):
         raise ValueError("the Hellinger bound requires every probability below 1")
     ps = power_sums(p, 2)
     lam = ps.lam
     digest = _digest({"probs": list(p.probs)})
-    fn = poisson_binomial_pmf(p)
-    pois = build_phi_nu(spec_poisson(lam), label="phi1").pmf
-    dtv = tv(fn, pois).value
-    dh = hellinger(fn, pois).value
-    mu_sn = factorial_moments_sn(p)
-    mu_z = spec_poisson(lam).moments()
-    d2v = d2(mu_sn, mu_z).value
-    d2t = d2_tilde(mu_sn, mu_z).value
-    dw = wasserstein(fn, pois).value
+    pois = spec_poisson(lam)
+    dtv, dw, d2v, d2t = (sn_distance(p, pois, metric).value
+                         for metric in ("tv", "wass", "d2", "d2tilde"))
+    dh = hellinger(poisson_binomial_pmf(p), build_phi_nu(pois, label="phi1").pmf).value
     hel_rhs = math.fsum(x**3 / (1.0 - x) for x in p.probs) / lam
     return [
         BoundReport.make("tv-poisson-classic-lower",
@@ -286,11 +278,15 @@ def check_classic_chain(p: ProbVector) -> list[BoundReport]:
 
 def fit_loglog(grid: Sequence[int], distances: Sequence[float],
                order: int | str) -> RateFit:
-    """Ordinary least squares of log(distance) on log(n)."""
+    """Ordinary least squares of log(distance) on log(n).
+
+    Distances that underflowed to 0 are dropped, and an r^2 below 0.98 marks
+    the fit unreliable; the fit's ``note`` says so.
+    """
     pts = [(n, d) for n, d in zip(grid, distances) if d > 0.0]
+    notes = []
     if len(pts) < len(grid):
-        warnings.warn(f"dropped {len(grid) - len(pts)} underflowed distance(s)",
-                      stacklevel=2)
+        notes.append(f"dropped {len(grid) - len(pts)} underflowed distance(s)")
     if len(pts) < 3:
         raise ValueError("fit refused: fewer than 3 usable points")
     xs = [math.log(n) for n, _ in pts]
@@ -306,10 +302,9 @@ def fit_loglog(grid: Sequence[int], distances: Sequence[float],
     ss_tot = math.fsum((y - my) ** 2 for y in ys)
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
     if r2 < 0.98:
-        warnings.warn(f"log-log fit for order {order} unreliable (r^2 = {r2:.4f})",
-                      stacklevel=2)
+        notes.append(f"log-log fit for order {order} unreliable (r^2 = {r2:.4f})")
     return RateFit(order, tuple(n for n, _ in pts), tuple(d for _, d in pts),
-                   slope, intercept, r2)
+                   slope, intercept, r2, "; ".join(notes))
 
 
 def rate_distance(order: int | str, n: int, lam: float, metric: str) -> float:
@@ -317,13 +312,9 @@ def rate_distance(order: int | str, n: int, lam: float, metric: str) -> float:
     corrected measure of the given order."""
     p = equal_probs(n, lam)
     spec = spec_for_order(p, order)
-    if metric == "tv":
-        fn = poisson_binomial_pmf(p)
-        phi = build_phi_nu(spec)
-        return tv(fn, phi.pmf).value
-    if metric == "d2":
-        return d2_exact_product(p, spec).value
-    raise ValueError(f"unknown metric: {metric!r}")
+    if metric not in ("tv", "d2"):
+        raise ValueError(f"unknown metric: {metric!r}")
+    return sn_distance(p, spec, metric).value
 
 
 def fit_rate(lam: float, orders: Iterable[int | str], n_grid: Sequence[int],

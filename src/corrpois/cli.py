@@ -26,14 +26,8 @@ import numpy as np
 from . import binomial as _binomial
 from . import bounds as _bounds
 from .corrected import CorrectionSpec, build_phi_nu, spec_for_order
-from .distances import d2, d2_exact_product, d2_tilde, hellinger, tv, wasserstein
-from .pmf import (
-    ProbVector,
-    equal_probs,
-    factorial_moments_sn,
-    load_probs,
-    poisson_binomial_pmf,
-)
+from .distances import hellinger, sn_distance
+from .pmf import ProbVector, equal_probs, load_probs, poisson_binomial_pmf
 
 __all__ = ["main", "entrypoint"]
 
@@ -192,18 +186,10 @@ def _cmd_distance(args: argparse.Namespace) -> int:
             f"(order {args.order})")
     spec = _spec_for_order(p, args.order)
     try:
-        if args.metric in ("tv", "wass", "hellinger"):
-            fn = poisson_binomial_pmf(p)
-            phi = build_phi_nu(spec, args.kmax).pmf
-            fun = {"tv": tv, "wass": wasserstein, "hellinger": hellinger}[args.metric]
-            result = fun(fn, phi)
-        elif args.metric == "d2":
-            if args.exact:
-                result = d2_exact_product(p, spec)
-            else:
-                result = d2(factorial_moments_sn(p), spec.moments())
-        else:  # d2tilde
-            result = d2_tilde(factorial_moments_sn(p), spec.moments())
+        if args.metric == "hellinger":
+            result = hellinger(poisson_binomial_pmf(p), build_phi_nu(spec, args.kmax).pmf)
+        else:
+            result = sn_distance(p, spec, args.metric)
     except ValueError as exc:
         raise CliDomainError(str(exc)) from exc
     if not math.isfinite(result.value):
@@ -435,8 +421,10 @@ def _build_parser() -> argparse.ArgumentParser:
                     choices=("tv", "d2", "d2tilde", "wass", "hellinger"))
     sp.add_argument("--order", type=int, default=1)
     sp.add_argument("--exact", action="store_true",
-                    help="use the closed product form (d2 only)")
-    sp.add_argument("--kmax", type=int, default=None)
+                    help="accepted with --metric d2 only; every d2 now takes the same "
+                         "route, the difference kernel of S_n and the measure")
+    sp.add_argument("--kmax", type=int, default=None,
+                    help="support cutoff of the measure for hellinger (default auto)")
     sp.add_argument("--format", choices=("json", "csv"), default="json")
     sp.set_defaults(func=_cmd_distance)
 

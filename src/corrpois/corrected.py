@@ -33,7 +33,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .pmf import (FactorialMoments, ProbVector, SignedPmf, poisson_pmf, poisson_tail_bound,
+from .pmf import (FactorialMoments, ProbVector, SignedPmf, _poisson_masses, poisson_tail_bound,
                   power_sums)
 
 __all__ = [
@@ -142,25 +142,76 @@ def spec_phi3_tilde(p: ProbVector) -> CorrectionSpec:
 def gamma_from_power_sums(lams: Sequence, order: int) -> dict:
     """gamma_2..gamma_{2 order - 2} from the power sums lams[j - 1] = lambda_j.
 
-    The weight-w part E_w of exp(L) obeys w E_w = sum_{k=1}^{w} k L_k E_{w-k},
-    where L_k = (-1)^k lambda_{k+1} t^(k+1) / (k+1) is the weight-k part of L,
-    and T = sum_{w < order} E_w, so gamma_j = -[t^j] T / lam^j.  Needs
-    lambda_1..lambda_order.  Only +, * and / touch the power sums, so
+    With T = sum_{w < order} E_w (``_weight_sum``), gamma_j = -[t^j] T / lam^j.
+    Needs lambda_1..lambda_order.  Only +, * and / touch the power sums, so
     Fractions give the exact coefficients.
     """
-    lam = lams[0]
-    parts = [{0: 1}]  # parts[w][d] = [t^d] E_w
-    total = {}  # [t^d] T for d >= 2
-    for w in range(1, order):
-        e = {}
-        for k in range(1, w + 1):
-            a = (-1) ** k * k * lams[k] / (k + 1)
-            for d, x in parts[w - k].items():
-                e[d + k + 1] = e.get(d + k + 1, 0) + a * x
-        parts.append({d: x / w for d, x in e.items()})
-        for d, x in parts[w].items():
-            total[d] = total.get(d, 0) + x
-    return {j: -x / lam**j for j, x in sorted(total.items())}
+    return _gamma_from_parts(_series_powers(_log_coefficients(lams, order - 1), order - 1),
+                             lams[0])
+
+
+def _gamma_from_parts(parts: np.ndarray, lam) -> dict:
+    """``gamma_from_power_sums`` from the parts of E_w, w < order (``_series_powers``
+    at top order - 1)."""
+    total = _weight_sum(parts, 1).tolist()
+    return {j: -total[j] / lam**j for j in range(2, len(total))}
+
+
+def _log_coefficients(lams: Sequence, top: int) -> np.ndarray:
+    """c_0..c_top of C(s) = sum_{k>=1} (-1)^k lambda_(k+1) s^k / (k + 1), so that
+    L(t) = t C(s t) at s = 1 and s counts the weight: an object array when the
+    power sums are not all floats (Fractions stay exact)."""
+    c = [0 * lams[0]] + [(-1) ** k * lams[k] / (k + 1) for k in range(1, top + 1)]
+    exact = not all(isinstance(x, float) for x in lams[:top + 1])
+    return np.array(c, dtype=object if exact else float)
+
+
+def _series_powers(c: np.ndarray, top: int) -> np.ndarray:
+    """parts[d, w] = [s^w] C(s)^d / d! for d, w = 0..top, C(s) = sum_k c_k s^k, c_0 = 0.
+
+    Expanding exp(L) = sum_d L^d / d! with L = t C(s t) gives [t^(w+d)] E_w =
+    parts[d, w] for the weight-w part E_w, and zero for w < d.  The rows come
+    by doubling: with P_1..P_h known, P_(h+i) = P_h P_i / C(h+i, i) for
+    i = 1..h, one matrix product with the Toeplitz matrix of P_h (a few
+    np.convolve calls where the rows are few and short), so top = 128 takes
+    seven levels.  The operations are +, * and /, so an object array of
+    Fractions gives exact parts.
+
+    Rounding, for a float c within a relative 4u of the exact c_k: a product
+    node sums at most w + 1 products and divides by a rounded binomial, and
+    P_d is a binary tree of d - 1 nodes over d leaves, so by induction
+    parts[d, w] is within g_m of the same computation on |c|, m = w (w + 7).
+    """
+    size = top + 1
+    parts = np.full((size, size), c[0], dtype=c.dtype)  # zeros of c's type
+    parts[0, 0] = c[0] + 1
+    if top:
+        parts[1, 1:] = c[1:size]
+    h = 1
+    while h < top:
+        k = min(h, top - h)
+        if k * size <= 256:
+            for i in range(1, k + 1):
+                parts[h + i] = np.convolve(parts[h], parts[i])[:size] / math.comb(h + i, i)
+        else:
+            binom = np.array([math.comb(h + i, i) for i in range(1, k + 1)], dtype=c.dtype)
+            padded = np.concatenate((np.zeros(top, dtype=c.dtype), parts[h]))
+            step = padded.strides[0]  # toeplitz[w, v] = P_h[w - v], zero for v > w
+            toeplitz = np.lib.stride_tricks.as_strided(padded[top:], (size, size), (step, -step))
+            parts[h + 1:h + k + 1] = parts[1:k + 1] @ toeplitz.T.copy() / binom[:, None]
+        h += k
+    return parts
+
+
+def _weight_sum(parts: np.ndarray, first: int) -> np.ndarray:
+    """t-coefficients 0..2 top of sum_{first <= w <= top} E_w from ``_series_powers``:
+    entry j sums parts[d, w] over w + d = j, at most top + 1 terms."""
+    size = parts.shape[0]
+    rows = np.zeros((size, 2 * size), dtype=parts.dtype)
+    rows[:, first:size] = parts[:, first:]
+    # read with a row length one shorter, row d moves d places right
+    skew = rows.ravel()[:size * (2 * size - 1)].reshape(size, 2 * size - 1)
+    return skew.sum(axis=0)
 
 
 def spec_for_order(p: ProbVector, order: int | str) -> CorrectionSpec:
@@ -182,12 +233,18 @@ def _spec_from_power_sums(lams: Sequence[float], order: int | str) -> Correction
     """``spec_for_order`` for a supported order, from the power sums
     lams[j - 1] = lambda_j (j = 1..nu at least; later ones are not read)."""
     nu = 3 if order == "3t" else int(order)
-    lam = lams[0]
+    return _spec_from_parts(_series_powers(_log_coefficients(lams, nu - 1), nu - 1),
+                            lams[0], order)
+
+
+def _spec_from_parts(parts: np.ndarray, lam: float, order: int | str) -> CorrectionSpec:
+    """``_spec_from_power_sums`` from the parts of E_w, w < nu (``_series_powers``)."""
+    nu = 3 if order == "3t" else int(order)
     if not lam > 0:
         raise ValueError("corrected measures require a positive mean")
     if lam ** (2 * nu - 2) < sys.float_info.min:
         raise ValueError(f"mean {lam!r} too small for order {nu}: lam^{2 * nu - 2} underflows")
-    gamma = gamma_from_power_sums(lams, nu)
+    gamma = _gamma_from_parts(parts, lam)
     if order == "3t":
         del gamma[4]
     return CorrectionSpec(nu, lam, gamma, MOMENT_MATCHED)
@@ -242,32 +299,63 @@ def build_phi_nu(spec: CorrectionSpec, kmax: int | None = None,
       its exact value, below 2^-1021; a product c_i pi(k - i) that underflows
       is off by at most 2^-1075.  That is the third term.
     """
+    c = _spec_kernel(spec)
+    if kmax is None:
+        size = math.fsum(np.abs(c).tolist())
+        kmax = max(16, math.ceil(spec.lam + 10.0 * math.sqrt(spec.lam)))
+        while size * poisson_tail_bound(spec.lam, kmax + 3 - 2 * spec.nu) >= 1e-13:
+            kmax *= 2  # ends: the Chernoff bound tends to 0
+    mass, tail, _ = _poisson_convolution(spec.lam, c, kmax)
+    if label is None:
+        label = f"phi{spec.nu}" if spec.gamma or spec.nu == 1 else "poisson"
+    return CorrectedMeasure(spec, SignedPmf(mass, tail, label))
+
+
+def _spec_kernel(spec: CorrectionSpec, moments: bool = False) -> np.ndarray:
+    """The coefficients of c(x) = 1 - sum_j gamma_j lam^j (x - 1)^j, or with
+    ``moments`` those of c(1 + 2s) = 1 - sum_j gamma_j (2 lam)^j s^j, each found
+    exactly from the binary64 lam and gamma_j and rounded once."""
     a, b = spec.lam.as_integer_ratio()
     den = max([1] + [g.as_integer_ratio()[1] * b**j for j, g in spec.gamma.items()])
     c = [den] + [0] * (2 * spec.nu - 2)
     for j, g in spec.gamma.items():
         n, d = g.as_integer_ratio()
         num = n * a**j * (den // (d * b**j))
-        for i in range(j + 1):
-            c[i] -= (-1) ** (j - i) * math.comb(j, i) * num
-    c = np.array([x / den for x in c])
+        if moments:
+            c[j] -= num << j
+        else:
+            for i in range(j + 1):
+                c[i] -= (-1) ** (j - i) * math.comb(j, i) * num
+    return np.array([x / den for x in c])
+
+
+def _poisson_convolution(lam: float, c: np.ndarray, kmax: int) -> tuple[np.ndarray, float, float]:
+    """pi * c on 0..K, the Poisson(lam) masses convolved with a kernel c, and
+    bounds on sum_k |e_k| and on sum_k k |e_k|, where e_k is the rounding of
+    an entry up to K and the whole entry past K (``build_phi_nu``'s
+    derivation, for a kernel whose entries are each rounded once).  Past K,
+    sum_{j >= m} j pi(j) = lam P(Z >= m - 1) gives the second truncation
+    term; up to K, the rounding weighted by k is at most K times its sum.
+    The first 16 coefficients are bounded one at a time, the rest together
+    at the largest tails, those of i = len(c) - 1."""
     weights = np.abs(c).tolist()
     size = math.fsum(weights)
-    if kmax is None:
-        kmax = max(16, math.ceil(spec.lam + 10.0 * math.sqrt(spec.lam)))
-        while size * poisson_tail_bound(spec.lam, kmax + 3 - 2 * spec.nu) >= 1e-13:
-            kmax *= 2  # ends: the Chernoff bound tends to 0
     u = 2.0**-53
-    s = 3 if spec.lam < 708 else 6
-    tail = (math.fsum(w * poisson_tail_bound(spec.lam, kmax + 1 - i)
-                      for i, w in enumerate(weights))
-            + size * (2.0 * spec.lam + 2 * spec.nu + s) * u
-            + (size + 2 * spec.nu) * (kmax + 1) * 2.0**-1021)
-    tail /= 1.0 - (2 * kmax + 2 * spec.nu + 2) * u
-    mass = np.convolve(poisson_pmf(spec.lam, kmax).mass, c)[: kmax + 1]
-    if label is None:
-        label = f"phi{spec.nu}" if spec.gamma or spec.nu == 1 else "poisson"
-    return CorrectedMeasure(spec, SignedPmf(mass, tail, label))
+    s = 3 if lam < 708 else 6
+    rounding = size * (2.0 * lam + (c.size + 1) + s) * u
+    underflow = (size + (c.size + 1)) * (kmax + 1) * 2.0**-1021
+    scale = 1.0 - (2 * kmax + c.size + 3) * u
+    tails = [poisson_tail_bound(lam, kmax + 1 - i) for i in range(min(c.size, 16) + 1)]
+    rest = math.fsum(weights[16:])  # P(Z >= K + 2 - len(c)) and P(Z >= K + 1 - len(c))
+    last = [poisson_tail_bound(lam, kmax + 2 - c.size - i) for i in range(2)] if rest else [0, 0]
+    tail = (math.fsum([w * tails[i] for i, w in enumerate(weights[:16])] + [rest * last[0]])
+            + rounding + underflow) / scale
+    moment_tail = (math.fsum([w * (lam * tails[i + 1] + i * tails[i])
+                              for i, w in enumerate(weights[:16])]
+                             + [rest * (lam * last[1] + (c.size - 1) * last[0])])
+                   + kmax * (rounding + underflow)) / scale
+    mass = np.convolve(_poisson_masses(lam, kmax), c)[: kmax + 1]
+    return mass, tail, moment_tail
 
 
 def build_phi2(p: ProbVector, kmax: int | None = None) -> CorrectedMeasure:

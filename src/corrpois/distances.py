@@ -1,4 +1,5 @@
-"""Distances between finitely supported (possibly signed) mass functions.
+"""Distances between finitely supported (possibly signed) mass functions,
+and between S_n and a corrected measure.
 
 Pointwise metrics (total variation, Hellinger, Wasserstein, weighted L1)
 work directly on truncated mass vectors and report the truncation honestly.
@@ -8,31 +9,40 @@ The factorial-moment distances
     d2tilde =       sum_m 2^(m-1)/(m-1)! |mu_m(g1) - mu_m(g2)|
 
 are stronger than total variation (d_tv <= d2) and are sums over stored
-weighted moments 2^m mu_m / m! with proven tail bounds.  When one moment
-sequence dominates the other at every order, d2 against a corrected measure
-collapses to the closed form
+weighted moments 2^m mu_m / m! with proven tail bounds.
 
-    (1/2) | prod_i (1 + 2 p_i) - e^(2 lam) (1 - sum_j gamma_j (2 lam)^j) |.
+Between S_n and the measure of a spec whose mean is lam = fsum(p), the
+generating functions differ by
 
-Both terms agree to many leading digits when the distance is small, so
-``d2_exact_product`` never forms their difference.  With prod_i (1 + 2 p_i)
-= e^(2 lam) exp(S), S = sum_i (log1p(2 p_i) - 2 p_i), the closed form is
-(1/2) e^(2 lam) |R|, R = expm1(S) + sum_j gamma_j (2 lam)^j, computed in
-binary64; for a moment-matched spec R is the graded remainder of exp(L(2))
-(see ``corrected``), summed directly where expm1 would cancel.
+    prod_i (1 + p_i t) - e^(lam t) c(t) = e^(lam t) kappa(t),
+
+kappa = sum_{w >= nu} E_w + (T_nu - c), with E_w the weight-w part of
+exp(L) and T_nu = sum_{w < nu} E_w (``corrected``; a moment-matched spec has
+c = T_nu).  At t = x - 1 this gives the mass differences Delta = pi_lam *
+(coefficients of kappa(x - 1)), and at t = 2s the weighted moment
+differences D = e^(2 lam) (pi_(2 lam) * (2^j kappa_j)): a Poisson pmf
+convolved with a short kernel, as a corrected measure is.  ``sn_distance``
+reads tv = (1/2) sum |Delta|, wass = sum_{m>=1} |sum_{k>=m} Delta_k|, d2 =
+(1/2) sum |D| and d2tilde = (1/2) sum m |D_m| off them, and
+``certify_domination`` the signs of D.  Where all those signs agree, d2 is
+the closed form (1/2) |prod_i (1 + 2 p_i) - e^(2 lam) c(2)|.  Each array is
+built directly or from the kernel, whichever has the smaller proven error
+(``_difference``).
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .corrected import CorrectionSpec, _spec_from_power_sums
-from .pmf import (FactorialMoments, ProbVector, SignedPmf, _power_sum_values,
-                  factorial_moments_sn, power_sums)
+from .corrected import (CorrectionSpec, _log_coefficients, _poisson_convolution,
+                        _series_powers, _spec_from_parts, _spec_kernel, _weight_sum)
+from .pmf import (FactorialMoments, ProbVector, SignedPmf, _linear_product,
+                  _power_sum_values, _product_error, poisson_tail_bound)
 
 __all__ = [
     "DistanceResult",
@@ -40,6 +50,7 @@ __all__ = [
     "d2",
     "d2_tilde",
     "d2_exact_product",
+    "sn_distance",
     "certify_domination",
     "wasserstein",
     "hellinger",
@@ -49,6 +60,8 @@ __all__ = [
 _U = 2.0**-53  # unit roundoff
 _TINY = 2.0**-1074  # the most an underflowing operation loses
 _MAX_WEIGHT = 128  # longest graded sum tried
+_SLACK = 1.0 + 2.0**-40  # covers the rounding of the error bounds themselves
+_LOG_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -57,7 +70,7 @@ class DistanceResult:
 
     value: float
     truncation_error: float
-    method: str  # pointwise | moment-series | exact-product
+    method: str  # pointwise | moment-series | exact-product (d2, d2tilde of sn_distance)
     note: str = ""
 
 
@@ -146,22 +159,18 @@ def d2_tilde(m1: FactorialMoments, m2: FactorialMoments) -> DistanceResult:
 
 
 def certify_domination(p: ProbVector, spec: CorrectionSpec) -> int:
-    """Check that mu_m(S_n) - mu_m(spec) keeps one sign for m = 1..M.
-
-    M is the last order the spec's moments store.  Returns +1 (S_n
-    dominates), -1 (the corrected measure dominates) or 0 (all differences
-    vanish).  Weighted differences within 1e-12 max(|w1_m|, |w2_m|, 2^m/m!)
-    count as zero, since domination is a weak inequality.  A genuine sign
-    change raises ValueError.
+    """The sign that mu_m(S_n) - mu_m(spec) keeps over the stored D (module
+    docstring): +1 (S_n dominates), -1 (the corrected measure dominates) or
+    0 when no entry exceeds its proven error.  Only such entries count, and
+    two of opposite sign raise ValueError.
     """
-    phi = spec.moments().weighted
-    sn, phi = _aligned(factorial_moments_sn(p, phi.size - 1).weighted, phi)
-    diff = sn - phi
-    unit = np.cumprod(np.concatenate(([1.0], 2.0 / np.arange(1.0, phi.size))))
-    tol = 1e-12 * np.maximum.reduce([np.abs(sn), np.abs(phi), unit])
-    signs = np.sign(diff) * (np.abs(diff) > tol)
-    seen = signs[signs != 0]
-    if seen.size == 0:
+    for refine in (False, True):  # the kernel only where the direct signs say nothing
+        diff = _difference(p, spec, True, refine)
+        signs = np.sign(diff.values) * (np.abs(diff.values) > diff.entry_error)
+        seen = signs[signs != 0]
+        if seen.size:
+            break
+    else:
         return 0
     flips = np.flatnonzero(signs == -seen[0])
     if flips.size:
@@ -170,155 +179,307 @@ def certify_domination(p: ProbVector, spec: CorrectionSpec) -> int:
 
 
 def d2_exact_product(p: ProbVector, spec: CorrectionSpec) -> DistanceResult:
-    """Closed-form d2 between S_n and a corrected measure, in binary64.
+    """d2 between S_n and a corrected measure, (1/2) sum |D| (module docstring)."""
+    return sn_distance(p, spec, "d2")
 
-    Valid only under one-sided moment domination, which is verified first
-    over the spec's stored moments; on a sign change the moment series is
-    returned instead, with method "moment-series" and the reason in
-    ``note``.  Otherwise the value is (1/2) e^(2 lam) |R| (module
-    docstring).  A spec equal to ``spec_for_order(p, spec.nu)`` is
-    moment-matched: its gamma are not used, R = exp(L(2)) - sum_{w<nu} E_w(2)
-    with the E_w from the power sums, and the value is the distance to the
-    measure with exact coefficients.  Other specs use their gamma as given.
-    R is taken one of two ways:
 
-    * expm1: R = expm1(S) - sum_{1<=w<nu} E_w(2), or expm1(S) +
-      sum_j gamma_j (2 lam)^j for other specs, with S the fsum of the
-      log1p(2 p_i) and the -2 p_i (or -2 lam).  This is the default.
-    * graded: R = sum_{nu<=w<=W} E_w(2), up to a tail below T_W (below).
-      Tried only for a moment-matched spec with 2 max p < 1 whose expm1
-      bound exceeds 64 u |R|, and only if T_128 is below that bound.  W is
-      the first weight from 2 nu + 8 on (at most 128) whose tail is below
-      the rounding bound, and the graded value is kept if its bound is the
-      smaller.  So the route follows the input's own bounds: at p = 1/4 and
-      lam = 100 expm1 is within about 1e-16 and the graded sum is not tried.
+def sn_distance(p: ProbVector, spec: CorrectionSpec, metric: str) -> DistanceResult:
+    """tv, wass, d2 or d2tilde between S_n and the measure of ``spec``.
 
-    ``truncation_error`` is the tail plus a rounding bound.  With u = 2^-53,
-    t = 2^-1074 (what an underflowing operation may lose), log1p, expm1,
-    exp and pow within an ulp, and every fsum correctly rounded:
-
-    * The parts.  With a_k = k L_k(2) = (-1)^k k 2^(k+1) lambda_(k+1) / (k+1),
-      w E_w = sum_k a_k E_(w-k), and A_w, the same with |a_k|, is the
-      weight-w part of exp(sum_i h(2 p_i z) / z), h(y) = -log(1 - y) - y,
-      whose coefficients are all positive; so |E_w| <= A_w.  Each a_k is
-      computed within 5u (3u from the power sum), and step w adds a dot
-      product of w terms, in any order within g_w = w u / (1 - w u) of the
-      sum of their absolute values, and a division.  By induction the
-      computed E_w are within g_m A_w, m = w (w + 13) / 2, and the computed
-      A_w as close to A_w.
-    * Underflow.  A power sum may lose (n + 1) t, so a_k up to
-      2^(k+1) (n + 2) t, and step w up to (w + 2) t.  A unit error at weight
-      v grows to at most A_(w-v) at weight w, so over weights up to W these
-      add at most (n + 2)(W + 2) 2^(W+3) A^2 t, A = sum_{w<=W} A_w.  The
-      term also covers the n t-sized underflows of S and the last products.
-    * The tail.  For 1 < r < 1/(2 max p), positivity gives A_w r^w <=
-      exp(sum_i h(2 p_i r) / r) <= exp(2 r lambda_2 / (1 - 2 r max p)) =: M,
-      since h(y) <= y^2 / (2 (1 - y)), so sum_{w>W} |E_w(2)| <= T_W =
-      M r^-(W+1) / (1 - 1/r), with r minimising log M - (W + 1) log r.
-    * expm1.  Since sum_i log1p(2 p_i) <= 2 lam, |S' - S| <= e_S =
-      4 u lam + u |S'| + (n + 1) t for the computed S'.  The mean value
-      theorem and expm1 add e^(S' + e_S) e_S + 2 u |expm1(S')|, each
-      gamma_j (2 lam)^j is within 3u, and the last fsum adds u |R|.
-    * The value.  exp and two products cost 4u, and a moment-matched spec's
-      lam = fsum(p) is within u lam of the exact mean, costing 2 lam u; so
-      (2 lam + 5) u of the value joins (1/2) e^(2 lam) times the bound on R.
-      Dividing by 1 - (W + 8)^2 u covers the second-order terms and the
-      rounding of the bounds themselves (W = nu - 1 on the expm1 route).
+    Read off Delta (tv, wass; method "pointwise") or D (d2, d2tilde; method
+    "exact-product") of ``_difference``.  ``truncation_error`` is half its
+    error bound (the whole moment-weighted bound for wass) plus the rounding
+    of the reading: u per sum and term, and for wass the reverse cumulative
+    sums, each within g_K of the absolute values it adds.  Raises
+    OverflowError for d2 and d2tilde when e^(2 lam) D leaves binary64.
     """
-    try:
-        certify_domination(p, spec)
-    except ValueError as exc:
-        fallback = d2(factorial_moments_sn(p), spec.moments())
-        return DistanceResult(fallback.value, fallback.truncation_error,
-                              "moment-series", note=str(exc))
-    lam, nu, n, u = spec.lam, spec.nu, p.n, _U
-    lams = power_sums(p, min(nu, 8)).values  # the graded route extends, never recomputes
-    try:
-        matched = nu <= 8 and spec == _spec_from_power_sums(lams, nu)
-    except ValueError:
-        matched = False
-    shift = [-2.0 * x for x in p.probs] if matched else [-2.0 * lam]
-    s = math.fsum([math.log1p(2.0 * x) for x in p.probs] + shift)
-    err_s = 4.0 * u * p.lam + u * abs(s) + (n + 1) * _TINY
-    x = math.expm1(s)
-    bound = math.exp(s + err_s) * err_s + 2.0 * u * abs(x)
-    if matched:
-        top = nu - 1
-        parts, majorant = _graded_parts(lams, top)
-        rem = math.fsum([x] + [-e for e in parts[1:]])
-        bound += _recurrence_error(n, majorant, 1)
+    if metric not in ("tv", "wass", "d2", "d2tilde"):
+        raise ValueError(f"unknown metric: {metric!r}")
+    diff = _difference(p, spec, moments=metric in ("d2", "d2tilde"))
+    size = np.abs(diff.values)
+    if metric in ("tv", "d2"):
+        value = 0.5 * math.fsum(size.tolist())
+        err = 0.5 * diff.error + _U * value
+    elif metric == "d2tilde":
+        value = 0.5 * math.fsum((np.arange(size.size) * size).tolist())
+        err = 0.5 * diff.moment_error + 2.0 * _U * value
     else:
-        top = 0
-        terms = [g * (2.0 * lam) ** j for j, g in spec.gamma.items()]
-        rem = math.fsum([x] + terms)
-        # no parts: _recurrence_error with W = 0 is the underflow term alone
-        bound += 3.0 * u * math.fsum(abs(c) for c in terms) + _recurrence_error(n, [1.0], 1)
-    bound += u * abs(rem)
-    if matched and bound > 64.0 * u * abs(rem) and max(p.probs) < 0.5:
-        graded = _graded_remainder(p, lams, nu, bound)
-        if graded[1] < bound:
-            rem, bound, top = graded
-    value = 0.5 * math.exp(2.0 * lam) * abs(rem)
-    err = (0.5 * math.exp(2.0 * lam) * bound + (2.0 * lam + 5.0) * u * value) \
-        / (1.0 - (top + 8) ** 2 * u)
-    return DistanceResult(value, err, "exact-product")
+        value = math.fsum(np.abs(np.cumsum(diff.values[::-1])[::-1][1:]).tolist())
+        err = diff.moment_error + _U * (size.size * (np.arange(size.size) @ size) + value)
+    method = "pointwise" if metric in ("tv", "wass") else "exact-product"
+    return DistanceResult(value, err * _SLACK, method)
 
 
-def _graded_parts(lams: tuple[float, ...], top: int) -> tuple[list[float], list[float]]:
-    """E_w(2) and its majorant A_w for w = 0..top (``d2_exact_product``), by
-    the recurrence of ``gamma_from_power_sums`` run on scalars, from the
-    power sums lams[j - 1] = lambda_j, j = 1..top + 1."""
-    a = np.array([(-1) ** k * (k * 2.0 ** (k + 1) / (k + 1)) * lams[k]
-                  for k in range(1, top + 1)])
-    parts, majorant = np.ones(top + 1), np.ones(top + 1)
-    for w in range(1, top + 1):
-        parts[w] = np.dot(a[:w], parts[w - 1::-1]) / w
-        majorant[w] = np.dot(np.abs(a[:w]), majorant[w - 1::-1]) / w
-    return parts.tolist(), majorant.tolist()
+@dataclass(frozen=True)
+class _Difference:
+    """The coefficients of S_n's generating function minus a spec's.
+
+    ``values[k]`` for k = 0..K.  ``entry_error`` bounds the error of each
+    stored entry (one array, or one bound for all); ``error`` and
+    ``moment_error`` bound sum_k |e_k| and sum_k k |e_k| over every k, where
+    e_k is the gap to the exact difference and counts in full past K.
+    """
+
+    values: np.ndarray
+    entry_error: np.ndarray | float
+    error: float
+    moment_error: float
 
 
-def _recurrence_error(n: int, majorant: list[float], first: int) -> float:
-    """Rounding and underflow bound on the computed sum of E_w(2) over
-    first <= w <= W, W = len(majorant) - 1 (``d2_exact_product``)."""
-    top = len(majorant) - 1
-    return (_U * math.fsum(w * (w + 13) / 2 * majorant[w] for w in range(first, top + 1))
-            + (n + 2) * (top + 2) * 2.0 ** (top + 3) * math.fsum(majorant) ** 2 * _TINY)
+def _difference(p: ProbVector, spec: CorrectionSpec, moments: bool,
+                refine: bool = True) -> _Difference:
+    """Delta, or with ``moments`` D, between S_n and the spec's measure.
+
+    A spec equal to ``spec_for_order(p, spec.nu)`` is moment-matched: the
+    difference is taken to the measure with exact coefficients and the exact
+    mean sum_i p_i, not to the one with the stored gamma and lam = fsum(p).
+    Other specs are taken as given.  The direct difference (``_direct``)
+    comes first.  With ``refine``, where its error exceeds 64 u sum |values|,
+    2 max p < 1, the kernel applies (module docstring: a matched spec, or
+    lam = fsum(p)) and the least rounding bound the kernel could have is
+    below half that error, the kernel's difference (``_kernel``) is tried,
+    and the one with the smaller error is kept.  Raises OverflowError naming
+    e^(2 lam) when D leaves binary64.
+    """
+    lam, nu = spec.lam, spec.nu
+    if moments and not 2.0 * lam < _LOG_MAX:
+        raise OverflowError(_overflow(lam))
+    lams = _power_sum_values(p, 1, min(nu, 8))  # the kernel extends, never recomputes
+    majorant, matched = None, False  # A_w(2) for w < nu, for a matched spec
+    if nu <= 8:
+        low = _series_powers(_log_coefficients(lams, nu - 1), nu - 1)
+        try:
+            matched = spec == _spec_from_parts(low, lams[0], nu)
+        except ValueError:
+            pass
+        majorant = _majorant(low) if matched else None
+    # fsum rounds sum_i p_i - fsum(p) correctly, so this bounds 2.01 |that|
+    gap = 2.03 * abs(math.fsum(p.probs + (-lams[0],)))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is checked below
+        diff = _direct(p, spec, moments, majorant, gap)
+        scale = math.exp(2.0 * lam) if moments else 1.0
+        if (refine and diff.error > 64.0 * _U * np.abs(diff.values).sum()
+                and p.n and max(p.probs) < 0.5 and 2 * nu + 8 <= _MAX_WEIGHT
+                and (matched or lam == lams[0])):
+            lams += _power_sum_values(p, len(lams) + 1, nu + 1)
+            # the kernel's rounding bound is at least u (nu (nu + 7) + 2 nu + 10) A_nu(2),
+            # and A_nu(2) has the terms |c_nu| 2^(nu+1) and |c_1|^nu 4^nu / nu!: try it
+            # where it could be 8 times better
+            least = _U * (nu * (nu + 7) + 2 * nu + 10) * max(
+                2.0 ** (nu + 1) * lams[nu] / (nu + 1), (2.0 * lams[1]) ** nu / math.factorial(nu))
+            if 8.0 * least * scale < diff.error:
+                kernel = _kernel(p, spec, moments, lams, matched, gap, diff.error / scale)
+                if kernel is not None and kernel.error < diff.error:
+                    diff = kernel
+    if not (math.isfinite(diff.moment_error) and np.all(np.isfinite(diff.values))):
+        raise OverflowError(_overflow(lam))
+    return diff
 
 
-def _cauchy_tail(q: float, l2: float, top: int) -> float:
-    """T_top of ``d2_exact_product`` for q = 2 max p and lambda_2 <= l2, or
-    inf when no radius r > 1 serves.  The minimising r solves
-    (top + 1) q s^2 + 2 l2 s = 2 l2 with s = 1 - q r; s is kept above 1/64
-    so that q r rounds below 1 (log M = (top + 1) s is tiny there anyway)."""
+def _overflow(lam: float) -> str:
+    return f"e^(2 lam) times the moment differences exceeds binary64 at the mean lam = {lam!r}"
+
+
+def _direct(p: ProbVector, spec: CorrectionSpec, moments: bool, majorant: np.ndarray | None,
+            gap: float) -> _Difference:
+    """The difference by subtraction: Delta = f - pi_lam * c with f the S_n
+    pmf, or D = w - e^(2 lam) (pi_(2 lam) * c) with w the weighted factorial
+    moments of S_n, c from ``_spec_kernel``.
+
+    Errors: f and w are within ``_product_error`` of the exact law; the
+    convolution within its bounds (``_poisson_convolution``); e^(2 lam) and
+    the product with it cost 4u, the subtraction u.  A matched spec adds the
+    gap to the exact coefficients: the stored gamma_j lam^j, from
+    ``gamma_from_power_sums`` and one division by lam^j, differ from the
+    exact [t^j] T_nu by at most u (w (w + 7) + nu + 4) times the parts'
+    majorant (``_series_powers``), so the weight-w part costs that times
+    A_w(2) in the sum over t = 2s or x - 1; and the mean lam = fsum(p),
+    off by delta from sum_i p_i, multiplies the measure by e^(delta t),
+    costing 2.01 |delta| sum_{w < nu} A_w(2).  Both, times e^(2 lam) for D,
+    join every entry's bound, and times z + 2 nu (the index they reach, z
+    the Poisson mean) the moment-weighted one.
+    """
+    z = 2.0 * spec.lam if moments else spec.lam
+    scale = math.exp(z) if moments else 1.0
+    if moments:  # factorial_moments_sn(p).weighted
+        sn = _linear_product([1.0] * p.n, [2.0 * x for x in p.probs], p.n + 1)
+        sn_err = _product_error(sn, p.n, True, 2.0 * scale)
+    else:
+        sn = _linear_product([1.0 - x for x in p.probs], p.probs, p.n + 1)
+        sn_err = _product_error(sn, p.n, False, 2.0)
+    c = _spec_kernel(spec, moments)
+    phi, tail, moment_tail = _poisson_convolution(z, c, max(_cutoff(z, c.size), p.n))
+    phi *= -scale
+    local = _U * (4.0 * np.abs(phi))
+    phi[:sn.size] += sn  # now the differences
+    local += _U * np.abs(phi)
+    local[:sn.size] += sn_err
+    extra = 0.0
+    if majorant is not None:  # a matched spec
+        low = majorant.tolist()
+        extra = scale * (_U * math.fsum((w * (w + 7) + spec.nu + 4) * a
+                                        for w, a in enumerate(low) if w)
+                         + gap * math.fsum(low))
+    spread = scale * (1.0 + 4.0 * _U) * tail + extra
+    return _Difference(phi, local + spread, local.sum() + spread,
+                       np.arange(phi.size) @ local
+                       + scale * (1.0 + 4.0 * _U) * moment_tail + extra * (z + 2 * spec.nu))
+
+
+def _kernel(p: ProbVector, spec: CorrectionSpec, moments: bool, lams: tuple[float, ...],
+            matched: bool, gap: float, goal: float) -> _Difference | None:
+    """The difference from kappa cut at weight W, or None where the tail alone
+    cannot beat ``goal`` (the direct error, over e^(2 lam) for D):
+    pi_lam * kappa(x - 1) by Horner's rule for Delta, or e^(2 lam)
+    (pi_(2 lam) * (2^j kappa_j)) with ``moments`` for D.
+
+    W is the first weight from 2 nu + 8 on (at most 128) whose tail is below
+    the rounding bound of kappa; a first pass at 2 nu + 8 gives that bound,
+    from which the next W is read off the tail.  A pass whose rounding bound
+    is an eighth of the goal ends the attempt.  ``lams`` holds the power sums
+    computed so far; each pass adds only the ones it lacks.
+    With u = 2^-53, t = 2^-1074 and A_w(2) the weight-w part of the majorant
+    at 2:
+
+    * Rounding.  The first power sums are within 3u (pow within an ulp, one
+      fsum); later ones take x^(m+i) = x^m x^i, i products more, so
+      lambda_(k+1) is within (k + 3)u and c_k of ``_log_coefficients``
+      within (k + 4)u.  The leaves of P_d then add at most (w + 4d)u, and
+      the parts are within g_m, m = w (w + 7), of the majorant
+      (``_series_powers``); kappa_j sums at most W + 1 parts.  The
+      coefficients of E_w(x - 1) and of E_w(2s) have absolute sums at most
+      A_w(2), so the weight-w part costs u (w (w + 7) + W + 2) A_w(2), and
+      T_nu - c, for a spec that is not matched, u (w (w + 7) + nu + 2) A_w(2)
+      per w < nu plus 3u per |gamma_j| (2 lam)^j.  Horner's rule adds
+      g_(2 len) sum_j |kappa_j| 2^j.
+    * Underflow.  A power sum may lose (n + 1) t and a product t; a unit
+      error at weight v grows to at most A_(w-v) at weight w over at most
+      4^W paths, so all add at most (n + 2)(W + 2)^2 4^(W+2) A^2 t, A =
+      sum_{w<=W} A_w(2).
+    * The tail.  For 1 < r < 1/(2 max p), positivity gives A_w(2) r^w <=
+      exp(sum_i h(2 p_i r) / r) <= exp(2 r lambda_2 / (1 - 2 r max p)) =: M,
+      h(y) = -log(1 - y) - y <= y^2 / (2 (1 - y)), so sum_{w>W} A_w(2) <= T_W
+      and sum_{w>W} w A_w(2) <= T1_W (``_cauchy_tail``).  A part of weight w
+      has degree at most 2w, so the truncation costs T_W, and z T_W + 2 T1_W
+      weighted by the index (z the Poisson mean), and the rounding
+      (z + 2W) times itself.
+    * The mean.  A matched spec's lam = fsum(p) is off by delta from the
+      exact mean; that multiplies the exact difference by e^(delta t), off
+      by 2.01 |delta| (its absolute sum and its index-weighted one) from 1.
+      For another spec it multiplies S_n's generating function, costing
+      2.01 |delta| times e^(2 lam) and 1 + 2 lam for D, 1 and 1 + lam for
+      Delta.
+    * The convolution adds ``_poisson_convolution``'s bounds, and the
+      scaling by e^(2 lam) 4u.
+    """
+    nu, n = spec.nu, p.n
+    z = 2.0 * spec.lam if moments else spec.lam
+    scale = math.exp(z) if moments else 1.0
+    q = 2.0 * max(p.probs)
+    l2 = lams[1] * (1.0 + 4.0 * _U) + (n + 1) * _TINY
+    if not _cauchy_tail(q, l2, _MAX_WEIGHT)[0] < goal:
+        return None
+    x = np.array(p.probs)
+    top = 2 * nu + 8
+    while True:
+        if len(lams) <= top:
+            base = np.array([v ** len(lams) for v in p.probs])
+            rows = base * np.cumprod(np.broadcast_to(x, (top + 1 - len(lams), n)), axis=0)
+            lams += tuple(math.fsum(r) for r in rows.tolist())
+        parts = _series_powers(_log_coefficients(lams, top), top)
+        majorant = _majorant(parts)
+        rounding = (_U * math.fsum((w * (w + 7) + top + 2) * majorant[w]
+                                   for w in range(nu, top + 1))
+                    + (n + 2) * (top + 2) ** 2 * 4.0 ** (top + 2)
+                    * math.fsum(majorant) ** 2 * _TINY)
+        if 8.0 * rounding >= goal:
+            return None
+        if _cauchy_tail(q, l2, top)[0] <= rounding or top == _MAX_WEIGHT:
+            break
+        low, top = top + 1, _MAX_WEIGHT  # the first weight whose tail is below the rounding
+        while low < top:
+            mid = (low + top) // 2
+            low, top = (mid + 1, top) if _cauchy_tail(q, l2, mid)[0] > rounding else (low, mid)
+    kappa = _weight_sum(parts, nu)
+    if not matched:  # add T_nu - c, c = 1 - sum_j gamma_j lam^j t^j
+        below = _weight_sum(parts[:nu, :nu], 0)
+        terms = {j: g * spec.lam**j for j, g in spec.gamma.items()}
+        below[0] -= 1.0
+        for j, v in terms.items():
+            below[j] += v
+        kappa[:below.size] += below
+        rounding += _U * (math.fsum((w * (w + 7) + nu + 2) * majorant[w] for w in range(nu))
+                          + 3.0 * math.fsum(abs(v) * 2.0**j for j, v in terms.items()))
+    if moments:
+        kernel = np.ldexp(kappa, np.arange(kappa.size))
+    else:
+        kernel = _shifted(kappa)
+        m = 2 * kappa.size
+        rounding += m * _U / (1.0 - m * _U) * math.fsum(
+            np.ldexp(np.abs(kappa), np.arange(kappa.size)).tolist())
+    values, conv, moment_conv = _poisson_convolution(z, kernel, _cutoff(z, kernel.size))
+    cut, moment_cut = _cauchy_tail(q, l2, top)
+    error = rounding + cut + conv
+    moment_error = (z + 2 * top) * rounding + z * cut + 2.0 * moment_cut + moment_conv
+    values *= scale
+    size = math.fsum(np.abs(values).tolist())
+    error = scale * (1.0 + 4.0 * _U) * error + 4.0 * _U * size
+    moment_error = scale * (1.0 + 4.0 * _U) * moment_error + 4.0 * _U * size * values.size
+    if matched:
+        moment_size = math.fsum((np.arange(values.size) * np.abs(values)).tolist())
+        error, moment_error = (error + gap * (size + error),
+                               moment_error + gap * (size + moment_size + error + moment_error))
+    else:
+        error, moment_error = error + gap * scale, moment_error + gap * scale * (1.0 + z)
+    return _Difference(values, error, error, moment_error)
+
+
+def _majorant(parts: np.ndarray) -> np.ndarray:
+    """A_w(2) for w = 0..top from the computed parts of ``_series_powers``.
+
+    c_k has the sign (-1)^k, so every term of E_w, and every part, has the
+    sign (-1)^w: A_w(2) = |E_w(2)| = sum_d |parts[d, w]| 2^(w+d) for the
+    exact parts.  The computed ones are within g_m, m = w (w + 7), and the
+    sum adds g_(top+1); the factor covers both at w = top.
+    """
+    top = parts.shape[0] - 1
+    powers = np.ldexp(1.0, np.arange(top + 1))
+    return powers @ np.abs(parts) * powers * (1.0 + 2.0 * _U * (top * (top + 8) + 3))
+
+
+def _shifted(kappa: np.ndarray) -> np.ndarray:
+    """The coefficients of kappa(x - 1), by Horner's rule in x - 1: within
+    g_(2 len) of those of sum_j |kappa_j| (x + 1)^j."""
+    out = np.zeros(kappa.size)
+    for j in range(kappa.size - 1, -1, -1):
+        out[1:] = out[:-1] - out[1:]
+        out[0] = kappa[j] - out[0]
+    return out
+
+
+def _cutoff(lam: float, length: int) -> int:
+    """A support end K for pi_lam * c with c of the given length: the
+    truncation sum_i |c_i| P(Z >= K + 1 - i) is at most 2^-60 sum_i |c_i|,
+    below the rounding of the convolution."""
+    kmax = max(16, math.ceil(lam + 10.0 * math.sqrt(lam))) + length
+    while poisson_tail_bound(lam, kmax + 2 - length) >= 2.0**-60:
+        kmax *= 2
+    return kmax
+
+
+def _cauchy_tail(q: float, l2: float, top: int) -> tuple[float, float]:
+    """(T_top, T1_top) of ``_kernel`` for q = 2 max p and lambda_2 <= l2, or
+    infinities when no radius r > 1 serves: with A_w(2) <= M r^-w, T = M
+    r^-(top+1) / (1 - 1/r) and T1 = T (top + 1 - top / r) / (1 - 1/r).  The
+    minimising r of T solves (top + 1) q s^2 + 2 l2 s = 2 l2 with s = 1 - q r;
+    s is kept above 1/64 so that q r rounds below 1 (log M = (top + 1) s is
+    tiny there anyway)."""
     k = (top + 1) * q
     r = (1.0 - max((math.sqrt(l2 * l2 + 2.0 * l2 * k) - l2) / k, 2.0**-6)) / q
     s = 1.0 - q * r
     if not (r > 1.0 and s > 0.0):
-        return math.inf
-    return math.exp(2.0 * r * l2 / s) * r ** -(top + 1) / (1.0 - 1.0 / r)
-
-
-def _graded_remainder(p: ProbVector, lams: tuple[float, ...], nu: int,
-                      target: float) -> tuple[float, float, int]:
-    """(R, its bound, W) by the graded sum, or a bound of at least
-    ``target`` as soon as it cannot beat it.  W is the first weight from
-    2 nu + 8 on whose tail is below the rounding bound; a first pass at
-    2 nu + 8 gives that bound, from which the next W is read off the tail.
-    ``lams`` holds the power sums computed so far; each pass adds only the
-    ones it lacks."""
-    q = 2.0 * max(p.probs)
-    lams += _power_sum_values(p, len(lams) + 1, 2)
-    l2 = lams[1] * (1.0 + 4.0 * _U) + (p.n + 1) * _TINY
-    if not _cauchy_tail(q, l2, _MAX_WEIGHT) < target:
-        return 0.0, math.inf, 0
-    top = 2 * nu + 8
-    while True:
-        lams += _power_sum_values(p, len(lams) + 1, top + 1)
-        parts, majorant = _graded_parts(lams, top)
-        rem = math.fsum(parts[nu:])
-        rounding = _U * abs(rem) + _recurrence_error(p.n, majorant, nu)
-        tail = _cauchy_tail(q, l2, top)
-        if tail <= rounding or top == _MAX_WEIGHT or rounding >= target:
-            return rem, tail + rounding, top
-        top = next((w for w in range(top + 1, _MAX_WEIGHT)
-                    if _cauchy_tail(q, l2, w) <= rounding), _MAX_WEIGHT)
+        return math.inf, math.inf
+    x = 1.0 / r
+    log_tail = 2.0 * r * l2 / s - (top + 1) * math.log(r) - math.log1p(-x)
+    tail = math.exp(log_tail) if log_tail < _LOG_MAX else math.inf
+    return tail, tail * (top + 1 - top * x) / (1.0 - x)

@@ -170,7 +170,8 @@ class SignedPmf:
     bounds the mass beyond support_max plus any rounding the builder records
     (``build_phi_nu`` does), so the masses sum to 1 within tail_bound and a
     fixed 1e-12 the constructor allows.  The S_n pmf has tail_bound 0: it is
-    not cut, and its rounding is not recorded.
+    not cut, and its rounding enters the distances to a corrected measure
+    instead.
     """
 
     mass: np.ndarray
@@ -282,25 +283,28 @@ def poisson_pmf(lam: float, kmax: int) -> SignedPmf:
     Chernoff form; the Chernoff bound remains available separately for
     polynomial-weighted tails.
     """
+    mass = _poisson_masses(lam, kmax)
+    tail = max(0.0, 1.0 - math.fsum(mass.tolist())) + 1e-15 * (kmax + 2)
+    return SignedPmf(mass, tail, "poisson")
+
+
+def _poisson_masses(lam: float, kmax: int) -> np.ndarray:
+    """The masses of ``poisson_pmf`` as a plain array."""
     if lam <= 0:
         raise ValueError("lam must be positive")
     if lam >= 1416:
         raise ValueError(f"Poisson mean {lam!r} too large: masses need lam < 1416")
     if kmax < 0:
         raise ValueError("kmax must be >= 0")
-    mass = np.empty(kmax + 1)
-    mass[0] = math.exp(-lam)
+    first = math.exp(-lam)
     scale = 0
-    if mass[0] < sys.float_info.min:
+    if first < sys.float_info.min:
         h = math.exp(-lam / 2.0)
         scale = math.ceil(lam / (2.0 * math.log(2.0)))
-        mass[0] = h * math.ldexp(h, scale)
-    for k in range(1, kmax + 1):
-        mass[k] = mass[k - 1] * (lam / k)
-    if scale:
-        mass = np.ldexp(mass, -scale)
-    tail = max(0.0, 1.0 - math.fsum(mass.tolist())) + 1e-15 * (kmax + 2)
-    return SignedPmf(mass, tail, "poisson")
+        first = h * math.ldexp(h, scale)
+    # mass[k] = mass[k - 1] * (lam / k), one rounded product at a time
+    mass = np.cumprod(np.concatenate(([first], lam / np.arange(1.0, kmax + 1))))
+    return np.ldexp(mass, -scale) if scale else mass
 
 
 def _linear_product(a: Sequence[float], b: Sequence[float], length: int) -> np.ndarray:
@@ -364,6 +368,22 @@ def _linear_product(a: Sequence[float], b: Sequence[float], length: int) -> np.n
     return c
 
 
+def _product_error(c: np.ndarray, n: int, ones: bool, big: float) -> np.ndarray:
+    """Bound on |c_j - P_j| for c = ``_linear_product`` of n factors (c.size <=
+    n + 1): g_K |c_j| over 1 - g_K with the largest of that docstring's K_j,
+    K <= m + D n / 2 (m = n - 1, or max(j - 1, 0) <= n - 1 when every a_i = 1
+    (``ones``)), plus its underflow term at j = n with B <= ``big``.  For the
+    pmf (not ``ones``), the a_i = fl(1 - p_i) of ``poisson_binomial_pmf``
+    add n more roundings, so the bound is against the exact law (|P_j - c_j|
+    <= g_K P_j, so P_j <= |c_j| / (1 - g_K))."""
+    depth = math.ceil(math.log2(n)) if n > 1 else 0
+    k = max(depth * n / 2 + (n - 1 if ones else 2 * n - 1), 0)
+    g = k * 2.0**-53  # (g_K |c| + U) / (1 - g_K) <= (K u |c| + U) / (1 - 2 K u)
+    # four times the term at j = n: 2^-1076 itself underflows to 0 in binary64
+    under = 2.0**-1074 * max(n - 1, 0) * (n + 1.0) * (n + 2.0) * big
+    return (g * np.abs(c) + under) / (1.0 - 2.0 * g)
+
+
 def _cut_zeros(x: np.ndarray) -> np.ndarray:
     """x without the trailing columns that are zero in every row (one kept)."""
     if x[..., -1].any():
@@ -380,7 +400,9 @@ def poisson_binomial_pmf(p: ProbVector) -> SignedPmf:
     bound 0.  The masses are not exact: the tree puts f(k) within g_K of
     the product of the binary64 factors, K = n - 1 + D min(k, n - k) (D =
     ceil(log2 n)), plus an underflow term, and rounding 1 - p_i adds at
-    most (n - k) u; the rounding is recorded nowhere yet.
+    most (n - k) u.  ``tail_bound`` leaves that rounding out (0 is exact for
+    exact inputs); the distances to a corrected measure add it
+    (``_product_error``).
     """
     f = _linear_product([1.0 - pi for pi in p.probs], p.probs, p.n + 1)
     return SignedPmf(f, 0.0, "poisson-binomial")

@@ -236,3 +236,14 @@ class TestCConstant:
         for fun in (c_constant, c_constant_series):
             with pytest.raises(ValueError, match="finite and positive"):
                 fun(2, lam)
+
+    def test_series_ends_where_its_terms_underflow(self):
+        # every term past the third underflows to 0; the series used to run
+        # 10^4 terms and raise RuntimeError (a traceback from ``scan``)
+        lam = 2.8567786217633893e-65
+        assert c_constant(1, lam) == pytest.approx(lam**2, rel=1e-12)
+
+    def test_overflow_raises(self):
+        # C_5(330) exceeds binary64; ``scan`` printed Infinity in its bound column
+        with pytest.raises(OverflowError, match=r"C_5\(lam\) exceeds binary64"):
+            c_constant(5, 330.0)

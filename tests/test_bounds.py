@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -153,10 +154,23 @@ class TestRateFits:
         with pytest.raises(ValueError):
             fit_loglog([8, 16], [0.1, 0.05], 1)
 
-    def test_zero_distance_dropped_with_warning(self):
-        with pytest.warns(UserWarning):
+    def test_zero_distance_dropped_with_note(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             fit = fit_loglog([8, 16, 32, 64], [0.1, 0.01, 0.001, 0.0], 2)
         assert fit.grid == (8, 16, 32)
+        assert fit.note == "dropped 1 underflowed distance(s)"
+        assert fit.to_json_dict()["note"] == fit.note
+
+    def test_scattered_fit_is_noted(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit = fit_loglog([8, 16, 32, 64], [0.1, 0.001, 0.05, 0.002], 3)
+        assert fit.r_squared < 0.98
+        assert fit.note.startswith("log-log fit for order 3 unreliable (r^2 = ")
+
+    def test_clean_fit_has_no_note(self):
+        assert fit_loglog([8, 16, 32], [0.1, 0.05, 0.025], 1).note == ""
 
     def test_grid_must_exceed_twice_mean(self):
         with pytest.raises(ValueError):

@@ -431,4 +431,30 @@ class TestEdgeInputsPinned:
     def test_overflowing_mean_keeps_its_exit(self):
         r = run_cli("distance", "--metric", "d2", "--binomial", "3000", "450", "--order", "2")
         assert (r.returncode, r.stdout) == (3, "")
-        assert r.stderr == "error: numeric overflow: math range error\n"
+        assert r.stderr == ("error: numeric overflow: e^(2 lam) times the moment differences "
+                            "exceeds binary64 at the mean lam = 450.0\n")
+
+
+@pytest.mark.parametrize("args, lam", [
+    (("distance", "--metric", "d2", "--exact", "--binomial", "1000", "400", "--order", "2"),
+     "400.0"),
+    (("distance", "--metric", "d2", "--binomial", "3000", "450", "--order", "2"), "450.0"),
+    (("distance", "--metric", "d2tilde", "--binomial", "1000", "400", "--order", "2"), "400.0"),
+    (("bounds", "--check", "theorem2", "--binomial", "2000", "400"), "400.0"),
+    (("bounds", "--check", "classic", "--binomial", "2000", "400"), "400.0"),
+    (("scan", "--lambda", "400", "--n-grid", "1000,2000,4000", "--orders", "2"), "400.0"),
+])
+def test_overflow_names_e2lam_and_the_mean(args, lam):
+    r = run_cli(*args, timeout=120)
+    assert (r.returncode, r.stdout) == (3, "")
+    assert len(r.stderr.splitlines()) == 1
+    assert r.stderr.startswith("error: numeric overflow: e^(2 lam) ")
+    assert r.stderr.rstrip().endswith(f"at the mean lam = {lam}")
+
+
+def test_scan_bound_column_never_prints_infinity():
+    # C_5(340) leaves binary64 although every tv is finite: one line, exit 3
+    r = run_cli("scan", "--lambda", "340", "--n-grid", "1000,2000,4000", "--orders", "5",
+                "--metric", "tv", timeout=120)
+    assert (r.returncode, r.stdout) == (3, "")
+    assert r.stderr == "error: numeric overflow: C_5(lam) exceeds binary64 at lam = 340.0\n"

@@ -5,6 +5,8 @@ import re
 import subprocess
 import sys
 import warnings
+from decimal import Context, Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from corrpois import (
     SignedPmf,
     build_phi2,
     build_phi_nu,
+    c_constant,
     certify_domination,
     d2,
     d2_exact_product,
@@ -29,6 +32,7 @@ from corrpois import (
     poisson_binomial_pmf,
     poisson_pmf,
     power_sums,
+    sn_distance,
     spec_for_order,
     spec_phi2,
     spec_phi3,
@@ -39,7 +43,9 @@ from corrpois import (
     weighted_l1,
 )
 
-from conftest import exact_d2_oracle
+from corrpois.corrected import gamma_from_power_sums
+
+from conftest import exact_d2_oracle, exact_distances
 
 P123 = ProbVector((0.1, 0.2, 0.3))
 
@@ -162,8 +168,9 @@ class TestD2ExactProduct:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             res = d2_exact_product(p, spec)
-        assert res.method == "moment-series"
-        assert "sign change" in res.note
+        # no closed form there: the exact sum of |D_m| with the spec's own gamma
+        assert res.method == "exact-product"
+        assert abs(res.value - exact_distances(p.probs, 3, spec)["d2"]) <= res.truncation_error
 
     def test_package_import_leaves_out_mpmath(self):
         code = "import sys, corrpois; print('mpmath' in sys.modules)"
@@ -386,3 +393,92 @@ class TestD2ExactGradedRemainder:
     def test_source_computes_in_binary64_only(self):
         for path in pathlib.Path(corrpois.__file__).parent.glob("*.py"):
             assert not re.search(r"^\s*(import|from)\s+decimal\b", path.read_text(), re.M), path
+
+
+METRICS = ("tv", "wass", "d2", "d2tilde")
+
+
+def assert_within(p, spec, want):
+    for metric in METRICS:
+        res = sn_distance(p, spec, metric)
+        assert abs(res.value - want[metric]) <= res.truncation_error, (metric, res, want)
+
+
+class TestDifferenceKernel:
+    """tv, wass, d2 and d2tilde against S_n read off one difference array,
+    checked against the exact difference of conftest."""
+
+    def test_corpus(self, corpus):
+        for p in corpus:
+            for spec in (spec_poisson(p.lam), spec_phi2(p), spec_phi3(p)):
+                assert_within(p, spec, exact_distances(p.probs, spec.nu))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.floats(0.0, 0.5), min_size=1, max_size=60), st.integers(1, 8))
+    def test_matches_oracle(self, probs, nu):
+        p = ProbVector(tuple(probs))
+        assume(p.n > 0 and p.lam ** (2 * nu - 2) >= sys.float_info.min)
+        assert_within(p, spec_for_order(p, nu), exact_distances(p.probs, nu))
+
+    @pytest.mark.parametrize("spec", [CorrectionSpec(1, 0.7),
+                                      CorrectionSpec(3, 0.6, {2: 0.05, 3: -0.01}),
+                                      spec_phi3_tilde(P123)])
+    def test_other_specs_use_their_gamma(self, spec):
+        assert_within(P123, spec, exact_distances(P123.probs, spec.nu, spec))
+
+    def test_simplified_order3_at_small_p(self):
+        # the closed form with the spec's own gamma cancels at small p; the kernel does not
+        p = equal_probs(512, 1.0)
+        spec = spec_phi3_tilde(p)
+        res = d2_exact_product(p, spec)
+        want = exact_d2_oracle(p.probs, 3, spec)
+        assert rel_err(res.value, want) <= 1e-13
+        assert abs(res.value - want) <= res.truncation_error
+
+    @pytest.mark.parametrize("lam", [0.5, 1.0, 1.7])
+    def test_tv_rate_slopes_reach_order_eight(self, lam):
+        grid = [40, 80, 160, 320, 640]
+        for fit in fit_rate(lam, range(5, 9), grid, metric="tv"):
+            assert abs(fit.slope + fit.order) <= 0.05
+            assert fit.r_squared >= 0.999
+            for n, dist in zip(fit.grid, fit.distances):
+                assert dist <= c_constant(fit.order, lam) / n**fit.order
+
+    def test_moment_series_cancellation_is_gone(self):
+        p = equal_probs(5000, 5.0)
+        res = sn_distance(p, spec_for_order(p, 3), "d2")
+        assert abs(res.value - 0.0035088307771113528) <= res.truncation_error
+
+    def test_tv_below_d2_at_large_n(self):
+        n = 100_000
+        p = equal_probs(n, 5.0)
+        spec = spec_for_order(p, 5)
+        dtv, dd2 = sn_distance(p, spec, "tv"), sn_distance(p, spec, "d2")
+        assert dtv.value <= dd2.value + dtv.truncation_error + dd2.truncation_error
+        # the closed form with exact gamma, (1 + 2 p)^n and e^(2 lam) at 120 digits
+        x = Fraction(p.probs[0])
+        lams = [n * x**j for j in range(1, 6)]
+        gamma = gamma_from_power_sums(lams, 5)
+        with localcontext(Context(prec=120)):
+            def dec(f):
+                return Decimal(f.numerator) / Decimal(f.denominator)
+            two_lam = dec(2 * lams[0])
+            low = 1 - sum(dec(g) * two_lam**j for j, g in gamma.items())
+            want = float(abs((1 + 2 * dec(x)) ** n - two_lam.exp() * low) / 2)
+        assert abs(dd2.value - want) <= dd2.truncation_error
+        assert rel_err(dd2.value, want) <= 1e-13
+
+    def test_domination_signs_on_the_corpus(self, corpus):
+        for p in corpus:
+            got = [certify_domination(p, spec)
+                   for spec in (spec_poisson(p.lam), spec_phi2(p), spec_phi3(p))]
+            assert all(g in (0, w) for g, w in zip(got, (-1, 1, -1))), got
+
+    def test_unknown_metric(self):
+        with pytest.raises(ValueError):
+            sn_distance(P123, spec_phi2(P123), "hellinger")
+
+    def test_overflow_names_the_mean(self):
+        p = equal_probs(1000, 400.0)
+        with pytest.raises(OverflowError, match=r"e\^\(2 lam\).*lam = 400\.0"):
+            sn_distance(p, spec_phi2(p), "d2")

@@ -18,7 +18,7 @@ from corrpois import (
     poisson_pmf,
     power_sums,
 )
-from corrpois.pmf import _linear_product
+from corrpois.pmf import _linear_product, _product_error
 
 from conftest import enumerated_factorial_moment, enumerated_pmf
 
@@ -219,6 +219,12 @@ class TestElementarySymmetric:
         mass = poisson_binomial_pmf(p).mass
         assert mass.size == n + 1
         assert_within_tree_bound(mass, dist, n, ones=False, pmf=True, big=big_dist, seen=seen[2])
+        # the bound that the distances to a corrected measure add for S_n's arrays
+        for got, exact, ones, big in ((mass, dist, False, 2.0),
+                                      (factorial_moments_sn(p).weighted, doubled, True,
+                                       2.0 * float(big_doubled))):
+            bound = _product_error(got, n, ones, big).tolist()
+            assert all(abs(Fraction(c) - e) <= b for c, e, b in zip(got.tolist(), exact, bound))
 
     def test_first_moment_is_a_pairwise_sum(self):
         # ceil(log2 10^5) = 17 levels, against 10^5 sequential additions
