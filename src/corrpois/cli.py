@@ -180,6 +180,8 @@ def _cmd_distance(args: argparse.Namespace) -> int:
     p = _load_vector(args)
     if args.exact and args.metric != "d2":
         raise CliInputError("--exact applies only to --metric d2")
+    if args.kmax is not None and args.metric != "hellinger":
+        raise CliInputError("--kmax applies only to --metric hellinger")
     if args.metric == "hellinger" and args.order >= 2:
         raise MetricDomainError(
             "Hellinger distance is undefined for signed corrected measures "
@@ -336,7 +338,10 @@ def _cmd_qpoly(args: argparse.Namespace) -> int:
     if args.lam is not None:
         _check_lambda(args.lam)
         payload["c_order"] = args.nu + 1
-        payload["c_value"] = _binomial.c_constant(args.nu + 1, args.lam)
+        try:
+            payload["c_value"] = _binomial.c_constant(args.nu + 1, args.lam)
+        except OverflowError:
+            payload["c_value"] = None  # C_(nu+1)(lam) leaves binary64
     _emit(payload)
     return 0
 
@@ -379,9 +384,12 @@ def _cmd_scan(args: argparse.Namespace) -> int:
                 dist = _bounds.rate_distance(order, n, args.lam, args.metric)
             except ValueError as exc:
                 raise CliDomainError(str(exc)) from exc
-            bound = ""
+            bound = ""  # none for "3t", or where C_nu(lam) leaves binary64
             if isinstance(order, int):
-                bound = _fmt_float(_binomial.c_constant(order, args.lam) / n**order)
+                try:
+                    bound = _fmt_float(_binomial.c_constant(order, args.lam) / n**order)
+                except OverflowError:
+                    pass
             distances.append(dist)
             rows.append((n, order, dist, bound))
         try:

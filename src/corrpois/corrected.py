@@ -172,10 +172,9 @@ def _series_powers(c: np.ndarray, top: int) -> np.ndarray:
     Expanding exp(L) = sum_d L^d / d! with L = t C(s t) gives [t^(w+d)] E_w =
     parts[d, w] for the weight-w part E_w, and zero for w < d.  The rows come
     by doubling: with P_1..P_h known, P_(h+i) = P_h P_i / C(h+i, i) for
-    i = 1..h, one matrix product with the Toeplitz matrix of P_h (a few
-    np.convolve calls where the rows are few and short), so top = 128 takes
-    seven levels.  The operations are +, * and /, so an object array of
-    Fractions gives exact parts.
+    i = 1..h, one np.convolve each, so top = 128 takes seven levels.  The
+    operations are +, * and /, so an object array of Fractions gives exact
+    parts.
 
     Rounding, for a float c within a relative 4u of the exact c_k: a product
     node sums at most w + 1 products and divides by a rounded binomial, and
@@ -189,17 +188,9 @@ def _series_powers(c: np.ndarray, top: int) -> np.ndarray:
         parts[1, 1:] = c[1:size]
     h = 1
     while h < top:
-        k = min(h, top - h)
-        if k * size <= 256:
-            for i in range(1, k + 1):
-                parts[h + i] = np.convolve(parts[h], parts[i])[:size] / math.comb(h + i, i)
-        else:
-            binom = np.array([math.comb(h + i, i) for i in range(1, k + 1)], dtype=c.dtype)
-            padded = np.concatenate((np.zeros(top, dtype=c.dtype), parts[h]))
-            step = padded.strides[0]  # toeplitz[w, v] = P_h[w - v], zero for v > w
-            toeplitz = np.lib.stride_tricks.as_strided(padded[top:], (size, size), (step, -step))
-            parts[h + 1:h + k + 1] = parts[1:k + 1] @ toeplitz.T.copy() / binom[:, None]
-        h += k
+        for i in range(1, min(h, top - h) + 1):
+            parts[h + i] = np.convolve(parts[h], parts[i])[:size] / math.comb(h + i, i)
+        h *= 2
     return parts
 
 

@@ -164,7 +164,7 @@ def certify_domination(p: ProbVector, spec: CorrectionSpec) -> int:
     0 when no entry exceeds its proven error.  Only such entries count, and
     two of opposite sign raise ValueError.
     """
-    for refine in (False, True):  # the kernel only where the direct signs say nothing
+    for refine in (False, True):  # refine a direct difference only where its signs say nothing
         diff = _difference(p, spec, True, refine)
         signs = np.sign(diff.values) * (np.abs(diff.values) > diff.entry_error)
         seen = signs[signs != 0]
@@ -233,19 +233,24 @@ def _difference(p: ProbVector, spec: CorrectionSpec, moments: bool,
     A spec equal to ``spec_for_order(p, spec.nu)`` is moment-matched: the
     difference is taken to the measure with exact coefficients and the exact
     mean sum_i p_i, not to the one with the stored gamma and lam = fsum(p).
-    Other specs are taken as given.  The direct difference (``_direct``)
-    comes first.  With ``refine``, where its error exceeds 64 u sum |values|,
-    2 max p < 1, the kernel applies (module docstring: a matched spec, or
-    lam = fsum(p)) and the least rounding bound the kernel could have is
-    below half that error, the kernel's difference (``_kernel``) is tried,
-    and the one with the smaller error is kept.  Raises OverflowError naming
-    e^(2 lam) when D leaves binary64.
+    Other specs are taken as given.  Two builders serve: the direct
+    difference (``_direct``) and the kernel's (``_kernel``).  The kernel is
+    tried where the direct error exceeds 64 u sum |values|, 2 max p < 1,
+    the kernel applies (module docstring: a matched spec, or lam = fsum(p))
+    and the least rounding bound the kernel could have is below an eighth
+    of the direct error; the one with the smaller error is kept.  Where
+    bounds read off the inputs alone already settle that
+    (``_kernel_first``), the kernel comes first, and a kernel error below
+    the floor they give for the direct error leaves S_n's arrays unbuilt.
+    Otherwise the direct difference comes first, and the kernel follows
+    only with ``refine``.
+    Raises OverflowError naming e^(2 lam) when D leaves binary64.
     """
     lam, nu = spec.lam, spec.nu
     if moments and not 2.0 * lam < _LOG_MAX:
         raise OverflowError(_overflow(lam))
-    lams = _power_sum_values(p, 1, min(nu, 8))  # the kernel extends, never recomputes
-    majorant, matched = None, False  # A_w(2) for w < nu, for a matched spec
+    lams = _power_sum_values(p, 1, min(max(nu, 2), 8))  # the kernel extends, never recomputes
+    low, majorant, matched = None, None, False  # parts and A_w(2) for w < nu
     if nu <= 8:
         low = _series_powers(_log_coefficients(lams, nu - 1), nu - 1)
         try:
@@ -255,25 +260,88 @@ def _difference(p: ProbVector, spec: CorrectionSpec, moments: bool,
         majorant = _majorant(low) if matched else None
     # fsum rounds sum_i p_i - fsum(p) correctly, so this bounds 2.01 |that|
     gap = 2.03 * abs(math.fsum(p.probs + (-lams[0],)))
+    scale = math.exp(2.0 * lam) if moments else 1.0
+    kernel, floor = None, 0.0
+    usable = (p.n and max(p.probs) < 0.5 and 2 * nu + 8 <= _MAX_WEIGHT
+              and (matched or lam == lams[0]))
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is checked below
-        diff = _direct(p, spec, moments, majorant, gap)
-        scale = math.exp(2.0 * lam) if moments else 1.0
-        if (refine and diff.error > 64.0 * _U * np.abs(diff.values).sum()
-                and p.n and max(p.probs) < 0.5 and 2 * nu + 8 <= _MAX_WEIGHT
-                and (matched or lam == lams[0])):
-            lams += _power_sum_values(p, len(lams) + 1, nu + 1)
-            # the kernel's rounding bound is at least u (nu (nu + 7) + 2 nu + 10) A_nu(2),
-            # and A_nu(2) has the terms |c_nu| 2^(nu+1) and |c_1|^nu 4^nu / nu!: try it
-            # where it could be 8 times better
-            least = _U * (nu * (nu + 7) + 2 * nu + 10) * max(
-                2.0 ** (nu + 1) * lams[nu] / (nu + 1), (2.0 * lams[1]) ** nu / math.factorial(nu))
-            if 8.0 * least * scale < diff.error:
-                kernel = _kernel(p, spec, moments, lams, matched, gap, diff.error / scale)
-                if kernel is not None and kernel.error < diff.error:
-                    diff = kernel
+        if usable:
+            floor = _kernel_first(p, spec, moments, lams, low, matched, scale)
+        if floor:
+            lams, least = _least(p, lams, nu, scale)
+            if 8.0 * least < floor:
+                kernel = _kernel(p, spec, moments, lams, matched, gap, floor / scale)
+        if kernel is not None and kernel.error < floor:
+            diff = kernel
+        else:
+            diff = _direct(p, spec, moments, majorant, gap)
+            if (refine and kernel is None and usable
+                    and diff.error > 64.0 * _U * np.abs(diff.values).sum()):
+                lams, least = _least(p, lams, nu, scale)
+                if 8.0 * least < diff.error:
+                    kernel = _kernel(p, spec, moments, lams, matched, gap, diff.error / scale)
+            if kernel is not None and kernel.error < diff.error:
+                diff = kernel
     if not (math.isfinite(diff.moment_error) and np.all(np.isfinite(diff.values))):
         raise OverflowError(_overflow(lam))
     return diff
+
+
+def _least(p: ProbVector, lams: tuple[float, ...], nu: int,
+           scale: float) -> tuple[tuple[float, ...], float]:
+    """lambda_1..lambda_(nu+1), and the least rounding bound the kernel can
+    have, times the scale: at least u (nu (nu + 7) + 2 nu + 10) A_nu(2),
+    where A_nu(2) has the terms |c_nu| 2^(nu+1) and |c_1|^nu 4^nu / nu!."""
+    lams += _power_sum_values(p, len(lams) + 1, nu + 1)
+    return lams, scale * _U * (nu * (nu + 7) + 2 * nu + 10) * max(
+        2.0 ** (nu + 1) * lams[nu] / (nu + 1), (2.0 * lams[1]) ** nu / math.factorial(nu))
+
+
+def _kernel_first(p: ProbVector, spec: CorrectionSpec, moments: bool, lams: tuple[float, ...],
+                  low: np.ndarray | None, matched: bool, scale: float) -> float:
+    """A floor under ``_direct``'s error bound where bounds on the inputs
+    alone show that bound to exceed 64 u of the sum of |values|, else 0.
+
+    The floor is the share of S_n's array: ``_product_error`` of half its
+    sum (which is 1 for the pmf, and prod_i (1 + 2 p_i) >= e^(2 lambda_1 -
+    2 lambda_2) for the moments, computed within g_K; the half covers that
+    and the rounding of the exponent).  The exact differences are the
+    coefficients of e^(lam t) kappa(t) at t = x - 1 or 2s, whose absolute
+    sum is at most e^(2 lam) (1 for Delta) times sum_j 2^j |kappa_j|: at
+    most T_(nu-1) (``_cauchy_tail``; inf where no radius serves) for the
+    part of weight nu and above, plus sum_j 2^j |[t^j] (T_nu - c)| for a
+    spec that is not matched, found only where the rest passes.  The
+    computed values are within the direct error E of the exact ones, so
+    floor > 64 u (that sum + floor) gives E > 64 u sum |values|.
+    """
+    nu = spec.nu
+    total = 0.5 * math.exp(2.0 * (lams[0] - lams[1])) if moments else 0.5
+    floor = float(_product_error(total, p.n, moments, 2.0 * scale))
+    size = scale * _cauchy_tail(*_radius_inputs(p, lams), nu - 1)[0] + floor
+    if not floor > 64.0 * _U * size:
+        return 0.0
+    if not matched:
+        if low is None:
+            low = _series_powers(_log_coefficients(lams, nu - 1), nu - 1)
+        below = _mismatch(low, spec)
+        size += scale * math.fsum(np.ldexp(np.abs(below), np.arange(below.size)).tolist())
+    return floor if floor > 64.0 * _U * size else 0.0
+
+
+def _mismatch(parts: np.ndarray, spec: CorrectionSpec) -> np.ndarray:
+    """The t-coefficients of T_nu - c, c = 1 - sum_j gamma_j lam^j t^j, from
+    ``_series_powers`` parts of top nu - 1 or more."""
+    below = _weight_sum(parts[:spec.nu, :spec.nu], 0)
+    below[0] -= 1.0
+    for j, g in spec.gamma.items():
+        below[j] += g * spec.lam**j
+    return below
+
+
+def _radius_inputs(p: ProbVector, lams: tuple[float, ...]) -> tuple[float, float]:
+    """q = 2 max p and an upper bound on lambda_2 (within 3u, plus the
+    underflow of its n + 1 operations) for ``_cauchy_tail``."""
+    return 2.0 * max(p.probs), lams[1] * (1.0 + 4.0 * _U) + (p.n + 1) * _TINY
 
 
 def _overflow(lam: float) -> str:
@@ -329,7 +397,7 @@ def _direct(p: ProbVector, spec: CorrectionSpec, moments: bool, majorant: np.nda
 def _kernel(p: ProbVector, spec: CorrectionSpec, moments: bool, lams: tuple[float, ...],
             matched: bool, gap: float, goal: float) -> _Difference | None:
     """The difference from kappa cut at weight W, or None where the tail alone
-    cannot beat ``goal`` (the direct error, over e^(2 lam) for D):
+    cannot beat ``goal`` (the direct error or its floor, over e^(2 lam) for D):
     pi_lam * kappa(x - 1) by Horner's rule for Delta, or e^(2 lam)
     (pi_(2 lam) * (2^j kappa_j)) with ``moments`` for D.
 
@@ -341,11 +409,9 @@ def _kernel(p: ProbVector, spec: CorrectionSpec, moments: bool, lams: tuple[floa
     With u = 2^-53, t = 2^-1074 and A_w(2) the weight-w part of the majorant
     at 2:
 
-    * Rounding.  The first power sums are within 3u (pow within an ulp, one
-      fsum); later ones take x^(m+i) = x^m x^i, i products more, so
-      lambda_(k+1) is within (k + 3)u and c_k of ``_log_coefficients``
-      within (k + 4)u.  The leaves of P_d then add at most (w + 4d)u, and
-      the parts are within g_m, m = w (w + 7), of the majorant
+    * Rounding.  The power sums are within 3u (``_power_sum_values``: pow
+      within an ulp, one fsum), so c_k of ``_log_coefficients`` is within
+      4u, and the parts are within g_m, m = w (w + 7), of the majorant
       (``_series_powers``); kappa_j sums at most W + 1 parts.  The
       coefficients of E_w(x - 1) and of E_w(2s) have absolute sums at most
       A_w(2), so the weight-w part costs u (w (w + 7) + W + 2) A_w(2), and
@@ -375,17 +441,13 @@ def _kernel(p: ProbVector, spec: CorrectionSpec, moments: bool, lams: tuple[floa
     nu, n = spec.nu, p.n
     z = 2.0 * spec.lam if moments else spec.lam
     scale = math.exp(z) if moments else 1.0
-    q = 2.0 * max(p.probs)
-    l2 = lams[1] * (1.0 + 4.0 * _U) + (n + 1) * _TINY
+    q, l2 = _radius_inputs(p, lams)
     if not _cauchy_tail(q, l2, _MAX_WEIGHT)[0] < goal:
         return None
-    x = np.array(p.probs)
     top = 2 * nu + 8
     while True:
         if len(lams) <= top:
-            base = np.array([v ** len(lams) for v in p.probs])
-            rows = base * np.cumprod(np.broadcast_to(x, (top + 1 - len(lams), n)), axis=0)
-            lams += tuple(math.fsum(r) for r in rows.tolist())
+            lams += _power_sum_values(p, len(lams) + 1, top + 1)
         parts = _series_powers(_log_coefficients(lams, top), top)
         majorant = _majorant(parts)
         rounding = (_U * math.fsum((w * (w + 7) + top + 2) * majorant[w]
@@ -401,15 +463,12 @@ def _kernel(p: ProbVector, spec: CorrectionSpec, moments: bool, lams: tuple[floa
             mid = (low + top) // 2
             low, top = (mid + 1, top) if _cauchy_tail(q, l2, mid)[0] > rounding else (low, mid)
     kappa = _weight_sum(parts, nu)
-    if not matched:  # add T_nu - c, c = 1 - sum_j gamma_j lam^j t^j
-        below = _weight_sum(parts[:nu, :nu], 0)
-        terms = {j: g * spec.lam**j for j, g in spec.gamma.items()}
-        below[0] -= 1.0
-        for j, v in terms.items():
-            below[j] += v
+    if not matched:  # add T_nu - c
+        below = _mismatch(parts, spec)
         kappa[:below.size] += below
         rounding += _U * (math.fsum((w * (w + 7) + nu + 2) * majorant[w] for w in range(nu))
-                          + 3.0 * math.fsum(abs(v) * 2.0**j for j, v in terms.items()))
+                          + 3.0 * math.fsum(abs(g * spec.lam**j) * 2.0**j
+                                            for j, g in spec.gamma.items()))
     if moments:
         kernel = np.ldexp(kappa, np.arange(kappa.size))
     else:

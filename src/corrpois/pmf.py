@@ -368,7 +368,7 @@ def _linear_product(a: Sequence[float], b: Sequence[float], length: int) -> np.n
     return c
 
 
-def _product_error(c: np.ndarray, n: int, ones: bool, big: float) -> np.ndarray:
+def _product_error(c: np.ndarray | float, n: int, ones: bool, big: float) -> np.ndarray:
     """Bound on |c_j - P_j| for c = ``_linear_product`` of n factors (c.size <=
     n + 1): g_K |c_j| over 1 - g_K with the largest of that docstring's K_j,
     K <= m + D n / 2 (m = n - 1, or max(j - 1, 0) <= n - 1 when every a_i = 1

@@ -452,9 +452,33 @@ def test_overflow_names_e2lam_and_the_mean(args, lam):
     assert r.stderr.rstrip().endswith(f"at the mean lam = {lam}")
 
 
-def test_scan_bound_column_never_prints_infinity():
-    # C_5(340) leaves binary64 although every tv is finite: one line, exit 3
+def test_scan_keeps_its_rows_where_the_bound_overflows():
+    # C_5(340) leaves binary64 although every tv is finite: the bound column
+    # is left empty, as for "3t", and the rows and fits are printed
     r = run_cli("scan", "--lambda", "340", "--n-grid", "1000,2000,4000", "--orders", "5",
                 "--metric", "tv", timeout=120)
-    assert (r.returncode, r.stdout) == (3, "")
-    assert r.stderr == "error: numeric overflow: C_5(lam) exceeds binary64 at lam = 340.0\n"
+    assert (r.returncode, r.stderr) == (0, "")
+    lines = r.stdout.splitlines()
+    assert lines[0] == "n,order,distance,bound"
+    rows = [line.split(",") for line in lines[1:4]]
+    assert [row[:2] for row in rows] == [["1000", "5"], ["2000", "5"], ["4000", "5"]]
+    assert all(math.isfinite(float(row[2])) and row[3] == "" for row in rows)
+    assert "Infinity" not in r.stdout and "fits" in json.loads(lines[4])
+
+
+def test_qpoly_constant_overflow_is_null():
+    r = run_cli("qpoly", "--nu", "4", "--lambda", "340")
+    assert (r.returncode, r.stderr) == (0, "")
+    payload = json.loads(r.stdout)
+    assert payload["c_order"] == 5 and payload["c_value"] is None
+    assert len(payload["coefficients"]) == 5
+
+
+@pytest.mark.parametrize("metric", ["tv", "wass", "d2", "d2tilde"])
+def test_kmax_applies_only_to_hellinger(metric):
+    r = run_cli("distance", "--metric", metric, "--binomial", "20", "1", "--order", "1",
+                "--kmax", "30")
+    assert (r.returncode, r.stdout) == (2, "")
+    assert r.stderr == "error: --kmax applies only to --metric hellinger\n"
+    assert run_cli("distance", "--metric", "hellinger", "--binomial", "20", "1", "--order", "1",
+                   "--kmax", "30").returncode == 0

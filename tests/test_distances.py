@@ -468,6 +468,24 @@ class TestDifferenceKernel:
         assert abs(dd2.value - want) <= dd2.truncation_error
         assert rel_err(dd2.value, want) <= 1e-13
 
+    def test_large_n_builds_no_sn_array(self, monkeypatch):
+        # at n = 10^5 bounds on the power sums alone already call for the
+        # kernel, so neither S_n's pmf nor its factorial moments are built
+        from corrpois import distances
+
+        def refuse(*args):
+            raise AssertionError("an array of S_n was built")
+
+        p = equal_probs(100_000, 5.0)
+        spec = spec_for_order(p, 3)
+        monkeypatch.setattr(distances, "_linear_product", refuse)
+        for metric in ("tv", "wass", "d2", "d2tilde"):
+            res = sn_distance(p, spec, metric)
+            assert 0 < res.truncation_error <= 1e-9 * res.value
+        assert sn_distance(p, spec, "d2").value == pytest.approx(4.4043267869737367e-07,
+                                                                  rel=1e-13)
+        assert certify_domination(p, spec) == -1
+
     def test_domination_signs_on_the_corpus(self, corpus):
         for p in corpus:
             got = [certify_domination(p, spec)
