@@ -32,6 +32,7 @@ built directly or from the kernel, whichever has the smaller proven error
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -41,8 +42,8 @@ import numpy as np
 
 from .corrected import (CorrectionSpec, _log_coefficients, _poisson_convolution,
                         _series_powers, _spec_from_parts, _spec_kernel, _weight_sum)
-from .pmf import (FactorialMoments, ProbVector, SignedPmf, _linear_product,
-                  _power_sum_values, _product_error, poisson_tail_bound)
+from .pmf import (FactorialMoments, ProbVector, SignedPmf, _power_sum_values, _product_error,
+                  _sn_array, poisson_tail_bound)
 
 __all__ = [
     "DistanceResult",
@@ -162,15 +163,14 @@ def certify_domination(p: ProbVector, spec: CorrectionSpec) -> int:
     """The sign that mu_m(S_n) - mu_m(spec) keeps over the stored D (module
     docstring): +1 (S_n dominates), -1 (the corrected measure dominates) or
     0 when no entry exceeds its proven error.  Only such entries count, and
-    two of opposite sign raise ValueError.
+    two of opposite sign raise ValueError.  D is the array whose absolute
+    sum ``d2_exact_product`` halves: repeated calls on equal inputs share
+    one build (``_difference``).
     """
-    for refine in (False, True):  # refine a direct difference only where its signs say nothing
-        diff = _difference(p, spec, True, refine)
-        signs = np.sign(diff.values) * (np.abs(diff.values) > diff.entry_error)
-        seen = signs[signs != 0]
-        if seen.size:
-            break
-    else:
+    diff = _difference(p, spec, True)
+    signs = np.sign(diff.values) * (np.abs(diff.values) > diff.entry_error)
+    seen = signs[signs != 0]
+    if not seen.size:
         return 0
     flips = np.flatnonzero(signs == -seen[0])
     if flips.size:
@@ -217,7 +217,8 @@ class _Difference:
     ``values[k]`` for k = 0..K.  ``entry_error`` bounds the error of each
     stored entry (one array, or one bound for all); ``error`` and
     ``moment_error`` bound sum_k |e_k| and sum_k k |e_k| over every k, where
-    e_k is the gap to the exact difference and counts in full past K.
+    e_k is the gap to the exact difference and counts in full past K.  The
+    arrays are read-only, since ``_difference`` hands one to every caller.
     """
 
     values: np.ndarray
@@ -225,10 +226,26 @@ class _Difference:
     error: float
     moment_error: float
 
+    def __post_init__(self) -> None:
+        for a in (self.values, self.entry_error):
+            if isinstance(a, np.ndarray):
+                a.flags.writeable = False
 
-def _difference(p: ProbVector, spec: CorrectionSpec, moments: bool,
-                refine: bool = True) -> _Difference:
+
+def _difference(p: ProbVector, spec: CorrectionSpec, moments: bool) -> _Difference:
     """Delta, or with ``moments`` D, between S_n and the spec's measure.
+
+    Repeated calls on equal inputs share one build.  The key holds the
+    spec's values at call time, since its ``gamma`` is a plain dict a
+    caller can still change; the build sees a spec rebuilt from them.
+    """
+    key = (spec.nu, spec.lam, tuple(sorted(spec.gamma.items())), spec.provenance)
+    return _build_difference(p, key, moments)
+
+
+@functools.lru_cache(maxsize=4)  # a vector's D for three specs and one Delta
+def _build_difference(p: ProbVector, key: tuple, moments: bool) -> _Difference:
+    """``_difference`` for the spec of ``key``.
 
     A spec equal to ``spec_for_order(p, spec.nu)`` is moment-matched: the
     difference is taken to the measure with exact coefficients and the exact
@@ -242,11 +259,12 @@ def _difference(p: ProbVector, spec: CorrectionSpec, moments: bool,
     bounds read off the inputs alone already settle that
     (``_kernel_first``), the kernel comes first, and a kernel error below
     the floor they give for the direct error leaves S_n's arrays unbuilt.
-    Otherwise the direct difference comes first, and the kernel follows
-    only with ``refine``.
+    Otherwise the direct difference comes first and the kernel is tried
+    after it.
     Raises OverflowError naming e^(2 lam) when D leaves binary64.
     """
-    lam, nu = spec.lam, spec.nu
+    nu, lam, gamma, provenance = key
+    spec = CorrectionSpec(nu, lam, dict(gamma), provenance)
     if moments and not 2.0 * lam < _LOG_MAX:
         raise OverflowError(_overflow(lam))
     lams = _power_sum_values(p, 1, min(max(nu, 2), 8))  # the kernel extends, never recomputes
@@ -275,8 +293,7 @@ def _difference(p: ProbVector, spec: CorrectionSpec, moments: bool,
             diff = kernel
         else:
             diff = _direct(p, spec, moments, majorant, gap)
-            if (refine and kernel is None and usable
-                    and diff.error > 64.0 * _U * np.abs(diff.values).sum()):
+            if kernel is None and usable and diff.error > 64.0 * _U * np.abs(diff.values).sum():
                 lams, least = _least(p, lams, nu, scale)
                 if 8.0 * least < diff.error:
                     kernel = _kernel(p, spec, moments, lams, matched, gap, diff.error / scale)
@@ -369,12 +386,8 @@ def _direct(p: ProbVector, spec: CorrectionSpec, moments: bool, majorant: np.nda
     """
     z = 2.0 * spec.lam if moments else spec.lam
     scale = math.exp(z) if moments else 1.0
-    if moments:  # factorial_moments_sn(p).weighted
-        sn = _linear_product([1.0] * p.n, [2.0 * x for x in p.probs], p.n + 1)
-        sn_err = _product_error(sn, p.n, True, 2.0 * scale)
-    else:
-        sn = _linear_product([1.0 - x for x in p.probs], p.probs, p.n + 1)
-        sn_err = _product_error(sn, p.n, False, 2.0)
+    sn = _sn_array(p, moments)  # factorial_moments_sn(p).weighted or the pmf's masses
+    sn_err = _product_error(sn, p.n, moments, 2.0 * scale)
     c = _spec_kernel(spec, moments)
     phi, tail, moment_tail = _poisson_convolution(z, c, max(_cutoff(z, c.size), p.n))
     phi *= -scale

@@ -13,6 +13,7 @@ quantities of order n^-3 .. n^-4 survive with comfortable headroom.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import sys
@@ -402,10 +403,9 @@ def poisson_binomial_pmf(p: ProbVector) -> SignedPmf:
     ceil(log2 n)), plus an underflow term, and rounding 1 - p_i adds at
     most (n - k) u.  ``tail_bound`` leaves that rounding out (0 is exact for
     exact inputs); the distances to a corrected measure add it
-    (``_product_error``).
+    (``_product_error``).  The masses come from ``_sn_array``.
     """
-    f = _linear_product([1.0 - pi for pi in p.probs], p.probs, p.n + 1)
-    return SignedPmf(f, 0.0, "poisson-binomial")
+    return SignedPmf(_sn_array(p, False), 0.0, "poisson-binomial")
 
 
 def elementary_symmetric(p: ProbVector, mmax: int) -> np.ndarray:
@@ -431,14 +431,33 @@ def factorial_moments_sn(p: ProbVector, mmax: int | None = None) -> FactorialMom
     prod_i (1 + 2 p_i x); doubling is exact, so each equals 2^m
     ``elementary_symmetric(p, mmax)[m]`` bit for bit (short of underflow).
     A different cut may change the last bit, since np.convolve's summation
-    order depends on the length of its rows.  The tail is 0 when the array
-    reaches n and unknown (inf) when mmax cuts it short.
+    order depends on the length of its rows, so a cut array is built on its
+    own and only the uncut one comes from ``_sn_array``.  The tail is 0 when
+    the array reaches n and unknown (inf) when mmax cuts it short.
     """
     if mmax is None:
         mmax = p.n
     if mmax < 0:
         raise ValueError("mmax must be >= 0")
-    top = min(mmax, p.n)
+    if mmax >= p.n:
+        return FactorialMoments(_sn_array(p, True), 0.0)
     with np.errstate(over="ignore"):  # an overflowed entry raises when it is read
-        w = _linear_product([1.0] * p.n, [2.0 * x for x in p.probs], top + 1)
-    return FactorialMoments(w, 0.0 if top == p.n else math.inf)
+        w = _linear_product([1.0] * p.n, [2.0 * x for x in p.probs], mmax + 1)
+    return FactorialMoments(w, math.inf)
+
+
+@functools.lru_cache(maxsize=2)  # a caller reads one vector's pmf and moments in turn
+def _sn_array(p: ProbVector, moments: bool) -> np.ndarray:
+    """S_n's full-length array, read-only: the coefficients 0..n of prod_i
+    ((1 - p_i) + p_i x), or with ``moments`` those of prod_i (1 + 2 p_i x),
+    the weighted factorial moments.  Repeated calls on an equal vector
+    share one build, so the pmf, the uncut moments and the direct
+    differences of ``distances`` read the same bits.
+    """
+    if moments:
+        with np.errstate(over="ignore"):  # an overflowed entry raises when it is read
+            a = _linear_product([1.0] * p.n, [2.0 * x for x in p.probs], p.n + 1)
+    else:
+        a = _linear_product([1.0 - x for x in p.probs], p.probs, p.n + 1)
+    a.flags.writeable = False
+    return a

@@ -6,12 +6,20 @@ from fractions import Fraction
 
 import pytest
 
-from corrpois import random_prob_vectors
+from corrpois import distances, pmf, random_prob_vectors
 from corrpois.corrected import gamma_from_power_sums
 
 # Single shared corpus for the randomized verification suites: sizes up to
 # 30, entries up to 0.5, fixed seed so failures are reproducible verbatim.
 CORPUS_SEED = 0
+
+
+@pytest.fixture(autouse=True)
+def fresh_caches():
+    """Each test builds S_n's arrays and differences itself, so one that
+    patches the builders is not served an entry an earlier test left."""
+    pmf._sn_array.cache_clear()
+    distances._build_difference.cache_clear()
 
 
 @pytest.fixture(scope="session")

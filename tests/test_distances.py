@@ -471,14 +471,14 @@ class TestDifferenceKernel:
     def test_large_n_builds_no_sn_array(self, monkeypatch):
         # at n = 10^5 bounds on the power sums alone already call for the
         # kernel, so neither S_n's pmf nor its factorial moments are built
-        from corrpois import distances
+        from corrpois import pmf
 
         def refuse(*args):
             raise AssertionError("an array of S_n was built")
 
         p = equal_probs(100_000, 5.0)
         spec = spec_for_order(p, 3)
-        monkeypatch.setattr(distances, "_linear_product", refuse)
+        monkeypatch.setattr(pmf, "_linear_product", refuse)
         for metric in ("tv", "wass", "d2", "d2tilde"):
             res = sn_distance(p, spec, metric)
             assert 0 < res.truncation_error <= 1e-9 * res.value
@@ -500,3 +500,49 @@ class TestDifferenceKernel:
         p = equal_probs(1000, 400.0)
         with pytest.raises(OverflowError, match=r"e\^\(2 lam\).*lam = 400\.0"):
             sn_distance(p, spec_phi2(p), "d2")
+
+
+class TestSharedBuilds:
+    """S_n's arrays and each difference are built once per input."""
+
+    def test_one_difference_per_vector_and_spec(self, corpus, monkeypatch):
+        from corrpois import bounds, distances
+
+        built = []
+        direct = distances._direct
+
+        def counted(p, spec, moments, *rest):
+            built.append((spec.nu, moments))
+            return direct(p, spec, moments, *rest)
+
+        monkeypatch.setattr(distances, "_direct", counted)
+        p = corpus[0]
+        sign = certify_domination(p, spec_phi2(p))
+        value = d2_exact_product(p, spec_phi2(p)).value
+        reports = bounds.check_order2_bound(p)
+        assert sign == 1 and reports[0].lhs == value
+        # D for phi2 once, and Delta for the Poisson of the classic tv rate once
+        assert built == [(2, True), (1, False)]
+
+    def test_shared_arrays_are_read_only(self):
+        from corrpois import distances, pmf
+
+        diff = distances._difference(P123, spec_phi2(P123), True)
+        with pytest.raises(ValueError):
+            diff.values[0] = 0.0
+        masses = pmf._sn_array(P123, False)
+        with pytest.raises(ValueError):
+            masses[0] = 0.0
+        assert np.array_equal(poisson_binomial_pmf(P123).mass, masses)
+        assert np.array_equal(factorial_moments_sn(P123).weighted, pmf._sn_array(P123, True))
+
+    def test_mutated_gamma_is_not_served_stale(self):
+        from corrpois import distances
+
+        spec = CorrectionSpec(3, 0.6, {2: 0.05, 3: -0.01})
+        before = d2_exact_product(P123, spec).value
+        spec.gamma[2] = 0.04
+        after = d2_exact_product(P123, spec).value
+        distances._build_difference.cache_clear()
+        fresh = d2_exact_product(P123, CorrectionSpec(3, 0.6, {2: 0.04, 3: -0.01})).value
+        assert after == fresh != before
