@@ -142,6 +142,11 @@ def _check_order(order: int) -> None:
         raise CliInputError(f"unsupported order: {order} (orders 1..8 are supported)")
 
 
+def _check_at_least(flag: str, value: int | None, low: int) -> None:
+    if value is not None and value < low:
+        raise CliInputError(f"{flag} must be >= {low}, got {value}")
+
+
 def _spec_for_order(p: ProbVector, order: int) -> CorrectionSpec:
     _check_order(order)
     try:
@@ -156,6 +161,9 @@ def _spec_for_order(p: ProbVector, order: int) -> CorrectionSpec:
 
 def _cmd_pmf(args: argparse.Namespace) -> int:
     p = _load_vector(args)
+    if args.kmax is not None and args.order == 0:
+        raise CliInputError("--kmax applies only to --order 1..8")
+    _check_at_least("--kmax", args.kmax, 0)
     spec = None if args.order == 0 else _spec_for_order(p, args.order)
     try:
         pmf = poisson_binomial_pmf(p) if spec is None else build_phi_nu(spec, args.kmax).pmf
@@ -182,6 +190,7 @@ def _cmd_distance(args: argparse.Namespace) -> int:
         raise CliInputError("--exact applies only to --metric d2")
     if args.kmax is not None and args.metric != "hellinger":
         raise CliInputError("--kmax applies only to --metric hellinger")
+    _check_at_least("--kmax", args.kmax, 0)
     if args.metric == "hellinger" and args.order >= 2:
         raise MetricDomainError(
             "Hellinger distance is undefined for signed corrected measures "
@@ -272,6 +281,8 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
         return 0 if all(r.holds for r in reports) else 1
 
     p = _load_vector(args)
+    if args.check in ("sandwich", "lower3"):
+        _check_at_least("--mmax", args.mmax, 1)
     try:
         if args.check == "theorem2":
             reports = _bounds.check_order2_bound(p)

@@ -84,39 +84,22 @@ class CorrectionSpec:
     def moments(self) -> FactorialMoments:
         """Weighted factorial moments 2^m mu_m / m! = a_m - sum_j gamma_j (2 lam)^j a_(m-j).
 
-        Here a_m = (2 lam)^m / m!.  With A(K) = sum_{m>K} a_m, at most
-        e^(2 lam) P(Z >= K + 1) for Z ~ Poisson(2 lam) (Chernoff), and
-        m a_(m-j) = 2 lam a_(m-j-1) + j a_(m-j), the moments past M satisfy
-
-            sum_{m>M} m |w_m| <= 2 lam A(M-1)
-                + sum_j |gamma_j| (2 lam)^j (2 lam A(M-1-j) + j A(M-j)).
-
-        M is the first order from 2 nu on at which this bound falls to 2^-70
-        of e^(2 lam) (1 + sum_j |gamma_j| (2 lam)^j), so every correction
-        degree and the first unmatched moment are stored.  Raises
-        OverflowError when e^(2 lam) exceeds binary64 (lam above about 354).
+        Here a_m = (2 lam)^m / m! = e^(2 lam) pi_(2 lam)(m), so w = e^(2 lam)
+        (pi_(2 lam) * c) with c = ``_spec_kernel(spec, True)``, cut at M =
+        ``_cutoff(2 lam, c)``, past every correction degree and the first
+        unmatched moment.  The tail sum_{m>M} m |w_m| is e^(2 lam) times the
+        index-weighted bound of ``_truncation``.  Raises OverflowError when
+        e^(2 lam) exceeds binary64 (lam above about 354).
         """
         x = 2.0 * self.lam
         scale = math.exp(x)
-        c = {j: abs(g) * x**j for j, g in self.gamma.items()}
-
-        def tail_over_scale(top: int) -> float:  # the bound above with M = top
-            return x * poisson_tail_bound(x, top) + sum(
-                cj * (x * poisson_tail_bound(x, top - j) + j * poisson_tail_bound(x, top - j + 1))
-                for j, cj in c.items())
-
-        budget = 2.0**-70 * (1.0 + sum(c.values()))
-        lo = top = max(int(x), 2 * self.nu)
-        while tail_over_scale(top) > budget:  # the bound falls with M: gallop, then bisect
-            lo, top = top + 1, 2 * top + 1
-        while lo < top:
-            mid = (lo + top) // 2
-            lo, top = (mid + 1, top) if tail_over_scale(mid) > budget else (lo, mid)
+        c = _spec_kernel(self, True)
+        top = _cutoff(x, c)
         a = np.cumprod(np.concatenate(([1.0], x / np.arange(1.0, top + 1))))
         w = a.copy()
         for j, g in self.gamma.items():
             w[j:] -= g * x**j * a[: top + 1 - j]
-        return FactorialMoments(w, scale * tail_over_scale(top))
+        return FactorialMoments(w, scale * _truncation(x, c, top)[1])
 
 
 def spec_poisson(lam: float) -> CorrectionSpec:
@@ -270,10 +253,8 @@ def build_phi_nu(spec: CorrectionSpec, kmax: int | None = None,
     absolute value:
 
     * |phi(k)| <= sum_i |c_i| pi(k - i), i <= 2 nu - 2, gives the first term
-      (Chernoff, one coefficient at a time).  Without ``kmax``, K doubles
-      from lam + 10 sqrt(lam) until the coarser S P(Z >= K + 3 - 2 nu) is
-      below 1e-13, which leaves room for factorial moments summed over the
-      masses.
+      (``_truncation``).  Without ``kmax``, K is ``_cutoff``'s, where the
+      masses past K, weighted by k or not, sum to at most 2^-60 S.
     * The correctly rounded c_i cost u S.  The pi(m) of ``poisson_pmf`` are
       each within a relative g_(2m+2) below lam = 708 (exp within an ulp,
       two roundings a step) and g_(2m+5) from there on, which covers its
@@ -291,11 +272,7 @@ def build_phi_nu(spec: CorrectionSpec, kmax: int | None = None,
       is off by at most 2^-1075.  That is the third term.
     """
     c = _spec_kernel(spec)
-    if kmax is None:
-        size = math.fsum(np.abs(c).tolist())
-        kmax = max(16, math.ceil(spec.lam + 10.0 * math.sqrt(spec.lam)))
-        while size * poisson_tail_bound(spec.lam, kmax + 3 - 2 * spec.nu) >= 1e-13:
-            kmax *= 2  # ends: the Chernoff bound tends to 0
+    kmax = _cutoff(spec.lam, c) if kmax is None else kmax
     mass, tail, _ = _poisson_convolution(spec.lam, c, kmax)
     if label is None:
         label = f"phi{spec.nu}" if spec.gamma or spec.nu == 1 else "poisson"
@@ -320,33 +297,54 @@ def _spec_kernel(spec: CorrectionSpec, moments: bool = False) -> np.ndarray:
     return np.array([x / den for x in c])
 
 
+def _cutoff(lam: float, c: np.ndarray) -> int:
+    """Where pi_lam * c is cut: the least K >= len(c) + ceil(lam) at which
+    lam P(Z >= K + 1 - len(c)) + (len(c) - 1) P(Z >= K + 2 - len(c)), the
+    largest per-unit term of ``_truncation``'s index-weighted sum, is at most
+    2^-60.  So the entries past K, weighted by their index or not, sum to at
+    most 2^-60 sum_i |c_i|, below the rounding of the convolution.  The
+    Chernoff bound falls with K past lam: gallop, then bisect."""
+    def above(k: int) -> bool:
+        return (lam * poisson_tail_bound(lam, k + 1 - c.size)
+                + (c.size - 1) * poisson_tail_bound(lam, k + 2 - c.size)) > 2.0**-60
+
+    lo = top = c.size + math.ceil(lam)
+    while above(top):
+        lo, top = top + 1, 2 * top + 1
+    while lo < top:
+        mid = (lo + top) // 2
+        lo, top = (mid + 1, top) if above(mid) else (lo, mid)
+    return top
+
+
+def _truncation(lam: float, c: np.ndarray, kmax: int) -> tuple[float, float]:
+    """Bounds on sum_{k>K} |e_k| and sum_{k>K} k |e_k| for e = pi_lam * c:
+    |e_k| <= sum_i |c_i| pi(k - i), and sum_{j >= m} j pi(j) = lam P(Z >= m - 1),
+    give sum_i |c_i| P(Z >= K + 1 - i) and sum_i |c_i| (lam P(Z >= K - i)
+    + i P(Z >= K + 1 - i)), each P by its Chernoff bound."""
+    weights = np.abs(c).tolist()
+    tails = [poisson_tail_bound(lam, kmax + 1 - i) for i in range(c.size + 1)]
+    return (math.fsum(w * tails[i] for i, w in enumerate(weights)),
+            math.fsum(w * (lam * tails[i + 1] + i * tails[i]) for i, w in enumerate(weights)))
+
+
 def _poisson_convolution(lam: float, c: np.ndarray, kmax: int) -> tuple[np.ndarray, float, float]:
     """pi * c on 0..K, the Poisson(lam) masses convolved with a kernel c, and
     bounds on sum_k |e_k| and on sum_k k |e_k|, where e_k is the rounding of
     an entry up to K and the whole entry past K (``build_phi_nu``'s
-    derivation, for a kernel whose entries are each rounded once).  Past K,
-    sum_{j >= m} j pi(j) = lam P(Z >= m - 1) gives the second truncation
-    term; up to K, the rounding weighted by k is at most K times its sum.
-    The first 16 coefficients are bounded one at a time, the rest together
-    at the largest tails, those of i = len(c) - 1."""
-    weights = np.abs(c).tolist()
-    size = math.fsum(weights)
+    derivation, for a kernel whose entries are each rounded once).  Past K
+    the bounds are ``_truncation``'s; up to K, the rounding weighted by k is
+    at most K times its sum."""
+    size = math.fsum(np.abs(c).tolist())
     u = 2.0**-53
     s = 3 if lam < 708 else 6
     rounding = size * (2.0 * lam + (c.size + 1) + s) * u
     underflow = (size + (c.size + 1)) * (kmax + 1) * 2.0**-1021
     scale = 1.0 - (2 * kmax + c.size + 3) * u
-    tails = [poisson_tail_bound(lam, kmax + 1 - i) for i in range(min(c.size, 16) + 1)]
-    rest = math.fsum(weights[16:])  # P(Z >= K + 2 - len(c)) and P(Z >= K + 1 - len(c))
-    last = [poisson_tail_bound(lam, kmax + 2 - c.size - i) for i in range(2)] if rest else [0, 0]
-    tail = (math.fsum([w * tails[i] for i, w in enumerate(weights[:16])] + [rest * last[0]])
-            + rounding + underflow) / scale
-    moment_tail = (math.fsum([w * (lam * tails[i + 1] + i * tails[i])
-                              for i, w in enumerate(weights[:16])]
-                             + [rest * (lam * last[1] + (c.size - 1) * last[0])])
-                   + kmax * (rounding + underflow)) / scale
+    plain, weighted = _truncation(lam, c, kmax)
     mass = np.convolve(_poisson_masses(lam, kmax), c)[: kmax + 1]
-    return mass, tail, moment_tail
+    return (mass, (plain + rounding + underflow) / scale,
+            (weighted + kmax * (rounding + underflow)) / scale)
 
 
 def build_phi2(p: ProbVector, kmax: int | None = None) -> CorrectedMeasure:

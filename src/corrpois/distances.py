@@ -40,10 +40,10 @@ from typing import Callable
 
 import numpy as np
 
-from .corrected import (CorrectionSpec, _log_coefficients, _poisson_convolution,
+from .corrected import (CorrectionSpec, _cutoff, _log_coefficients, _poisson_convolution,
                         _series_powers, _spec_from_parts, _spec_kernel, _weight_sum)
 from .pmf import (FactorialMoments, ProbVector, SignedPmf, _power_sum_values, _product_error,
-                  _sn_array, poisson_tail_bound)
+                  _sn_array)
 
 __all__ = [
     "DistanceResult",
@@ -389,7 +389,7 @@ def _direct(p: ProbVector, spec: CorrectionSpec, moments: bool, majorant: np.nda
     sn = _sn_array(p, moments)  # factorial_moments_sn(p).weighted or the pmf's masses
     sn_err = _product_error(sn, p.n, moments, 2.0 * scale)
     c = _spec_kernel(spec, moments)
-    phi, tail, moment_tail = _poisson_convolution(z, c, max(_cutoff(z, c.size), p.n))
+    phi, tail, moment_tail = _poisson_convolution(z, c, max(_cutoff(z, c), p.n))
     phi *= -scale
     local = _U * (4.0 * np.abs(phi))
     phi[:sn.size] += sn  # now the differences
@@ -489,7 +489,7 @@ def _kernel(p: ProbVector, spec: CorrectionSpec, moments: bool, lams: tuple[floa
         m = 2 * kappa.size
         rounding += m * _U / (1.0 - m * _U) * math.fsum(
             np.ldexp(np.abs(kappa), np.arange(kappa.size)).tolist())
-    values, conv, moment_conv = _poisson_convolution(z, kernel, _cutoff(z, kernel.size))
+    values, conv, moment_conv = _poisson_convolution(z, kernel, _cutoff(z, kernel))
     cut, moment_cut = _cauchy_tail(q, l2, top)
     error = rounding + cut + conv
     moment_error = (z + 2 * top) * rounding + z * cut + 2.0 * moment_cut + moment_conv
@@ -527,16 +527,6 @@ def _shifted(kappa: np.ndarray) -> np.ndarray:
         out[1:] = out[:-1] - out[1:]
         out[0] = kappa[j] - out[0]
     return out
-
-
-def _cutoff(lam: float, length: int) -> int:
-    """A support end K for pi_lam * c with c of the given length: the
-    truncation sum_i |c_i| P(Z >= K + 1 - i) is at most 2^-60 sum_i |c_i|,
-    below the rounding of the convolution."""
-    kmax = max(16, math.ceil(lam + 10.0 * math.sqrt(lam))) + length
-    while poisson_tail_bound(lam, kmax + 2 - length) >= 2.0**-60:
-        kmax *= 2
-    return kmax
 
 
 def _cauchy_tail(q: float, l2: float, top: int) -> tuple[float, float]:

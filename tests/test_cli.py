@@ -482,3 +482,22 @@ def test_kmax_applies_only_to_hellinger(metric):
     assert r.stderr == "error: --kmax applies only to --metric hellinger\n"
     assert run_cli("distance", "--metric", "hellinger", "--binomial", "20", "1", "--order", "1",
                    "--kmax", "30").returncode == 0
+
+
+def test_kmax_applies_only_to_corrected_orders():
+    r = run_cli("pmf", "--binomial", "20", "1", "--order", "0", "--kmax", "30")
+    assert (r.returncode, r.stdout) == (2, "")
+    assert r.stderr == "error: --kmax applies only to --order 1..8\n"
+
+
+@pytest.mark.parametrize("args, low", [
+    (("pmf", "--binomial", "20", "1", "--order", "2", "--kmax"), 0),
+    (("distance", "--metric", "hellinger", "--binomial", "20", "1", "--order", "1", "--kmax"), 0),
+    (("bounds", "--check", "sandwich", "--binomial", "20", "1", "--mmax"), 1),
+    (("bounds", "--check", "lower3", "--binomial", "20", "1", "--mmax"), 1),
+])
+def test_flag_below_its_range_is_input_error(args, low):
+    r = run_cli(*args, str(low - 1))
+    assert (r.returncode, r.stdout) == (2, "")
+    assert r.stderr == f"error: {args[-1]} must be >= {low}, got {low - 1}\n"
+    assert run_cli(*args, str(low)).returncode == 0

@@ -31,7 +31,8 @@ from corrpois import (
     spec_phi3_tilde,
     spec_poisson,
 )
-from corrpois.corrected import gamma_from_power_sums
+from corrpois.corrected import _cutoff, _spec_kernel, gamma_from_power_sums
+from corrpois.pmf import poisson_tail_bound
 
 P123 = ProbVector((0.1, 0.2, 0.3))
 
@@ -378,6 +379,32 @@ class TestKernelConstruction:
         beyond = charlier_masses(spec, top + 600)[0][top + 1:]
         assert math.fsum(np.abs(beyond).tolist()) <= phi.pmf.tail_bound
 
+
+def cut_term(lam, length, k):
+    """lam P(Z >= k + 1 - length) + (length - 1) P(Z >= k + 2 - length), Z ~ Poisson(lam)."""
+    return (lam * poisson_tail_bound(lam, k + 1 - length)
+            + (length - 1) * poisson_tail_bound(lam, k + 2 - length))
+
+
+class TestCutoff:
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(1e-6, 1e3), st.integers(1, 31))
+    def test_least_cut_meeting_the_bound(self, lam, length):
+        k = _cutoff(lam, np.ones(length))
+        assert k >= length + math.ceil(lam) and cut_term(lam, length, k) <= 2.0**-60
+        assert k == length + math.ceil(lam) or cut_term(lam, length, k - 1) > 2.0**-60
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.floats(0.0, 0.5), min_size=1, max_size=60), ORDERS)
+    def test_masses_and_moments_cut_by_the_one_rule(self, probs, order):
+        spec = moment_matched(probs, order)
+        assert build_phi_nu(spec).pmf.support_max == _cutoff(spec.lam, _spec_kernel(spec))
+        fm = spec.moments()
+        assert fm.weighted.size - 1 == _cutoff(2.0 * spec.lam, _spec_kernel(spec, True))
+        assert fm.weighted[0] == 1.0
+
+    def test_tiny_mean_high_order_support(self):
+        assert build_phi_nu(spec_for_order(equal_probs(200, 0.001), 8)).pmf.support_max == 19
 
 
 def decimal_masses(spec, kmax, digits=60):

@@ -152,6 +152,13 @@ class TestD2ExactProduct:
         series = d2(factorial_moments_sn(p), spec.moments())
         assert exact.value == pytest.approx(series.value, rel=1e-12)
 
+    def test_series_keeps_the_moments_past_the_correction_degrees(self):
+        # at 2 lam = 4.9e-4 the order-3 moments must reach w_7 = 9e-26, 1.4e-11 of d2
+        p = ProbVector((0.00024311119728082087,))
+        series = d2(factorial_moments_sn(p), spec_phi3(p).moments())
+        exact = d2_exact_product(p, spec_phi3(p))
+        assert abs(series.value - exact.value) <= 1e-11 * exact.value
+
     def test_domination_signs(self):
         assert certify_domination(P123, spec_poisson(P123.lam)) == -1
         assert certify_domination(P123, spec_phi2(P123)) == 1
