@@ -4,9 +4,8 @@ P_m is evaluated through its explicit triangular expansion
 
     P_m(k) = sum_{j=0}^m (-1)^(m-j) C(m, j) lam^(m-j) (k)_j,
 
-not a three-term recurrence: degrees stay small (m <= 12 everywhere in this
-package) and the explicit sum is the directly checkable definition.  The
-recurrence is kept in the test-suite as an independent oracle.
+one compensated sum per point.  The three-term recurrence, which the
+corrected masses run, misses the orthogonality tolerance at lam = 0.1.
 
 The module also provides numeric verification of the two identities the rest
 of the package leans on: orthogonality E P_m(Z) P_nu(Z) = m! lam^m delta and
@@ -47,7 +46,7 @@ def falling_factorial(k: int, m: int) -> float:
 
 
 def _charlier_at(m: int, lam: float, ks: np.ndarray) -> np.ndarray:
-    """P_m at the integer points ks: the explicit sum, one compensated sum per point."""
+    """P_m at the integer points ks by the explicit sum."""
     rows = []
     ff = np.ones(ks.size)  # (k)_j
     for j in range(m + 1):

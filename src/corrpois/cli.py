@@ -257,6 +257,9 @@ def _theta_reports(p: ProbVector, args: argparse.Namespace) -> list[_bounds.Boun
 
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
+    for flag, value in (("--atol", args.atol), ("--rtol", args.rtol)):
+        if value is not None and not 0 <= value < math.inf:
+            raise CliInputError(f"{flag} must be finite and >= 0, got {value}")
     if args.check == "remark2":
         if args.lam is None:
             raise CliInputError("--check remark2 requires --lambda")

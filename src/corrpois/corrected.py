@@ -84,22 +84,16 @@ class CorrectionSpec:
     def moments(self) -> FactorialMoments:
         """Weighted factorial moments 2^m mu_m / m! = a_m - sum_j gamma_j (2 lam)^j a_(m-j).
 
-        Here a_m = (2 lam)^m / m! = e^(2 lam) pi_(2 lam)(m), so w = e^(2 lam)
-        (pi_(2 lam) * c) with c = ``_spec_kernel(spec, True)``, cut at M =
-        ``_cutoff(2 lam, c)``, past every correction degree and the first
-        unmatched moment.  The tail sum_{m>M} m |w_m| is e^(2 lam) times the
-        index-weighted bound of ``_truncation``.  Raises OverflowError when
-        e^(2 lam) exceeds binary64 (lam above about 354).
+        Here a_m = (2 lam)^m / m! = e^(2 lam) pi_(2 lam)(m): w = a * c, c =
+        ``_moment_kernel``, cut at M = ``_cutoff(2 lam, 2 nu - 1)``, past every
+        correction degree and the first unmatched moment, with the tail e^(2
+        lam) times ``_truncation``'s index-weighted bound.  Raises
+        OverflowError when e^(2 lam) exceeds binary64 (lam above about 354).
         """
-        x = 2.0 * self.lam
-        scale = math.exp(x)
-        c = _spec_kernel(self, True)
-        top = _cutoff(x, c)
-        a = np.cumprod(np.concatenate(([1.0], x / np.arange(1.0, top + 1))))
-        w = a.copy()
-        for j, g in self.gamma.items():
-            w[j:] -= g * x**j * a[: top + 1 - j]
-        return FactorialMoments(w, scale * _truncation(x, c, top)[1])
+        x, c = 2.0 * self.lam, _moment_kernel(self)
+        top = _cutoff(x, c.size)
+        return FactorialMoments(_poisson_convolution(x, c, top, True)[0],
+                                math.exp(x) * _truncation(x, c, top)[1])
 
 
 def spec_poisson(lam: float) -> CorrectionSpec:
@@ -240,75 +234,69 @@ def build_phi_nu(spec: CorrectionSpec, kmax: int | None = None,
                  label: str | None = None) -> CorrectedMeasure:
     """Corrected measure of arbitrary order from an explicit coefficient spec.
 
-    The masses on 0..K are pi * c, the Poisson(lam) masses convolved with the
-    kernel of the module docstring.  A binary64 number is an integer over a
-    power of two, so each c_i is found exactly, over the largest denominator,
-    and rounded once.  With S = sum_i |c_i|, u = 2^-53, g_n = n u / (1 - n u),
-    Z ~ Poisson(lam) and s = 3 for lam < 708, 6 from there on, the tail bound
-
-        (sum_i |c_i| P(Z >= K + 1 - i) + (2 lam + 2 nu + s) u S
-         + (S + 2 nu) (K + 1) 2^-1021) / (1 - (2K + 2 nu + 2) u)
-
-    bounds the masses past K plus the rounding of those up to K, both in
-    absolute value:
-
-    * |phi(k)| <= sum_i |c_i| pi(k - i), i <= 2 nu - 2, gives the first term
-      (``_truncation``).  Without ``kmax``, K is ``_cutoff``'s, where the
-      masses past K, weighted by k or not, sum to at most 2^-60 S.
-    * The correctly rounded c_i cost u S.  The pi(m) of ``poisson_pmf`` are
-      each within a relative g_(2m+2) below lam = 708 (exp within an ulp,
-      two roundings a step) and g_(2m+5) from there on, which covers its
-      scaled start h 2^E h: from h = e^(-lam/2) within an ulp, that is
-      within about 5u.  They cost S sum_m pi(m) g_(2m+s-1), about
-      (2 lam + s - 1) u S.  A mass sums
-      2 nu - 1 products c_i pi(k - i), erring by g_(2 nu - 1) times their
-      absolute sum: about (2 nu - 1) u S.  The products of these errors stay
-      below u S for the supported lam < 1416, and the denominator covers
-      each g_n and the rounding of S and of the first term.
-    * Below 2^-1022 relative bounds give way to absolute ones.  A mass that
-      ``poisson_pmf`` scales back below 2^-1022 is off by at most 2^-1075
-      more, and one that its recurrence takes there past the mode is, like
-      its exact value, below 2^-1021; a product c_i pi(k - i) that underflows
-      is off by at most 2^-1075.  That is the third term.
+    The masses on 0..K and their tail bound are ``_charlier_masses``'; K is
+    ``_cutoff``'s for the kernel length 2 nu - 1 unless ``kmax`` is given.
     """
-    c = _spec_kernel(spec)
-    kmax = _cutoff(spec.lam, c) if kmax is None else kmax
-    mass, tail, _ = _poisson_convolution(spec.lam, c, kmax)
+    kmax = _cutoff(spec.lam, 2 * spec.nu - 1) if kmax is None else kmax
+    mass, tail, _ = _charlier_masses(spec, kmax)
     if label is None:
         label = f"phi{spec.nu}" if spec.gamma or spec.nu == 1 else "poisson"
     return CorrectedMeasure(spec, SignedPmf(mass, tail, label))
 
 
-def _spec_kernel(spec: CorrectionSpec, moments: bool = False) -> np.ndarray:
-    """The coefficients of c(x) = 1 - sum_j gamma_j lam^j (x - 1)^j, or with
-    ``moments`` those of c(1 + 2s) = 1 - sum_j gamma_j (2 lam)^j s^j, each found
-    exactly from the binary64 lam and gamma_j and rounded once."""
-    a, b = spec.lam.as_integer_ratio()
-    den = max([1] + [g.as_integer_ratio()[1] * b**j for j, g in spec.gamma.items()])
-    c = [den] + [0] * (2 * spec.nu - 2)
+def _charlier_masses(spec: CorrectionSpec, kmax: int) -> tuple[np.ndarray, float, float]:
+    """The masses pi(k) (1 - sum_j gamma_j P_j(k)) on 0..K, with the bounds of
+    ``_poisson_convolution``, from P_(j+1) = (k - lam - j) P_j - j lam P_(j-1)
+    over every k at once.  With g_n = n u / (1 - n u), u = 2^-53:
+
+    * Rounding.  A step's two terms each meet three roundings ((k - j) - lam
+      or j lam, a product, the difference), so P_j is within g_(3j) M_j, M
+      the same recurrence on absolute values plus 2^-1019 a step for
+      underflows.  With B = sum_j |gamma_j| M_j the factor is within
+      g_(8 nu - 7) (1 + B), and with pi(k) within g_(2k+5)
+      (``_poisson_convolution``) the mass within g_(2k + 8 nu) pi(k) (1 + B),
+      plus (1 + B) 2^-1020 where pi(k) is below 2^-1022.  The denominator
+      covers the computed against the exact pi, M and B, and the sums.
+    * Truncation.  The exact masses are pi * c (module docstring), |c_i| <=
+      [i = 0] + sum_j |gamma_j| lam^j C(j, i), and P(Z >= m) falls in m, so
+      ``_truncation`` of the kernel 1, |gamma_j| (2 lam)^j bounds them.
+    """
+    k = np.arange(kmax + 1.0)
+    p0, p1, m0, m1 = 0.0, np.ones(k.size), 0.0, 1.0  # P_(j-1), P_j and their M
+    factor, big = np.ones(k.size), np.ones(k.size)  # 1 - sum_j gamma_j P_j and 1 + B
+    for j in range(max(spec.gamma, default=0)):
+        a, b = (k - j) - spec.lam, j * spec.lam
+        p0, p1 = p1, a * p1 - b * p0
+        m0, m1 = m1, np.abs(a) * m1 + b * m0 + 2.0**-1019
+        g = spec.gamma.get(j + 1, 0.0)
+        factor -= g * p1
+        big += abs(g) * m1
+    pi = _poisson_masses(spec.lam, kmax)
+    err = pi * big * ((2.0 * k + 8 * spec.nu) * 2.0**-53) + big * 2.0**-1020
+    plain, weighted = _truncation(spec.lam, _moment_kernel(spec), kmax)
+    scale = 1.0 - (5 * kmax + 18 * spec.nu + 18) * 2.0**-53
+    return pi * factor, (plain + math.fsum(err.tolist())) / scale, (weighted + k @ err) / scale
+
+
+def _moment_kernel(spec: CorrectionSpec) -> np.ndarray:
+    """The coefficients of c(1 + 2s) = 1 - sum_j gamma_j (2 lam)^j s^j, each within 3u."""
+    c = np.array([1.0] + [0.0] * (2 * spec.nu - 2))
     for j, g in spec.gamma.items():
-        n, d = g.as_integer_ratio()
-        num = n * a**j * (den // (d * b**j))
-        if moments:
-            c[j] -= num << j
-        else:
-            for i in range(j + 1):
-                c[i] -= (-1) ** (j - i) * math.comb(j, i) * num
-    return np.array([x / den for x in c])
+        c[j] = -g * (2.0 * spec.lam) ** j
+    return c
 
 
-def _cutoff(lam: float, c: np.ndarray) -> int:
-    """Where pi_lam * c is cut: the least K >= len(c) + ceil(lam) at which
-    lam P(Z >= K + 1 - len(c)) + (len(c) - 1) P(Z >= K + 2 - len(c)), the
-    largest per-unit term of ``_truncation``'s index-weighted sum, is at most
-    2^-60.  So the entries past K, weighted by their index or not, sum to at
-    most 2^-60 sum_i |c_i|, below the rounding of the convolution.  The
-    Chernoff bound falls with K past lam: gallop, then bisect."""
+def _cutoff(lam: float, size: int) -> int:
+    """Where pi_lam * c is cut for a kernel c of ``size`` entries: the least
+    K >= size + ceil(lam) with lam P(Z >= K + 1 - size) + (size - 1) P(Z >=
+    K + 2 - size) <= 2^-60, the largest per-unit term of ``_truncation``'s
+    index-weighted sum, so that the entries past K, weighted by their index
+    or not, sum to at most 2^-60 sum_i |c_i|.  Gallop, then bisect."""
     def above(k: int) -> bool:
-        return (lam * poisson_tail_bound(lam, k + 1 - c.size)
-                + (c.size - 1) * poisson_tail_bound(lam, k + 2 - c.size)) > 2.0**-60
+        return (lam * poisson_tail_bound(lam, k + 1 - size)
+                + (size - 1) * poisson_tail_bound(lam, k + 2 - size)) > 2.0**-60
 
-    lo = top = c.size + math.ceil(lam)
+    lo = top = size + math.ceil(lam)
     while above(top):
         lo, top = top + 1, 2 * top + 1
     while lo < top:
@@ -328,23 +316,36 @@ def _truncation(lam: float, c: np.ndarray, kmax: int) -> tuple[float, float]:
             math.fsum(w * (lam * tails[i + 1] + i * tails[i]) for i, w in enumerate(weights)))
 
 
-def _poisson_convolution(lam: float, c: np.ndarray, kmax: int) -> tuple[np.ndarray, float, float]:
-    """pi * c on 0..K, the Poisson(lam) masses convolved with a kernel c, and
-    bounds on sum_k |e_k| and on sum_k k |e_k|, where e_k is the rounding of
-    an entry up to K and the whole entry past K (``build_phi_nu``'s
-    derivation, for a kernel whose entries are each rounded once).  Past K
-    the bounds are ``_truncation``'s; up to K, the rounding weighted by k is
-    at most K times its sum."""
+def _poisson_convolution(lam: float, c: np.ndarray, kmax: int,
+                         moments: bool = False) -> tuple[np.ndarray, float, float]:
+    """w * c on 0..K for a kernel c whose entries are each within 3u, w the
+    Poisson(lam) masses pi or, with ``moments``, w_m = lam^m / m! = E pi(m),
+    E = e^lam, from exactly w_0 = 1; and bounds on sum_k |e_k| and sum_k k
+    |e_k|, e_k the rounding of an entry up to K and the whole entry past K.
+    Past K they are E times ``_truncation``'s.  With S = sum_i |c_i|, u =
+    2^-53 and g_n = n u / (1 - n u): w_m is within g_(2m), and pi(m) of
+    ``poisson_pmf`` within g_(2m+2) below lam = 708 (exp within an ulp, two
+    roundings a step) and g_(2m+5) from there on (its scaled start is within
+    about 5u), costing about (2 lam + s) u E S, s = 0, 2 or 5.  The kernel
+    adds 3u E S, and an entry's len(c) products g_len times their absolute
+    sum; products of errors stay below u E S for lam < 1416, and the
+    denominator covers each g_n and the rounding of E, S and the truncation.
+    Below 2^-1022 a weight is, like its exact value, within 2^-1021, and an
+    underflowing product loses 2^-1075: (S + len(c) + 1) (K + 1) 2^-1021.
+    Up to K the rounding weighted by k is at most K times its sum.
+    """
+    total = math.exp(lam) if moments else 1.0
     size = math.fsum(np.abs(c).tolist())
-    u = 2.0**-53
-    s = 3 if lam < 708 else 6
-    rounding = size * (2.0 * lam + (c.size + 1) + s) * u
+    s = 0 if moments else 2 if lam < 708 else 5
+    rounding = total * size * (2.0 * lam + c.size + s + 4) * 2.0**-53
     underflow = (size + (c.size + 1)) * (kmax + 1) * 2.0**-1021
-    scale = 1.0 - (2 * kmax + c.size + 3) * u
+    scale = 1.0 - (2 * kmax + c.size + 6) * 2.0**-53
     plain, weighted = _truncation(lam, c, kmax)
-    mass = np.convolve(_poisson_masses(lam, kmax), c)[: kmax + 1]
-    return (mass, (plain + rounding + underflow) / scale,
-            (weighted + kmax * (rounding + underflow)) / scale)
+    w = (np.cumprod(np.concatenate(([1.0], lam / np.arange(1.0, kmax + 1)))) if moments
+         else _poisson_masses(lam, kmax))
+    mass = np.convolve(w, c)[: kmax + 1]
+    return (mass, (total * plain + rounding + underflow) / scale,
+            (total * weighted + kmax * (rounding + underflow)) / scale)
 
 
 def build_phi2(p: ProbVector, kmax: int | None = None) -> CorrectedMeasure:

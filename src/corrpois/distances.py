@@ -20,8 +20,8 @@ kappa = sum_{w >= nu} E_w + (T_nu - c), with E_w the weight-w part of
 exp(L) and T_nu = sum_{w < nu} E_w (``corrected``; a moment-matched spec has
 c = T_nu).  At t = x - 1 this gives the mass differences Delta = pi_lam *
 (coefficients of kappa(x - 1)), and at t = 2s the weighted moment
-differences D = e^(2 lam) (pi_(2 lam) * (2^j kappa_j)): a Poisson pmf
-convolved with a short kernel, as a corrected measure is.  ``sn_distance``
+differences D = a * (2^j kappa_j), a_m = (2 lam)^m / m! = e^(2 lam)
+pi_(2 lam)(m): a Poisson pmf convolved with a short kernel.  ``sn_distance``
 reads tv = (1/2) sum |Delta|, wass = sum_{m>=1} |sum_{k>=m} Delta_k|, d2 =
 (1/2) sum |D| and d2tilde = (1/2) sum m |D_m| off them, and
 ``certify_domination`` the signs of D.  Where all those signs agree, d2 is
@@ -40,8 +40,9 @@ from typing import Callable
 
 import numpy as np
 
-from .corrected import (CorrectionSpec, _cutoff, _log_coefficients, _poisson_convolution,
-                        _series_powers, _spec_from_parts, _spec_kernel, _weight_sum)
+from .corrected import (CorrectionSpec, _charlier_masses, _cutoff, _log_coefficients,
+                        _moment_kernel, _poisson_convolution, _series_powers, _spec_from_parts,
+                        _weight_sum)
 from .pmf import (FactorialMoments, ProbVector, SignedPmf, _power_sum_values, _product_error,
                   _sn_array)
 
@@ -367,15 +368,15 @@ def _overflow(lam: float) -> str:
 
 def _direct(p: ProbVector, spec: CorrectionSpec, moments: bool, majorant: np.ndarray | None,
             gap: float) -> _Difference:
-    """The difference by subtraction: Delta = f - pi_lam * c with f the S_n
-    pmf, or D = w - e^(2 lam) (pi_(2 lam) * c) with w the weighted factorial
-    moments of S_n, c from ``_spec_kernel``.
+    """The difference by subtraction: Delta = f - phi with f the S_n pmf and
+    phi the measure's masses (``_charlier_masses``), or D = w - a * c with w
+    the weighted factorial moments of S_n, a_m = (2 lam)^m / m! and c =
+    ``_moment_kernel`` (``_poisson_convolution`` with ``moments``).
 
     Errors: f and w are within ``_product_error`` of the exact law; the
-    convolution within its bounds (``_poisson_convolution``); e^(2 lam) and
-    the product with it cost 4u, the subtraction u.  A matched spec adds the
-    gap to the exact coefficients: the stored gamma_j lam^j, from
-    ``gamma_from_power_sums`` and one division by lam^j, differ from the
+    measure's array within its bounds; the subtraction costs u.  A matched
+    spec adds the gap to the exact coefficients: the stored gamma_j lam^j,
+    from ``gamma_from_power_sums`` and one division by lam^j, differ from the
     exact [t^j] T_nu by at most u (w (w + 7) + nu + 4) times the parts'
     majorant (``_series_powers``), so the weight-w part costs that times
     A_w(2) in the sum over t = 2s or x - 1; and the mean lam = fsum(p),
@@ -388,12 +389,12 @@ def _direct(p: ProbVector, spec: CorrectionSpec, moments: bool, majorant: np.nda
     scale = math.exp(z) if moments else 1.0
     sn = _sn_array(p, moments)  # factorial_moments_sn(p).weighted or the pmf's masses
     sn_err = _product_error(sn, p.n, moments, 2.0 * scale)
-    c = _spec_kernel(spec, moments)
-    phi, tail, moment_tail = _poisson_convolution(z, c, max(_cutoff(z, c), p.n))
-    phi *= -scale
-    local = _U * (4.0 * np.abs(phi))
+    top = max(_cutoff(z, 2 * spec.nu - 1), p.n)
+    phi, tail, moment_tail = (_poisson_convolution(z, _moment_kernel(spec), top, True)
+                              if moments else _charlier_masses(spec, top))
+    phi = -phi
     phi[:sn.size] += sn  # now the differences
-    local += _U * np.abs(phi)
+    local = _U * np.abs(phi)
     local[:sn.size] += sn_err
     extra = 0.0
     if majorant is not None:  # a matched spec
@@ -401,18 +402,17 @@ def _direct(p: ProbVector, spec: CorrectionSpec, moments: bool, majorant: np.nda
         extra = scale * (_U * math.fsum((w * (w + 7) + spec.nu + 4) * a
                                         for w, a in enumerate(low) if w)
                          + gap * math.fsum(low))
-    spread = scale * (1.0 + 4.0 * _U) * tail + extra
+    spread = tail + extra
     return _Difference(phi, local + spread, local.sum() + spread,
-                       np.arange(phi.size) @ local
-                       + scale * (1.0 + 4.0 * _U) * moment_tail + extra * (z + 2 * spec.nu))
+                       np.arange(phi.size) @ local + moment_tail + extra * (z + 2 * spec.nu))
 
 
 def _kernel(p: ProbVector, spec: CorrectionSpec, moments: bool, lams: tuple[float, ...],
             matched: bool, gap: float, goal: float) -> _Difference | None:
     """The difference from kappa cut at weight W, or None where the tail alone
     cannot beat ``goal`` (the direct error or its floor, over e^(2 lam) for D):
-    pi_lam * kappa(x - 1) by Horner's rule for Delta, or e^(2 lam)
-    (pi_(2 lam) * (2^j kappa_j)) with ``moments`` for D.
+    pi_lam * kappa(x - 1) by Horner's rule for Delta, or a * (2^j kappa_j),
+    a_m = (2 lam)^m / m!, with ``moments`` for D.
 
     W is the first weight from 2 nu + 8 on (at most 128) whose tail is below
     the rounding bound of kappa; a first pass at 2 nu + 8 gives that bound,
@@ -448,12 +448,12 @@ def _kernel(p: ProbVector, spec: CorrectionSpec, moments: bool, lams: tuple[floa
       For another spec it multiplies S_n's generating function, costing
       2.01 |delta| times e^(2 lam) and 1 + 2 lam for D, 1 and 1 + lam for
       Delta.
-    * The convolution adds ``_poisson_convolution``'s bounds, and the
-      scaling by e^(2 lam) 4u.
+    * The convolution adds ``_poisson_convolution``'s bounds, and e^(2 lam)
+      times the others 4u, which its factor 1 + 4u covers.
     """
     nu, n = spec.nu, p.n
     z = 2.0 * spec.lam if moments else spec.lam
-    scale = math.exp(z) if moments else 1.0
+    scale = math.exp(z) * (1.0 + 4.0 * _U) if moments else 1.0
     q, l2 = _radius_inputs(p, lams)
     if not _cauchy_tail(q, l2, _MAX_WEIGHT)[0] < goal:
         return None
@@ -489,14 +489,11 @@ def _kernel(p: ProbVector, spec: CorrectionSpec, moments: bool, lams: tuple[floa
         m = 2 * kappa.size
         rounding += m * _U / (1.0 - m * _U) * math.fsum(
             np.ldexp(np.abs(kappa), np.arange(kappa.size)).tolist())
-    values, conv, moment_conv = _poisson_convolution(z, kernel, _cutoff(z, kernel))
+    values, conv, moment_conv = _poisson_convolution(z, kernel, _cutoff(z, kernel.size), moments)
     cut, moment_cut = _cauchy_tail(q, l2, top)
-    error = rounding + cut + conv
-    moment_error = (z + 2 * top) * rounding + z * cut + 2.0 * moment_cut + moment_conv
-    values *= scale
+    error = scale * (rounding + cut) + conv
+    moment_error = scale * ((z + 2 * top) * rounding + z * cut + 2.0 * moment_cut) + moment_conv
     size = math.fsum(np.abs(values).tolist())
-    error = scale * (1.0 + 4.0 * _U) * error + 4.0 * _U * size
-    moment_error = scale * (1.0 + 4.0 * _U) * moment_error + 4.0 * _U * size * values.size
     if matched:
         moment_size = math.fsum((np.arange(values.size) * np.abs(values)).tolist())
         error, moment_error = (error + gap * (size + error),

@@ -501,3 +501,14 @@ def test_flag_below_its_range_is_input_error(args, low):
     assert (r.returncode, r.stdout) == (2, "")
     assert r.stderr == f"error: {args[-1]} must be >= {low}, got {low - 1}\n"
     assert run_cli(*args, str(low)).returncode == 0
+
+
+@pytest.mark.parametrize("flag", ["--atol", "--rtol"])
+@pytest.mark.parametrize("value", ["-1", "nan", "inf"])
+def test_malformed_tolerance_is_input_error(flag, value):
+    # lhs 2.79 against rhs 3.64 holds: -1 and nan made it fail, inf made every check hold
+    args = ("bounds", "--check", "theorem2", "--binomial", "20", "2", flag)
+    r = run_cli(*args, value)
+    assert (r.returncode, r.stdout) == (2, "")
+    assert r.stderr == f"error: {flag} must be finite and >= 0, got {float(value)}\n"
+    assert run_cli(*args, "0").returncode == 0

@@ -31,7 +31,7 @@ from corrpois import (
     spec_phi3_tilde,
     spec_poisson,
 )
-from corrpois.corrected import _cutoff, _spec_kernel, gamma_from_power_sums
+from corrpois.corrected import _cutoff, gamma_from_power_sums
 from corrpois.pmf import poisson_tail_bound
 
 P123 = ProbVector((0.1, 0.2, 0.3))
@@ -314,8 +314,8 @@ class TestBuildPhiNu:
 
 def charlier_masses(spec, kmax):
     """The masses as pi(k) (1 - sum_j gamma_j P_j(k)), one Charlier row per
-    gamma_j and a compensated sum at every point: the construction the
-    package used before the kernel convolution, kept as an oracle.
+    gamma_j from the explicit sum and a compensated sum at every point: an
+    oracle for the recurrence of ``corrected._charlier_masses``.
 
     Also returns pi(k) (1 + sum_j |gamma_j| (k + lam)^j), which bounds the
     oracle's own rounding at k when multiplied by (2 nu + 5) u, u = 2^-53:
@@ -390,7 +390,7 @@ class TestCutoff:
     @settings(max_examples=300, deadline=None)
     @given(st.floats(1e-6, 1e3), st.integers(1, 31))
     def test_least_cut_meeting_the_bound(self, lam, length):
-        k = _cutoff(lam, np.ones(length))
+        k = _cutoff(lam, length)
         assert k >= length + math.ceil(lam) and cut_term(lam, length, k) <= 2.0**-60
         assert k == length + math.ceil(lam) or cut_term(lam, length, k - 1) > 2.0**-60
 
@@ -398,9 +398,9 @@ class TestCutoff:
     @given(st.lists(st.floats(0.0, 0.5), min_size=1, max_size=60), ORDERS)
     def test_masses_and_moments_cut_by_the_one_rule(self, probs, order):
         spec = moment_matched(probs, order)
-        assert build_phi_nu(spec).pmf.support_max == _cutoff(spec.lam, _spec_kernel(spec))
+        assert build_phi_nu(spec).pmf.support_max == _cutoff(spec.lam, 2 * spec.nu - 1)
         fm = spec.moments()
-        assert fm.weighted.size - 1 == _cutoff(2.0 * spec.lam, _spec_kernel(spec, True))
+        assert fm.weighted.size - 1 == _cutoff(2.0 * spec.lam, 2 * spec.nu - 1)
         assert fm.weighted[0] == 1.0
 
     def test_tiny_mean_high_order_support(self):
@@ -430,16 +430,30 @@ def decimal_masses(spec, kmax, digits=60):
 
 
 class TestScaledPoissonStart:
-    @pytest.mark.parametrize("lam", [720.0, 1000.0])
-    @pytest.mark.parametrize("order", [1, 2, 3])
-    def test_error_within_tail_bound(self, lam, order):
-        spec = spec_for_order(equal_probs(2000, lam), order)
+    @staticmethod
+    def error_within_tail_bound(spec):
+        """The masses' total error against ``decimal_masses``, checked against
+        their tail bound, and that bound."""
         phi = build_phi_nu(spec)
         want, beyond = decimal_masses(spec, phi.pmf.support_max)
         with decimal.localcontext() as ctx:
             ctx.prec = 60
             err = sum((abs(Decimal(float(x)) - w) for x, w in zip(phi.pmf.mass, want)), beyond)
         assert err <= Decimal(phi.pmf.tail_bound)
+        return err, phi.pmf.tail_bound
+
+    @pytest.mark.parametrize("lam", [720.0, 1000.0])
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_error_within_tail_bound(self, lam, order):
+        self.error_within_tail_bound(spec_for_order(equal_probs(2000, lam), order))
+
+    @pytest.mark.parametrize("order", [5, 8])
+    def test_high_orders_keep_their_digits(self, order):
+        # the coefficients of c(x) have an absolute sum near lam^(2 nu - 2), so
+        # a convolution with them errs by about 5e-5 here at order 8
+        err, tail = self.error_within_tail_bound(
+            spec_for_order(equal_probs(10**4, 1000.0), order))
+        assert err <= Decimal("1e-13") and tail <= 1e-8
 
 
 class TestInvertMoments:

@@ -403,6 +403,9 @@ class TestD2ExactGradedRemainder:
 
 
 METRICS = ("tv", "wass", "d2", "d2tilde")
+# tv between S_n for 4000 probabilities 300/4000 and its order-8 measure, from an
+# 80-digit mpmath sum of the binomial masses minus pi(k) (1 - sum_j gamma_j P_j(k))
+TV_4000_300_ORDER8 = 9.68929e-11
 
 
 def assert_within(p, spec, want):
@@ -455,6 +458,14 @@ class TestDifferenceKernel:
         p = equal_probs(5000, 5.0)
         res = sn_distance(p, spec_for_order(p, 3), "d2")
         assert abs(res.value - 0.0035088307771113528) <= res.truncation_error
+
+    def test_direct_tv_at_a_large_mean(self):
+        # the direct route serves here, so the measure's masses must keep their
+        # digits at lam = 300, order 8 (a convolution with c(x) reads 7.05e-10)
+        p = equal_probs(4000, 300.0)
+        res = sn_distance(p, spec_for_order(p, 8), "tv")
+        assert rel_err(res.value, TV_4000_300_ORDER8) <= 1e-3
+        assert abs(res.value - TV_4000_300_ORDER8) <= res.truncation_error
 
     def test_tv_below_d2_at_large_n(self):
         n = 100_000
