@@ -239,6 +239,10 @@ def _theta_reports(p: ProbVector, args: argparse.Namespace) -> list[_bounds.Boun
     if any(explicit):
         if not all(explicit):
             raise CliInputError("--j, --m and --s must be given together")
+        for flag, value, low in (("--j", args.j, 0), ("--m", args.m, 0), ("--s", args.s, 1)):
+            _check_at_least(flag, value, low)
+        if args.j > args.m:
+            raise CliInputError(f"--j must be <= --m, got {args.j} > {args.m}")
         ps = _bounds.power_sums(p, args.m + args.s)
         value = _bounds.theta(args.j, args.m, args.s, ps)
         return [_bounds.BoundReport.make(
@@ -367,6 +371,9 @@ def _parse_grid(text: str) -> tuple[int, ...]:
         raise CliInputError(f"--n-grid expects comma-separated integers: {exc}") from exc
     if not grid:
         raise CliInputError("--n-grid must not be empty")
+    _check_at_least("--n-grid entry", min(grid), 1)
+    if any(b <= a for a, b in zip(grid, grid[1:])):
+        raise CliInputError(f"--n-grid must be strictly increasing, got {text}")
     return grid
 
 

@@ -29,6 +29,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -60,9 +61,10 @@ USER_SUPPLIED = "user-supplied"
 class CorrectionSpec:
     """Order, mean and correction coefficients of a corrected measure.
 
-    ``gamma`` maps polynomial degree j (2 <= j <= 2 nu - 2) to the
+    ``gamma`` maps polynomial degree j (2 <= j <= 2 nu - 2) to the finite
     coefficient gamma_j; missing degrees count as zero, and an empty map
-    (forced when nu = 1) is the plain Poisson.
+    (forced when nu = 1) is the plain Poisson.  It is read-only, so a spec
+    is a value: equal specs hash equal and can key a cache.
     """
 
     nu: int
@@ -73,13 +75,21 @@ class CorrectionSpec:
     def __post_init__(self) -> None:
         if self.nu < 1:
             raise ValueError("order nu must be >= 1")
-        if not self.lam > 0:
-            raise ValueError("corrected measures require a positive mean")
+        if not 0 < self.lam < math.inf:
+            raise ValueError(f"corrected measures require a finite positive mean: {self.lam!r}")
         gamma = {int(j): float(g) for j, g in self.gamma.items() if g != 0.0}
-        for j in gamma:
+        for j, g in gamma.items():
             if not 2 <= j <= 2 * self.nu - 2:
                 raise ValueError(f"gamma degree {j} outside 2..{2 * self.nu - 2}")
-        object.__setattr__(self, "gamma", gamma)
+            if not math.isfinite(g):
+                raise ValueError(f"gamma_{j} must be finite, got {g!r}")
+        object.__setattr__(self, "gamma", MappingProxyType(gamma))
+
+    def __hash__(self) -> int:
+        return hash((self.nu, self.lam, frozenset(self.gamma.items()), self.provenance))
+
+    def __reduce__(self):  # a mappingproxy does not pickle; its dict does
+        return CorrectionSpec, (self.nu, self.lam, dict(self.gamma), self.provenance)
 
     def moments(self) -> FactorialMoments:
         """Weighted factorial moments 2^m mu_m / m! = a_m - sum_j gamma_j (2 lam)^j a_(m-j).

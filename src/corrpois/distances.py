@@ -196,7 +196,7 @@ def sn_distance(p: ProbVector, spec: CorrectionSpec, metric: str) -> DistanceRes
     """
     if metric not in ("tv", "wass", "d2", "d2tilde"):
         raise ValueError(f"unknown metric: {metric!r}")
-    diff = _difference(p, spec, moments=metric in ("d2", "d2tilde"))
+    diff = _difference(p, spec, metric in ("d2", "d2tilde"))
     size = np.abs(diff.values)
     if metric in ("tv", "d2"):
         value = 0.5 * math.fsum(size.tolist())
@@ -233,43 +233,43 @@ class _Difference:
                 a.flags.writeable = False
 
 
+@functools.lru_cache(maxsize=4)  # a vector's D for three specs and one Delta
 def _difference(p: ProbVector, spec: CorrectionSpec, moments: bool) -> _Difference:
     """Delta, or with ``moments`` D, between S_n and the spec's measure.
 
-    Repeated calls on equal inputs share one build.  The key holds the
-    spec's values at call time, since its ``gamma`` is a plain dict a
-    caller can still change; the build sees a spec rebuilt from them.
-    """
-    key = (spec.nu, spec.lam, tuple(sorted(spec.gamma.items())), spec.provenance)
-    return _build_difference(p, key, moments)
-
-
-@functools.lru_cache(maxsize=4)  # a vector's D for three specs and one Delta
-def _build_difference(p: ProbVector, key: tuple, moments: bool) -> _Difference:
-    """``_difference`` for the spec of ``key``.
+    Repeated calls on equal inputs share one build.  Callers pass all three
+    arguments positionally: ``lru_cache`` keys a keyword apart from the same
+    value passed by position.
 
     A spec equal to ``spec_for_order(p, spec.nu)`` is moment-matched: the
     difference is taken to the measure with exact coefficients and the exact
     mean sum_i p_i, not to the one with the stored gamma and lam = fsum(p).
-    Other specs are taken as given.  Two builders serve: the direct
-    difference (``_direct``) and the kernel's (``_kernel``).  The kernel is
-    tried where the direct error exceeds 64 u sum |values|, 2 max p < 1,
-    the kernel applies (module docstring: a matched spec, or lam = fsum(p))
-    and the least rounding bound the kernel could have is below an eighth
-    of the direct error; the one with the smaller error is kept.  Where
-    bounds read off the inputs alone already settle that
-    (``_kernel_first``), the kernel comes first, and a kernel error below
-    the floor they give for the direct error leaves S_n's arrays unbuilt.
-    Otherwise the direct difference comes first and the kernel is tried
-    after it.
-    Raises OverflowError naming e^(2 lam) when D leaves binary64.
+    Other specs are taken as given.  Two builders serve, the direct
+    difference (``_direct``) and the kernel's (``_kernel``), and the one
+    with the smaller error is kept.  The kernel applies where 2 max p < 1
+    and the spec is matched or has lam = fsum(p) (module docstring).  Two
+    floors read off the inputs order them:
+
+    * The direct error is at least the share of S_n's array,
+      ``_product_error`` of half its sum: that sum is 1 for the pmf and
+      prod_i (1 + 2 p_i) >= e^(2 lambda_1 - 2 lambda_2) for the moments,
+      computed within g_K, and the half covers that and the rounding of the
+      exponent.
+    * ``_kernel`` gives up where its rounding bound reaches an eighth of its
+      goal, and that bound is at least ``_least``, so it meets no goal at or
+      below the kernel's floor, 8 times ``_least``.
+
+    Where the kernel applies and its floor is below the direct one, it comes
+    first, with that floor as its goal, and an error below the floor leaves
+    S_n's arrays unbuilt.  Otherwise the direct difference comes first, and
+    the kernel is built after it only where its floor is below the direct
+    error.  Raises OverflowError naming e^(2 lam) when D leaves binary64.
     """
-    nu, lam, gamma, provenance = key
-    spec = CorrectionSpec(nu, lam, dict(gamma), provenance)
+    nu, lam = spec.nu, spec.lam
     if moments and not 2.0 * lam < _LOG_MAX:
         raise OverflowError(_overflow(lam))
     lams = _power_sum_values(p, 1, min(max(nu, 2), 8))  # the kernel extends, never recomputes
-    low, majorant, matched = None, None, False  # parts and A_w(2) for w < nu
+    majorant, matched = None, False  # A_w(2) for w < nu of a matched spec
     if nu <= 8:
         low = _series_powers(_log_coefficients(lams, nu - 1), nu - 1)
         try:
@@ -280,24 +280,21 @@ def _build_difference(p: ProbVector, key: tuple, moments: bool) -> _Difference:
     # fsum rounds sum_i p_i - fsum(p) correctly, so this bounds 2.01 |that|
     gap = 2.03 * abs(math.fsum(p.probs + (-lams[0],)))
     scale = math.exp(2.0 * lam) if moments else 1.0
-    kernel, floor = None, 0.0
-    usable = (p.n and max(p.probs) < 0.5 and 2 * nu + 8 <= _MAX_WEIGHT
-              and (matched or lam == lams[0]))
+    kernel, least, floor = None, math.inf, 0.0
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is checked below
-        if usable:
-            floor = _kernel_first(p, spec, moments, lams, low, matched, scale)
-        if floor:
+        if (p.n and max(p.probs) < 0.5 and 2 * nu + 8 <= _MAX_WEIGHT
+                and (matched or lam == lams[0])):
             lams, least = _least(p, lams, nu, scale)
+            total = 0.5 * math.exp(2.0 * (lams[0] - lams[1])) if moments else 0.5
+            floor = float(_product_error(total, p.n, moments, 2.0 * scale))
             if 8.0 * least < floor:
                 kernel = _kernel(p, spec, moments, lams, matched, gap, floor / scale)
         if kernel is not None and kernel.error < floor:
             diff = kernel
         else:
             diff = _direct(p, spec, moments, majorant, gap)
-            if kernel is None and usable and diff.error > 64.0 * _U * np.abs(diff.values).sum():
-                lams, least = _least(p, lams, nu, scale)
-                if 8.0 * least < diff.error:
-                    kernel = _kernel(p, spec, moments, lams, matched, gap, diff.error / scale)
+            if kernel is None and 8.0 * least < diff.error:
+                kernel = _kernel(p, spec, moments, lams, matched, gap, diff.error / scale)
             if kernel is not None and kernel.error < diff.error:
                 diff = kernel
     if not (math.isfinite(diff.moment_error) and np.all(np.isfinite(diff.values))):
@@ -313,37 +310,6 @@ def _least(p: ProbVector, lams: tuple[float, ...], nu: int,
     lams += _power_sum_values(p, len(lams) + 1, nu + 1)
     return lams, scale * _U * (nu * (nu + 7) + 2 * nu + 10) * max(
         2.0 ** (nu + 1) * lams[nu] / (nu + 1), (2.0 * lams[1]) ** nu / math.factorial(nu))
-
-
-def _kernel_first(p: ProbVector, spec: CorrectionSpec, moments: bool, lams: tuple[float, ...],
-                  low: np.ndarray | None, matched: bool, scale: float) -> float:
-    """A floor under ``_direct``'s error bound where bounds on the inputs
-    alone show that bound to exceed 64 u of the sum of |values|, else 0.
-
-    The floor is the share of S_n's array: ``_product_error`` of half its
-    sum (which is 1 for the pmf, and prod_i (1 + 2 p_i) >= e^(2 lambda_1 -
-    2 lambda_2) for the moments, computed within g_K; the half covers that
-    and the rounding of the exponent).  The exact differences are the
-    coefficients of e^(lam t) kappa(t) at t = x - 1 or 2s, whose absolute
-    sum is at most e^(2 lam) (1 for Delta) times sum_j 2^j |kappa_j|: at
-    most T_(nu-1) (``_cauchy_tail``; inf where no radius serves) for the
-    part of weight nu and above, plus sum_j 2^j |[t^j] (T_nu - c)| for a
-    spec that is not matched, found only where the rest passes.  The
-    computed values are within the direct error E of the exact ones, so
-    floor > 64 u (that sum + floor) gives E > 64 u sum |values|.
-    """
-    nu = spec.nu
-    total = 0.5 * math.exp(2.0 * (lams[0] - lams[1])) if moments else 0.5
-    floor = float(_product_error(total, p.n, moments, 2.0 * scale))
-    size = scale * _cauchy_tail(*_radius_inputs(p, lams), nu - 1)[0] + floor
-    if not floor > 64.0 * _U * size:
-        return 0.0
-    if not matched:
-        if low is None:
-            low = _series_powers(_log_coefficients(lams, nu - 1), nu - 1)
-        below = _mismatch(low, spec)
-        size += scale * math.fsum(np.ldexp(np.abs(below), np.arange(below.size)).tolist())
-    return floor if floor > 64.0 * _U * size else 0.0
 
 
 def _mismatch(parts: np.ndarray, spec: CorrectionSpec) -> np.ndarray:

@@ -19,7 +19,7 @@ def fresh_caches():
     """Each test builds S_n's arrays and differences itself, so one that
     patches the builders is not served an entry an earlier test left."""
     pmf._sn_array.cache_clear()
-    distances._build_difference.cache_clear()
+    distances._difference.cache_clear()
 
 
 @pytest.fixture(scope="session")

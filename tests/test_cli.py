@@ -360,6 +360,19 @@ class TestScanCommand:
         assert "orders 1..8 are supported" in r.stderr
         assert r.stdout == ""
 
+    @pytest.mark.parametrize("command", [("scan", "--orders", "2"),
+                                         ("bounds", "--check", "remark2")])
+    @pytest.mark.parametrize("grid, reason", [
+        ("8,8,16", "--n-grid must be strictly increasing, got 8,8,16"),
+        ("16,8,32", "--n-grid must be strictly increasing, got 16,8,32"),
+        ("0,8,16", "--n-grid entry must be >= 1, got 0"),
+    ])
+    def test_grid_outside_range_is_input_error(self, command, grid, reason):
+        # refused before any point is computed
+        r = run_cli(*command, "--lambda", "1", "--n-grid", grid)
+        assert (r.returncode, r.stdout) == (2, "")
+        assert r.stderr == f"error: {reason}\n"
+
     def test_too_few_points(self):
         r = run_cli("scan", "--lambda", "1", "--n-grid", "4", "--orders", "2")
         assert r.returncode == 5
@@ -495,12 +508,22 @@ def test_kmax_applies_only_to_corrected_orders():
     (("distance", "--metric", "hellinger", "--binomial", "20", "1", "--order", "1", "--kmax"), 0),
     (("bounds", "--check", "sandwich", "--binomial", "20", "1", "--mmax"), 1),
     (("bounds", "--check", "lower3", "--binomial", "20", "1", "--mmax"), 1),
+    (("bounds", "--check", "theta", "--binomial", "20", "1", "--m", "1", "--s", "1", "--j"), 0),
+    (("bounds", "--check", "theta", "--binomial", "20", "1", "--j", "0", "--s", "1", "--m"), 0),
+    (("bounds", "--check", "theta", "--binomial", "20", "1", "--j", "0", "--m", "1", "--s"), 1),
 ])
 def test_flag_below_its_range_is_input_error(args, low):
     r = run_cli(*args, str(low - 1))
     assert (r.returncode, r.stdout) == (2, "")
     assert r.stderr == f"error: {args[-1]} must be >= {low}, got {low - 1}\n"
     assert run_cli(*args, str(low)).returncode == 0
+
+
+def test_theta_index_above_its_order_is_input_error():
+    r = run_cli("bounds", "--check", "theta", "--binomial", "20", "1",
+                "--j", "2", "--m", "1", "--s", "1")
+    assert (r.returncode, r.stdout) == (2, "")
+    assert r.stderr == "error: --j must be <= --m, got 2 > 1\n"
 
 
 @pytest.mark.parametrize("flag", ["--atol", "--rtol"])

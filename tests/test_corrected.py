@@ -60,6 +60,13 @@ class TestSpecs:
         with pytest.raises(ValueError):
             CorrectionSpec(1, 1.0, {2: 0.1})
 
+    @pytest.mark.parametrize("lam, gamma", [(math.inf, {}), (math.nan, {}),
+                                            (1.0, {2: math.nan}), (1.0, {2: math.inf})])
+    def test_non_finite_values_rejected(self, lam, gamma):
+        # refused at construction, not deep in a later build
+        with pytest.raises(ValueError, match="finite"):
+            CorrectionSpec(2, lam, gamma)
+
     def test_moment_matched_coefficients(self):
         ps = power_sums(P123, 3)
         lam = ps.lam

@@ -1,6 +1,7 @@
 import json
 import math
 import pathlib
+import pickle
 import re
 import subprocess
 import sys
@@ -486,6 +487,20 @@ class TestDifferenceKernel:
         assert abs(dd2.value - want) <= dd2.truncation_error
         assert rel_err(dd2.value, want) <= 1e-13
 
+    def test_kernel_first_at_a_small_mean(self, monkeypatch):
+        # eight times the kernel's least rounding is below S_n's share of the
+        # direct error, so the kernel comes first and its error ends the build
+        from corrpois import distances, pmf
+
+        def refuse(*args):
+            raise AssertionError("the direct difference was built")
+
+        p = ProbVector((0.005635086069540496,))
+        monkeypatch.setattr(distances, "_direct", refuse)
+        monkeypatch.setattr(pmf, "_linear_product", refuse)
+        res = sn_distance(p, spec_poisson(p.lam), "tv")
+        assert abs(res.value - exact_distances(p.probs, 1)["tv"]) <= res.truncation_error
+
     def test_large_n_builds_no_sn_array(self, monkeypatch):
         # at n = 10^5 bounds on the power sums alone already call for the
         # kernel, so neither S_n's pmf nor its factorial moments are built
@@ -554,13 +569,12 @@ class TestSharedBuilds:
         assert np.array_equal(poisson_binomial_pmf(P123).mass, masses)
         assert np.array_equal(factorial_moments_sn(P123).weighted, pmf._sn_array(P123, True))
 
-    def test_mutated_gamma_is_not_served_stale(self):
-        from corrpois import distances
-
+    def test_specs_are_read_only_values(self):
+        # the cache keys on the spec itself, so its gamma cannot change under it
         spec = CorrectionSpec(3, 0.6, {2: 0.05, 3: -0.01})
-        before = d2_exact_product(P123, spec).value
-        spec.gamma[2] = 0.04
-        after = d2_exact_product(P123, spec).value
-        distances._build_difference.cache_clear()
-        fresh = d2_exact_product(P123, CorrectionSpec(3, 0.6, {2: 0.04, 3: -0.01})).value
-        assert after == fresh != before
+        with pytest.raises(TypeError):
+            spec.gamma[2] = 0.04
+        twin = CorrectionSpec(3, 0.6, {3: -0.01, 2: 0.05, 4: 0.0})
+        assert twin == spec and hash(twin) == hash(spec)
+        assert hash(spec_phi3(P123)) == hash(spec_phi3(ProbVector(P123.probs)))
+        assert pickle.loads(pickle.dumps(spec)) == spec
