@@ -317,18 +317,27 @@ def rate_distance(order: int | str, n: int, lam: float, metric: str) -> float:
     return sn_distance(p, spec, metric).value
 
 
+def _checked_grid(n_grid: Sequence[int]) -> list[int]:
+    """The grid as a list, or ValueError naming it unless its sizes are at
+    least 1 and strictly increasing."""
+    grid = list(n_grid)
+    if any(n < 1 for n in grid) or any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ValueError(f"grid {grid} must hold sizes >= 1 in strictly increasing order")
+    return grid
+
+
 def fit_rate(lam: float, orders: Iterable[int | str], n_grid: Sequence[int],
              metric: str = "d2") -> list[RateFit]:
     """Empirical convergence exponents on an equal-probability grid.
 
     For each order, builds the corrected measure at every n in the grid,
     computes the chosen metric against Bin(n, lam/n), and fits
-    log(distance) against log(n).  Grid entries must be at least 2 lam so
-    the probabilities stay small; results are ordered like the input grid.
+    log(distance) against log(n).  Grid entries must be strictly increasing
+    and at least 2 lam so the probabilities stay small.
     """
     if lam <= 0:
         raise ValueError("lam must be positive")
-    grid = list(n_grid)
+    grid = _checked_grid(n_grid)
     if any(n < 2 * lam for n in grid):
         raise ValueError("every grid entry must be >= 2*lam")
     fits = []
@@ -350,7 +359,7 @@ def check_simplified_order3(lam: float, n_grid: Sequence[int] | None = None) -> 
         raise ValueError("lam must be finite and positive")
     if n_grid is None:
         n_grid = (10, 100, 1000, 10_000)
-    grid = list(n_grid)
+    grid = _checked_grid(n_grid)
     if max(grid) < 1000:
         raise ValueError("grid must reach at least 10^3")
     diffs = []

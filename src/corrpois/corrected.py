@@ -26,6 +26,7 @@ is exactly what makes it interesting as a counterexample.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -34,8 +35,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .pmf import (FactorialMoments, ProbVector, SignedPmf, _poisson_masses, poisson_tail_bound,
-                  power_sums)
+from .pmf import FactorialMoments, ProbVector, SignedPmf, _poisson_masses, _sn, poisson_tail_bound
 
 __all__ = [
     "CorrectionSpec",
@@ -97,12 +97,13 @@ class CorrectionSpec:
         Here a_m = (2 lam)^m / m! = e^(2 lam) pi_(2 lam)(m): w = a * c, c =
         ``_moment_kernel``, cut at M = ``_cutoff(2 lam, 2 nu - 1)``, past every
         correction degree and the first unmatched moment, with the tail e^(2
-        lam) times ``_truncation``'s index-weighted bound.  Raises
-        OverflowError when e^(2 lam) exceeds binary64 (lam above about 354).
+        lam) times ``_truncation``'s index-weighted bound; w comes from
+        ``_measure``.  Raises OverflowError when e^(2 lam) exceeds binary64
+        (lam above about 354).
         """
         x, c = 2.0 * self.lam, _moment_kernel(self)
         top = _cutoff(x, c.size)
-        return FactorialMoments(_poisson_convolution(x, c, top, True)[0],
+        return FactorialMoments(_measure(self, top, True)[0],
                                 math.exp(x) * _truncation(x, c, top)[1])
 
 
@@ -199,33 +200,37 @@ def spec_for_order(p: ProbVector, order: int | str) -> CorrectionSpec:
     probabilities; "3t" is order 3 without its gamma_4.  Every other order
     raises ValueError, and so does a mean whose power lam^(2 order - 2)
     falls below the normal floating-point range, where the coefficients
-    would lose their precision or divide by zero.
+    would lose their precision or divide by zero.  The spec comes from
+    ``_matched``.
     """
     nu = 3 if order == "3t" else order
     if nu not in range(1, 9):
         raise ValueError(f"unsupported order: {order!r}")
-    return _spec_from_power_sums(power_sums(p, int(nu)).values, order)
+    spec = _matched(p, int(nu))[1]
+    if order == "3t":
+        return CorrectionSpec(3, spec.lam, {j: g for j, g in spec.gamma.items() if j != 4},
+                              MOMENT_MATCHED)
+    return spec
 
 
-def _spec_from_power_sums(lams: Sequence[float], order: int | str) -> CorrectionSpec:
-    """``spec_for_order`` for a supported order, from the power sums
-    lams[j - 1] = lambda_j (j = 1..nu at least; later ones are not read)."""
-    nu = 3 if order == "3t" else int(order)
-    return _spec_from_parts(_series_powers(_log_coefficients(lams, nu - 1), nu - 1),
-                            lams[0], order)
-
-
-def _spec_from_parts(parts: np.ndarray, lam: float, order: int | str) -> CorrectionSpec:
-    """``_spec_from_power_sums`` from the parts of E_w, w < nu (``_series_powers``)."""
-    nu = 3 if order == "3t" else int(order)
+@functools.lru_cache(maxsize=8)  # a vector's specs of orders 1 to 3, and more
+def _matched(p: ProbVector, nu: int) -> tuple[np.ndarray, CorrectionSpec]:
+    """The parts of E_w, w < nu (``_series_powers`` at top nu - 1, read-only),
+    and ``spec_for_order(p, nu)`` built from them and the power sums of
+    ``_sn``.  Repeated calls on an equal vector and order share one
+    derivation, which ``distances`` also reads to tell a matched spec.  A
+    mean that ``spec_for_order`` refuses raises its ValueError, which is not
+    kept.
+    """
+    lams = _sn(p).power_sums(nu)
+    lam = lams[0]
     if not lam > 0:
         raise ValueError("corrected measures require a positive mean")
     if lam ** (2 * nu - 2) < sys.float_info.min:
         raise ValueError(f"mean {lam!r} too small for order {nu}: lam^{2 * nu - 2} underflows")
-    gamma = _gamma_from_parts(parts, lam)
-    if order == "3t":
-        del gamma[4]
-    return CorrectionSpec(nu, lam, gamma, MOMENT_MATCHED)
+    parts = _series_powers(_log_coefficients(lams, nu - 1), nu - 1)
+    parts.flags.writeable = False
+    return parts, CorrectionSpec(nu, lam, _gamma_from_parts(parts, lam), MOMENT_MATCHED)
 
 
 @dataclass(frozen=True)
@@ -244,14 +249,32 @@ def build_phi_nu(spec: CorrectionSpec, kmax: int | None = None,
                  label: str | None = None) -> CorrectedMeasure:
     """Corrected measure of arbitrary order from an explicit coefficient spec.
 
-    The masses on 0..K and their tail bound are ``_charlier_masses``'; K is
-    ``_cutoff``'s for the kernel length 2 nu - 1 unless ``kmax`` is given.
+    The masses on 0..K and their tail bound are ``_charlier_masses``', read
+    through ``_measure``; K is ``_cutoff``'s for the kernel length 2 nu - 1
+    unless ``kmax`` is given.
     """
     kmax = _cutoff(spec.lam, 2 * spec.nu - 1) if kmax is None else kmax
-    mass, tail, _ = _charlier_masses(spec, kmax)
+    mass, tail, _ = _measure(spec, kmax, False)
     if label is None:
         label = f"phi{spec.nu}" if spec.gamma or spec.nu == 1 else "poisson"
     return CorrectedMeasure(spec, SignedPmf(mass, tail, label))
+
+
+@functools.lru_cache(maxsize=8)  # a vector's masses and moments for three specs
+def _measure(spec: CorrectionSpec, kmax: int, moments: bool) -> tuple[np.ndarray, float, float]:
+    """The spec's masses on 0..kmax (``_charlier_masses``) or, with ``moments``,
+    its weighted factorial moments (``_poisson_convolution`` of
+    ``_moment_kernel`` at the mean 2 lam), read-only, with their two bounds.
+    ``build_phi_nu``, ``CorrectionSpec.moments`` and the direct differences
+    of ``distances`` share one build for an equal spec, cut and kind;
+    callers pass all three arguments positionally (``lru_cache`` keys a
+    keyword apart from the same value passed by position).  Errors are not
+    kept.
+    """
+    built = (_poisson_convolution(2.0 * spec.lam, _moment_kernel(spec), kmax, True) if moments
+             else _charlier_masses(spec, kmax))
+    built[0].flags.writeable = False
+    return built
 
 
 def _charlier_masses(spec: CorrectionSpec, kmax: int) -> tuple[np.ndarray, float, float]:
@@ -301,17 +324,39 @@ def _cutoff(lam: float, size: int) -> int:
     K >= size + ceil(lam) with lam P(Z >= K + 1 - size) + (size - 1) P(Z >=
     K + 2 - size) <= 2^-60, the largest per-unit term of ``_truncation``'s
     index-weighted sum, so that the entries past K, weighted by their index
-    or not, sum to at most 2^-60 sum_i |c_i|.  Gallop, then bisect."""
+    or not, sum to at most 2^-60 sum_i |c_i|.  Each P is its Chernoff bound
+    e^(-g(k)), g(k) = k log(k / lam) - k + lam (``poisson_tail_bound``).
+
+    The sum is at most (lam + size - 1) P(Z >= k), k = K + 1 - size, so the
+    rule holds once g(k) >= L = 60 log 2 + log(lam + size - 1).  g is convex
+    and increasing past lam, and g(lam + t) >= t^2 / (2 (lam + t / 3))
+    (Bernstein), so Newton's method from k = lam + sqrt(2 lam L) + 2 L / 3,
+    which is above the root, falls to it; unless the least K already serves.
+    That K is then confirmed: it moves up while it breaks the rule and down
+    while K - 1 keeps it, usually one or two evaluations of the rule.
+    """
     def above(k: int) -> bool:
         return (lam * poisson_tail_bound(lam, k + 1 - size)
                 + (size - 1) * poisson_tail_bound(lam, k + 2 - size)) > 2.0**-60
 
-    lo = top = size + math.ceil(lam)
-    while above(top):
-        lo, top = top + 1, 2 * top + 1
-    while lo < top:
-        mid = (lo + top) // 2
-        lo, top = (mid + 1, top) if above(mid) else (lo, mid)
+    low = size + math.ceil(lam)
+    goal, log_lam = 60.0 * math.log(2.0) + math.log(lam + (size - 1)), math.log(lam)
+    k = low + 1.0 - size
+    if k * (math.log(k) - log_lam - 1.0) + lam < goal:  # the root lies past k > lam
+        k = lam + math.sqrt(2.0 * lam * goal) + goal / 1.5
+        step = 1.0
+        while step >= 0.25:
+            r = math.log(k) - log_lam
+            step = (k * (r - 1.0) + lam - goal) / r
+            k -= step
+    top = max(low, math.ceil(k) + size - 1)
+    if above(top):
+        top += 1
+        while above(top):
+            top += 1
+    else:
+        while top > low and not above(top - 1):
+            top -= 1
     return top
 
 

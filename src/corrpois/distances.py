@@ -40,11 +40,9 @@ from typing import Callable
 
 import numpy as np
 
-from .corrected import (CorrectionSpec, _charlier_masses, _cutoff, _log_coefficients,
-                        _moment_kernel, _poisson_convolution, _series_powers, _spec_from_parts,
-                        _weight_sum)
-from .pmf import (FactorialMoments, ProbVector, SignedPmf, _power_sum_values, _product_error,
-                  _sn_array)
+from .corrected import (CorrectionSpec, _cutoff, _log_coefficients, _matched, _measure,
+                        _poisson_convolution, _series_powers, _weight_sum)
+from .pmf import FactorialMoments, ProbVector, SignedPmf, _product_error, _sn
 
 __all__ = [
     "DistanceResult",
@@ -241,9 +239,10 @@ def _difference(p: ProbVector, spec: CorrectionSpec, moments: bool) -> _Differen
     arguments positionally: ``lru_cache`` keys a keyword apart from the same
     value passed by position.
 
-    A spec equal to ``spec_for_order(p, spec.nu)`` is moment-matched: the
-    difference is taken to the measure with exact coefficients and the exact
-    mean sum_i p_i, not to the one with the stored gamma and lam = fsum(p).
+    A spec equal to ``spec_for_order(p, spec.nu)`` (``corrected._matched``)
+    is moment-matched: the difference is taken to the measure with exact
+    coefficients and the exact mean sum_i p_i, not to the one with the
+    stored gamma and lam = fsum(p).
     Other specs are taken as given.  Two builders serve, the direct
     difference (``_direct``) and the kernel's (``_kernel``), and the one
     with the smaller error is kept.  The kernel applies where 2 max p < 1
@@ -268,15 +267,16 @@ def _difference(p: ProbVector, spec: CorrectionSpec, moments: bool) -> _Differen
     nu, lam = spec.nu, spec.lam
     if moments and not 2.0 * lam < _LOG_MAX:
         raise OverflowError(_overflow(lam))
-    lams = _power_sum_values(p, 1, min(max(nu, 2), 8))  # the kernel extends, never recomputes
+    lams = _sn(p).power_sums(2)
     majorant, matched = None, False  # A_w(2) for w < nu of a matched spec
     if nu <= 8:
-        low = _series_powers(_log_coefficients(lams, nu - 1), nu - 1)
         try:
-            matched = spec == _spec_from_parts(low, lams[0], nu)
+            low, twin = _matched(p, nu)
         except ValueError:
             pass
-        majorant = _majorant(low) if matched else None
+        else:
+            matched = spec == twin
+            majorant = _majorant(low) if matched else None
     # fsum rounds sum_i p_i - fsum(p) correctly, so this bounds 2.01 |that|
     gap = 2.03 * abs(math.fsum(p.probs + (-lams[0],)))
     scale = math.exp(2.0 * lam) if moments else 1.0
@@ -284,17 +284,17 @@ def _difference(p: ProbVector, spec: CorrectionSpec, moments: bool) -> _Differen
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is checked below
         if (p.n and max(p.probs) < 0.5 and 2 * nu + 8 <= _MAX_WEIGHT
                 and (matched or lam == lams[0])):
-            lams, least = _least(p, lams, nu, scale)
+            least = _least(p, nu, scale)
             total = 0.5 * math.exp(2.0 * (lams[0] - lams[1])) if moments else 0.5
             floor = float(_product_error(total, p.n, moments, 2.0 * scale))
             if 8.0 * least < floor:
-                kernel = _kernel(p, spec, moments, lams, matched, gap, floor / scale)
+                kernel = _kernel(p, spec, moments, matched, gap, floor / scale)
         if kernel is not None and kernel.error < floor:
             diff = kernel
         else:
             diff = _direct(p, spec, moments, majorant, gap)
             if kernel is None and 8.0 * least < diff.error:
-                kernel = _kernel(p, spec, moments, lams, matched, gap, diff.error / scale)
+                kernel = _kernel(p, spec, moments, matched, gap, diff.error / scale)
             if kernel is not None and kernel.error < diff.error:
                 diff = kernel
     if not (math.isfinite(diff.moment_error) and np.all(np.isfinite(diff.values))):
@@ -302,13 +302,12 @@ def _difference(p: ProbVector, spec: CorrectionSpec, moments: bool) -> _Differen
     return diff
 
 
-def _least(p: ProbVector, lams: tuple[float, ...], nu: int,
-           scale: float) -> tuple[tuple[float, ...], float]:
-    """lambda_1..lambda_(nu+1), and the least rounding bound the kernel can
-    have, times the scale: at least u (nu (nu + 7) + 2 nu + 10) A_nu(2),
-    where A_nu(2) has the terms |c_nu| 2^(nu+1) and |c_1|^nu 4^nu / nu!."""
-    lams += _power_sum_values(p, len(lams) + 1, nu + 1)
-    return lams, scale * _U * (nu * (nu + 7) + 2 * nu + 10) * max(
+def _least(p: ProbVector, nu: int, scale: float) -> float:
+    """The least rounding bound the kernel can have, times the scale: at
+    least u (nu (nu + 7) + 2 nu + 10) A_nu(2), where A_nu(2) has the terms
+    |c_nu| 2^(nu+1) and |c_1|^nu 4^nu / nu!."""
+    lams = _sn(p).power_sums(nu + 1)
+    return scale * _U * (nu * (nu + 7) + 2 * nu + 10) * max(
         2.0 ** (nu + 1) * lams[nu] / (nu + 1), (2.0 * lams[1]) ** nu / math.factorial(nu))
 
 
@@ -322,10 +321,10 @@ def _mismatch(parts: np.ndarray, spec: CorrectionSpec) -> np.ndarray:
     return below
 
 
-def _radius_inputs(p: ProbVector, lams: tuple[float, ...]) -> tuple[float, float]:
+def _radius_inputs(p: ProbVector) -> tuple[float, float]:
     """q = 2 max p and an upper bound on lambda_2 (within 3u, plus the
     underflow of its n + 1 operations) for ``_cauchy_tail``."""
-    return 2.0 * max(p.probs), lams[1] * (1.0 + 4.0 * _U) + (p.n + 1) * _TINY
+    return 2.0 * max(p.probs), _sn(p).power_sums(2)[1] * (1.0 + 4.0 * _U) + (p.n + 1) * _TINY
 
 
 def _overflow(lam: float) -> str:
@@ -335,9 +334,9 @@ def _overflow(lam: float) -> str:
 def _direct(p: ProbVector, spec: CorrectionSpec, moments: bool, majorant: np.ndarray | None,
             gap: float) -> _Difference:
     """The difference by subtraction: Delta = f - phi with f the S_n pmf and
-    phi the measure's masses (``_charlier_masses``), or D = w - a * c with w
-    the weighted factorial moments of S_n, a_m = (2 lam)^m / m! and c =
-    ``_moment_kernel`` (``_poisson_convolution`` with ``moments``).
+    phi the measure's masses, or D = w - a * c with w the weighted factorial
+    moments of S_n, a_m = (2 lam)^m / m! and c = ``_moment_kernel``, both
+    from ``corrected._measure``.
 
     Errors: f and w are within ``_product_error`` of the exact law; the
     measure's array within its bounds; the subtraction costs u.  A matched
@@ -353,11 +352,10 @@ def _direct(p: ProbVector, spec: CorrectionSpec, moments: bool, majorant: np.nda
     """
     z = 2.0 * spec.lam if moments else spec.lam
     scale = math.exp(z) if moments else 1.0
-    sn = _sn_array(p, moments)  # factorial_moments_sn(p).weighted or the pmf's masses
+    sn = _sn(p).array(moments)  # factorial_moments_sn(p).weighted or the pmf's masses
     sn_err = _product_error(sn, p.n, moments, 2.0 * scale)
     top = max(_cutoff(z, 2 * spec.nu - 1), p.n)
-    phi, tail, moment_tail = (_poisson_convolution(z, _moment_kernel(spec), top, True)
-                              if moments else _charlier_masses(spec, top))
+    phi, tail, moment_tail = _measure(spec, top, moments)
     phi = -phi
     phi[:sn.size] += sn  # now the differences
     local = _U * np.abs(phi)
@@ -373,8 +371,8 @@ def _direct(p: ProbVector, spec: CorrectionSpec, moments: bool, majorant: np.nda
                        np.arange(phi.size) @ local + moment_tail + extra * (z + 2 * spec.nu))
 
 
-def _kernel(p: ProbVector, spec: CorrectionSpec, moments: bool, lams: tuple[float, ...],
-            matched: bool, gap: float, goal: float) -> _Difference | None:
+def _kernel(p: ProbVector, spec: CorrectionSpec, moments: bool, matched: bool, gap: float,
+            goal: float) -> _Difference | None:
     """The difference from kappa cut at weight W, or None where the tail alone
     cannot beat ``goal`` (the direct error or its floor, over e^(2 lam) for D):
     pi_lam * kappa(x - 1) by Horner's rule for Delta, or a * (2^j kappa_j),
@@ -383,13 +381,13 @@ def _kernel(p: ProbVector, spec: CorrectionSpec, moments: bool, lams: tuple[floa
     W is the first weight from 2 nu + 8 on (at most 128) whose tail is below
     the rounding bound of kappa; a first pass at 2 nu + 8 gives that bound,
     from which the next W is read off the tail.  A pass whose rounding bound
-    is an eighth of the goal ends the attempt.  ``lams`` holds the power sums
-    computed so far; each pass adds only the ones it lacks.
+    is an eighth of the goal ends the attempt.  The power sums come from
+    ``pmf._sn``, so each pass computes only the ones not yet computed.
     With u = 2^-53, t = 2^-1074 and A_w(2) the weight-w part of the majorant
     at 2:
 
-    * Rounding.  The power sums are within 3u (``_power_sum_values``: pow
-      within an ulp, one fsum), so c_k of ``_log_coefficients`` is within
+    * Rounding.  The power sums are within 3u (``pmf._sn``: pow within an
+      ulp, one fsum), so c_k of ``_log_coefficients`` is within
       4u, and the parts are within g_m, m = w (w + 7), of the majorant
       (``_series_powers``); kappa_j sums at most W + 1 parts.  The
       coefficients of E_w(x - 1) and of E_w(2s) have absolute sums at most
@@ -420,14 +418,12 @@ def _kernel(p: ProbVector, spec: CorrectionSpec, moments: bool, lams: tuple[floa
     nu, n = spec.nu, p.n
     z = 2.0 * spec.lam if moments else spec.lam
     scale = math.exp(z) * (1.0 + 4.0 * _U) if moments else 1.0
-    q, l2 = _radius_inputs(p, lams)
+    q, l2 = _radius_inputs(p)
     if not _cauchy_tail(q, l2, _MAX_WEIGHT)[0] < goal:
         return None
     top = 2 * nu + 8
     while True:
-        if len(lams) <= top:
-            lams += _power_sum_values(p, len(lams) + 1, top + 1)
-        parts = _series_powers(_log_coefficients(lams, top), top)
+        parts = _series_powers(_log_coefficients(_sn(p).power_sums(top + 1), top), top)
         majorant = _majorant(parts)
         rounding = (_U * math.fsum((w * (w + 7) + top + 2) * majorant[w]
                                    for w in range(nu, top + 1))

@@ -151,16 +151,12 @@ class PowerSums:
 
 
 def power_sums(p: ProbVector, jmax: int = 6) -> PowerSums:
-    """Exact power sums lambda_1..lambda_jmax with compensated accumulation."""
+    """Exact power sums lambda_1..lambda_jmax with compensated accumulation,
+    one fsum each, so a longer run repeats the bits of a shorter one; they
+    come from ``_sn``, which computes each order once per vector."""
     if jmax < 1:
         raise ValueError("jmax must be >= 1")
-    return PowerSums(_power_sum_values(p, 1, jmax))
-
-
-def _power_sum_values(p: ProbVector, first: int, last: int) -> tuple[float, ...]:
-    """lambda_first..lambda_last, one fsum each, so a longer run repeats the
-    bits of a shorter one and a run can be extended without recomputing."""
-    return tuple(math.fsum(x**j for x in p.probs) for j in range(first, last + 1))
+    return PowerSums(_sn(p).power_sums(jmax))
 
 
 @dataclass(frozen=True)
@@ -403,9 +399,9 @@ def poisson_binomial_pmf(p: ProbVector) -> SignedPmf:
     ceil(log2 n)), plus an underflow term, and rounding 1 - p_i adds at
     most (n - k) u.  ``tail_bound`` leaves that rounding out (0 is exact for
     exact inputs); the distances to a corrected measure add it
-    (``_product_error``).  The masses come from ``_sn_array``.
+    (``_product_error``).  The masses come from ``_sn``.
     """
-    return SignedPmf(_sn_array(p, False), 0.0, "poisson-binomial")
+    return SignedPmf(_sn(p).array(False), 0.0, "poisson-binomial")
 
 
 def elementary_symmetric(p: ProbVector, mmax: int) -> np.ndarray:
@@ -432,7 +428,7 @@ def factorial_moments_sn(p: ProbVector, mmax: int | None = None) -> FactorialMom
     ``elementary_symmetric(p, mmax)[m]`` bit for bit (short of underflow).
     A different cut may change the last bit, since np.convolve's summation
     order depends on the length of its rows, so a cut array is built on its
-    own and only the uncut one comes from ``_sn_array``.  The tail is 0 when
+    own and only the uncut one comes from ``_sn``.  The tail is 0 when
     the array reaches n and unknown (inf) when mmax cuts it short.
     """
     if mmax is None:
@@ -440,24 +436,53 @@ def factorial_moments_sn(p: ProbVector, mmax: int | None = None) -> FactorialMom
     if mmax < 0:
         raise ValueError("mmax must be >= 0")
     if mmax >= p.n:
-        return FactorialMoments(_sn_array(p, True), 0.0)
+        return FactorialMoments(_sn(p).array(True), 0.0)
     with np.errstate(over="ignore"):  # an overflowed entry raises when it is read
         w = _linear_product([1.0] * p.n, [2.0 * x for x in p.probs], mmax + 1)
     return FactorialMoments(w, math.inf)
 
 
-@functools.lru_cache(maxsize=2)  # a caller reads one vector's pmf and moments in turn
-def _sn_array(p: ProbVector, moments: bool) -> np.ndarray:
-    """S_n's full-length array, read-only: the coefficients 0..n of prod_i
-    ((1 - p_i) + p_i x), or with ``moments`` those of prod_i (1 + 2 p_i x),
-    the weighted factorial moments.  Repeated calls on an equal vector
-    share one build, so the pmf, the uncut moments and the direct
-    differences of ``distances`` read the same bits.
+class _Sn:
+    """What one vector's exact layer shares among its callers: S_n's two
+    full-length arrays, read-only, and the power sums lambda_1..lambda_j
+    computed so far, each built on first use.  A longer run of power sums
+    replaces the tuple, so a tuple handed out never changes, and a build
+    that raises leaves the record as it was.
     """
-    if moments:
-        with np.errstate(over="ignore"):  # an overflowed entry raises when it is read
-            a = _linear_product([1.0] * p.n, [2.0 * x for x in p.probs], p.n + 1)
-    else:
-        a = _linear_product([1.0 - x for x in p.probs], p.probs, p.n + 1)
-    a.flags.writeable = False
-    return a
+
+    __slots__ = ("p", "sums", "arrays")
+
+    def __init__(self, p: ProbVector) -> None:
+        self.p = p
+        self.sums: tuple[float, ...] = ()
+        self.arrays: dict[bool, np.ndarray] = {}
+
+    def power_sums(self, last: int) -> tuple[float, ...]:
+        """lambda_1..lambda_last, one fsum each (within 3u: pow within an ulp)."""
+        if len(self.sums) < last:
+            self.sums += tuple(math.fsum(x**j for x in self.p.probs)
+                               for j in range(len(self.sums) + 1, last + 1))
+        return self.sums[:last]
+
+    def array(self, moments: bool) -> np.ndarray:
+        """The coefficients 0..n of prod_i ((1 - p_i) + p_i x), or with
+        ``moments`` those of prod_i (1 + 2 p_i x), the weighted factorial
+        moments, so the pmf, the uncut moments and the direct differences of
+        ``distances`` read the same bits."""
+        a = self.arrays.get(moments)
+        if a is None:
+            p = self.p
+            if moments:
+                with np.errstate(over="ignore"):  # an overflowed entry raises when it is read
+                    a = _linear_product([1.0] * p.n, [2.0 * x for x in p.probs], p.n + 1)
+            else:
+                a = _linear_product([1.0 - x for x in p.probs], p.probs, p.n + 1)
+            a.flags.writeable = False
+            self.arrays[moments] = a
+        return a
+
+
+@functools.lru_cache(maxsize=2)  # the last two vectors
+def _sn(p: ProbVector) -> _Sn:
+    """The shared record of an equal vector: repeated calls reuse its builds."""
+    return _Sn(p)

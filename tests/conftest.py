@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from corrpois import distances, pmf, random_prob_vectors
+from corrpois import corrected, distances, pmf, random_prob_vectors
 from corrpois.corrected import gamma_from_power_sums
 
 # Single shared corpus for the randomized verification suites: sizes up to
@@ -14,12 +14,20 @@ from corrpois.corrected import gamma_from_power_sums
 CORPUS_SEED = 0
 
 
+SHARED_BUILDS = (pmf._sn, corrected._matched, corrected._measure, distances._difference)
+
+
+def clear_caches():
+    for cached in SHARED_BUILDS:
+        cached.cache_clear()
+
+
 @pytest.fixture(autouse=True)
 def fresh_caches():
-    """Each test builds S_n's arrays and differences itself, so one that
-    patches the builders is not served an entry an earlier test left."""
-    pmf._sn_array.cache_clear()
-    distances._difference.cache_clear()
+    """Each test builds S_n's arrays and power sums, the matched specs, the
+    measures' arrays and the differences itself, so one that patches the
+    builders is not served an entry an earlier test left."""
+    clear_caches()
 
 
 @pytest.fixture(scope="session")

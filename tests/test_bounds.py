@@ -176,6 +176,15 @@ class TestRateFits:
         with pytest.raises(ValueError):
             fit_rate(4.0, [1], [4, 8, 16])
 
+    @pytest.mark.parametrize("grid", [(0, 8, 16), (-5, 8, 16), (8, 16, 16, 32), (32, 16, 64)])
+    def test_grid_refused_before_any_point(self, grid, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a point was computed")
+
+        monkeypatch.setattr(bounds, "rate_distance", refuse)
+        with pytest.raises(ValueError, match=r"grid \[.*\] must hold sizes >= 1"):
+            fit_rate(0.5, [2], grid)
+
     def test_poisson_tv_slope(self):
         fits = fit_rate(1.0, [1], [8, 16, 32, 64], metric="tv")
         assert fits[0].slope == pytest.approx(-1.0, abs=0.2)
@@ -189,6 +198,11 @@ class TestSimplifiedOrder3Probe:
     def test_grid_validation(self):
         with pytest.raises(ValueError):
             check_simplified_order3(1.0, [10, 100])
+
+    @pytest.mark.parametrize("grid", [(0, 1000), (-5, 1000), (1000, 10, 2000)])
+    def test_grid_sizes_refused(self, grid):
+        with pytest.raises(ValueError, match=r"grid \[.*\] must hold sizes >= 1"):
+            check_simplified_order3(1.0, grid)
 
     @pytest.mark.parametrize("lam", [0.0, -1.0, math.nan, math.inf])
     def test_mean_must_be_finite_and_positive(self, lam):

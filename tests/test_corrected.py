@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from corrpois import (
@@ -394,8 +394,18 @@ def cut_term(lam, length, k):
 
 
 class TestCutoff:
-    @settings(max_examples=300, deadline=None)
-    @given(st.floats(1e-6, 1e3), st.integers(1, 31))
+    # every mean a cut is asked for: from the least subnormal up to 2 lam for
+    # the largest Poisson mean, and every kernel length up to the longest
+    # kernel difference's 2 * 128 + 1
+    @settings(max_examples=600, deadline=None)
+    @given(st.floats(5e-324, 2 * 1416.0), st.integers(1, 257))
+    @example(5e-324, 1)
+    @example(2.2e-308, 1)
+    @example(2.2e-308, 257)
+    @example(2.0**-60, 1)
+    @example(1e-6, 31)
+    @example(2 * 1416.0, 1)
+    @example(2 * 1416.0, 257)
     def test_least_cut_meeting_the_bound(self, lam, length):
         k = _cutoff(lam, length)
         assert k >= length + math.ceil(lam) and cut_term(lam, length, k) <= 2.0**-60

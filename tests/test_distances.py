@@ -46,7 +46,7 @@ from corrpois import (
 
 from corrpois.corrected import gamma_from_power_sums
 
-from conftest import exact_d2_oracle, exact_distances
+from conftest import clear_caches, exact_d2_oracle, exact_distances
 
 P123 = ProbVector((0.1, 0.2, 0.3))
 
@@ -535,8 +535,95 @@ class TestDifferenceKernel:
             sn_distance(p, spec_phi2(p), "d2")
 
 
+def corpus_items(p, call):
+    """The benchmark's corpus items for p x {Poisson, phi2, phi3}, the phi2
+    and phi3 items followed by their bound checks, each call made through
+    ``call(thunk)``; returns every result as bits."""
+    from corrpois.bounds import check_order2_bound, check_order3_bound
+
+    def bits(x):
+        if isinstance(x, np.ndarray):
+            return x.dtype.str, x.tobytes()
+        if isinstance(x, float):
+            return x.hex()
+        if isinstance(x, (list, tuple)):
+            return [bits(v) for v in x]
+        if isinstance(x, CorrectionSpec):
+            return x.nu, x.lam.hex(), sorted((j, g.hex()) for j, g in x.gamma.items())
+        return repr(x)
+
+    out = []
+    for make, check in ((lambda q: spec_poisson(q.lam), None), (spec_phi2, check_order2_bound),
+                        (spec_phi3, check_order3_bound)):
+        f = call(lambda: poisson_binomial_pmf(p))
+        spec = call(lambda: make(p))
+        phi = call(lambda: build_phi_nu(spec))
+        dtv = call(lambda: tv(f, phi.pmf))
+        mu = call(lambda: factorial_moments_sn(p))
+        series = call(lambda: d2(mu, phi.moments))
+        sign = call(lambda: certify_domination(p, spec))
+        exact = call(lambda: d2_exact_product(p, spec))
+        reports = call(lambda: check(p)) if check else []
+        out += bits([f.mass, spec, phi.pmf.mass, phi.pmf.tail_bound, sign,
+                     [[r.value, r.truncation_error, r.method, r.note] for r in (dtv, series, exact)],
+                     [[r.name, r.lhs, r.rhs, r.holds] for r in reports]])
+    return out
+
+
 class TestSharedBuilds:
-    """S_n's arrays and each difference are built once per input."""
+    """S_n's arrays and power sums, each matched spec, each measure array
+    and each difference are built once per input."""
+
+    def test_corpus_items_build_each_input_once(self, corpus, monkeypatch):
+        from corrpois import corrected, distances, pmf
+
+        built = {"sums": [], "specs": [], "measures": [], "sn": 0}
+        sums, parts_to_gamma = pmf._Sn.power_sums, corrected._gamma_from_parts
+        masses, convolution = corrected._charlier_masses, corrected._poisson_convolution
+        product = pmf._linear_product
+
+        def counted_sums(record, last):
+            before = len(record.sums)
+            got = sums(record, last)
+            built["sums"] += range(before + 1, len(record.sums) + 1)
+            return got
+
+        def counted_gamma(parts, lam):
+            built["specs"].append(parts.shape[0])
+            return parts_to_gamma(parts, lam)
+
+        def counted_masses(spec, kmax):
+            built["measures"].append((spec, kmax, False))
+            return masses(spec, kmax)
+
+        def counted_convolution(lam, c, kmax, moments=False):
+            built["measures"].append((lam, c.tobytes(), kmax, moments))
+            return convolution(lam, c, kmax, moments)
+
+        def counted_product(*args):
+            built["sn"] += 1
+            return product(*args)
+
+        monkeypatch.setattr(pmf._Sn, "power_sums", counted_sums)
+        monkeypatch.setattr(corrected, "_gamma_from_parts", counted_gamma)
+        monkeypatch.setattr(corrected, "_charlier_masses", counted_masses)
+        for module in (corrected, distances):  # the kernel's arrays count too
+            monkeypatch.setattr(module, "_poisson_convolution", counted_convolution)
+        monkeypatch.setattr(pmf, "_linear_product", counted_product)
+        corpus_items(corpus[0], lambda thunk: thunk())
+        assert built["sums"] == list(range(1, len(built["sums"]) + 1))
+        assert built["specs"] == [1, 2, 3]  # Poisson's through the difference's matched test
+        assert len(set(built["measures"])) == len(built["measures"]) >= 6
+        assert built["sn"] == 2
+
+    @pytest.mark.parametrize("index", [0, 1, 2])
+    def test_shared_results_equal_fresh_builds(self, corpus, index):
+        def fresh(thunk):
+            clear_caches()
+            return thunk()
+
+        p = corpus[index]
+        assert corpus_items(p, lambda thunk: thunk()) == corpus_items(p, fresh)
 
     def test_one_difference_per_vector_and_spec(self, corpus, monkeypatch):
         from corrpois import bounds, distances
@@ -558,16 +645,21 @@ class TestSharedBuilds:
         assert built == [(2, True), (1, False)]
 
     def test_shared_arrays_are_read_only(self):
-        from corrpois import distances, pmf
+        from corrpois import corrected, distances, pmf
 
         diff = distances._difference(P123, spec_phi2(P123), True)
         with pytest.raises(ValueError):
             diff.values[0] = 0.0
-        masses = pmf._sn_array(P123, False)
+        masses = pmf._sn(P123).array(False)
         with pytest.raises(ValueError):
             masses[0] = 0.0
         assert np.array_equal(poisson_binomial_pmf(P123).mass, masses)
-        assert np.array_equal(factorial_moments_sn(P123).weighted, pmf._sn_array(P123, True))
+        assert np.array_equal(factorial_moments_sn(P123).weighted, pmf._sn(P123).array(True))
+        parts, spec = corrected._matched(P123, 3)
+        for shared in (parts, corrected._measure(spec, 20, False)[0],
+                       corrected._measure(spec, 20, True)[0]):
+            with pytest.raises(ValueError):
+                shared[0] = 0.0
 
     def test_specs_are_read_only_values(self):
         # the cache keys on the spec itself, so its gamma cannot change under it
