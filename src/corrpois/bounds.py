@@ -62,9 +62,19 @@ REL_TOL = 1e-9
 
 
 def _digest(payload: dict) -> str:
-    """First 16 hex digits of the SHA-256 of ``payload`` as sorted-key JSON."""
+    """First 16 hex digits of the SHA-256 of ``payload`` as sorted-key JSON.
+
+    A probability vector enters it as ``_probs_hex``, the bytes of its
+    entries (zeros dropped at construction stay out): printing each float's
+    repr instead would cost more than the check it labels at large n.
+    """
     canon = json.dumps(payload, sort_keys=True, default=str).encode()
     return hashlib.sha256(canon).hexdigest()[:16]
+
+
+def _probs_hex(p: ProbVector) -> str:
+    """Lowercase hex of the probabilities' little-endian binary64 bytes."""
+    return np.asarray(p.probs, dtype="<f8").tobytes().hex()
 
 
 @dataclass(frozen=True)
@@ -187,7 +197,7 @@ def check_sandwich(p: ProbVector, mmax: int) -> list[BoundReport]:
         raise ValueError("mmax must be >= 1")
     ps = power_sums(p, 4)
     mu = factorial_moments_sn(p, mmax)
-    digest = _digest({"probs": list(p.probs), "mmax": mmax})
+    digest = _digest({"probs": _probs_hex(p), "mmax": mmax})
     reports = []
     for m in range(1, mmax + 1):
         lower, upper = sandwich_sides(ps, m)
@@ -203,7 +213,7 @@ def check_lower3(p: ProbVector, mmax: int) -> list[BoundReport]:
         raise ValueError("mmax must be >= 1")
     ps = power_sums(p, 4)
     mu = factorial_moments_sn(p, mmax)
-    digest = _digest({"probs": list(p.probs), "mmax": mmax})
+    digest = _digest({"probs": _probs_hex(p), "mmax": mmax})
     return [
         BoundReport.make(f"mu-lower-refined[m={m}]", refined_lower(ps, m), mu(m), digest)
         for m in range(1, mmax + 1)
@@ -220,7 +230,7 @@ def check_order2_bound(p: ProbVector) -> list[BoundReport]:
     """
     ps = power_sums(p, 3)
     lam = ps.lam
-    digest = _digest({"probs": list(p.probs)})
+    digest = _digest({"probs": _probs_hex(p)})
     dist = d2_exact_product(p, spec_phi2(p))
     rhs1 = (4.0 / 3.0 * ps[3] + ps[2] ** 2) * math.exp(2.0 * lam)
     rhs2 = (4.0 / 3.0 + lam) * math.exp(2.0 * lam) * ps[3]
@@ -238,7 +248,7 @@ def check_order3_bound(p: ProbVector) -> list[BoundReport]:
     """The order-3 distance bound d2 <= (2/3)(lam^2+4lam+3) e^(2lam) l4."""
     ps = power_sums(p, 4)
     lam = ps.lam
-    digest = _digest({"probs": list(p.probs)})
+    digest = _digest({"probs": _probs_hex(p)})
     dist = d2_exact_product(p, spec_phi3(p))
     rhs = 2.0 / 3.0 * (lam**2 + 4.0 * lam + 3.0) * math.exp(2.0 * lam) * ps[4]
     return [BoundReport.make("d2-bound-order3", dist.value, rhs, digest)]
@@ -255,7 +265,7 @@ def check_classic_chain(p: ProbVector) -> list[BoundReport]:
         raise ValueError("the Hellinger bound requires every probability below 1")
     ps = power_sums(p, 2)
     lam = ps.lam
-    digest = _digest({"probs": list(p.probs)})
+    digest = _digest({"probs": _probs_hex(p)})
     pois = spec_poisson(lam)
     dtv, dw, d2v, d2t = (sn_distance(p, pois, metric).value
                          for metric in ("tv", "wass", "d2", "d2tilde"))
@@ -374,8 +384,9 @@ def random_prob_vectors(count: int, nmax: int = 30, pmax: float = 0.5,
                         seed: int = 0) -> list[ProbVector]:
     """Reproducible corpus of probability vectors for the property suites.
 
-    Sizes are uniform on 1..nmax and entries uniform on [0, pmax]; the seed
-    is part of every derived report digest, so reruns are comparable.
+    Sizes are uniform on 1..nmax and entries uniform on [0, pmax); one seed
+    always draws the same vectors.  Report digests hash the probabilities
+    drawn, not the seed.
     """
     rng = np.random.default_rng(seed)
     out = []

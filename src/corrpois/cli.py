@@ -235,7 +235,7 @@ def _retolerated(reports: list[_bounds.BoundReport],
 
 def _theta_reports(p: ProbVector, args: argparse.Namespace) -> list[_bounds.BoundReport]:
     explicit = [x is not None for x in (args.j, args.m, args.s)]
-    digest = _bounds._digest({"probs": list(p.probs)})
+    digest = _bounds._digest({"probs": _bounds._probs_hex(p)})
     if any(explicit):
         if not all(explicit):
             raise CliInputError("--j, --m and --s must be given together")

@@ -46,6 +46,8 @@ class ProbVector:
     and only bloat n, so they are dropped at construction; ``dropped_zeros``
     records how many were removed.  Entries equal to one are legal: they pass
     through the product of ``poisson_binomial_pmf`` as a deterministic shift.
+    The hash and ``lam`` are computed on first use and kept: every cache
+    keyed on a vector hashes it.
     """
 
     probs: tuple[float, ...]
@@ -69,7 +71,18 @@ class ProbVector:
     def n(self) -> int:
         return len(self.probs)
 
-    @property
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __getstate__(self) -> dict:
+        # a copy computes its own hash and mean: hashes may differ between builds
+        return {"probs": self.probs, "dropped_zeros": self.dropped_zeros}
+
+    @functools.cached_property
+    def _hash(self) -> int:
+        return hash((self.probs, self.dropped_zeros))
+
+    @functools.cached_property
     def lam(self) -> float:
         """Mean of S_n, the first power sum."""
         return math.fsum(self.probs)
@@ -415,7 +428,7 @@ def elementary_symmetric(p: ProbVector, mmax: int) -> np.ndarray:
     """
     if mmax < 0:
         raise ValueError("mmax must be >= 0")
-    e = _linear_product([1.0] * p.n, p.probs, mmax + 1)
+    e = _linear_product(np.ones(p.n), _sn(p).floats(), mmax + 1)
     e.flags.writeable = False
     return e
 
@@ -438,24 +451,35 @@ def factorial_moments_sn(p: ProbVector, mmax: int | None = None) -> FactorialMom
     if mmax >= p.n:
         return FactorialMoments(_sn(p).array(True), 0.0)
     with np.errstate(over="ignore"):  # an overflowed entry raises when it is read
-        w = _linear_product([1.0] * p.n, [2.0 * x for x in p.probs], mmax + 1)
+        w = _linear_product(np.ones(p.n), 2.0 * _sn(p).floats(), mmax + 1)
     return FactorialMoments(w, math.inf)
 
 
 class _Sn:
-    """What one vector's exact layer shares among its callers: S_n's two
-    full-length arrays, read-only, and the power sums lambda_1..lambda_j
-    computed so far, each built on first use.  A longer run of power sums
-    replaces the tuple, so a tuple handed out never changes, and a build
-    that raises leaves the record as it was.
+    """What one vector's exact layer shares among its callers: the
+    probabilities as one float array and S_n's two full-length arrays, all
+    read-only, and the power sums lambda_1..lambda_j computed so far, each
+    built on first use.  A longer run of power sums replaces the tuple, so a
+    tuple handed out never changes, and a build that raises leaves the
+    record as it was.
     """
 
-    __slots__ = ("p", "sums", "arrays")
+    __slots__ = ("p", "sums", "arrays", "probs")
 
     def __init__(self, p: ProbVector) -> None:
         self.p = p
         self.sums: tuple[float, ...] = ()
         self.arrays: dict[bool, np.ndarray] = {}
+        self.probs: np.ndarray | None = None
+
+    def floats(self) -> np.ndarray:
+        """p.probs as a float64 array; 1.0 - x and 2.0 * x on it round as
+        they do on each float, so the trees see the same factors."""
+        if self.probs is None:
+            x = np.array(self.p.probs, dtype=float)
+            x.flags.writeable = False
+            self.probs = x
+        return self.probs
 
     def power_sums(self, last: int) -> tuple[float, ...]:
         """lambda_1..lambda_last, one fsum each (within 3u: pow within an ulp)."""
@@ -471,12 +495,12 @@ class _Sn:
         ``distances`` read the same bits."""
         a = self.arrays.get(moments)
         if a is None:
-            p = self.p
+            x = self.floats()
             if moments:
                 with np.errstate(over="ignore"):  # an overflowed entry raises when it is read
-                    a = _linear_product([1.0] * p.n, [2.0 * x for x in p.probs], p.n + 1)
+                    a = _linear_product(np.ones(x.size), 2.0 * x, x.size + 1)
             else:
-                a = _linear_product([1.0 - x for x in p.probs], p.probs, p.n + 1)
+                a = _linear_product(1.0 - x, x, x.size + 1)
             a.flags.writeable = False
             self.arrays[moments] = a
         return a

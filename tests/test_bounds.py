@@ -1,4 +1,7 @@
+import hashlib
+import json
 import math
+import struct
 import warnings
 
 import numpy as np
@@ -251,11 +254,22 @@ P20 = ProbVector(tuple((i + 1) / 50 for i in range(20)))
 # each check with its arguments and the digest of its inputs, kept as a
 # literal so that any change to the hashed form shows
 DIGEST_CASES = [
-    (check_sandwich, (P20, 15), "9e39c5f4d5149ecb"),
-    (check_lower3, (P20, 10), "9312686c2199e6dd"),
-    (check_order2_bound, (P20,), "2ffeb5f11076b188"),
-    (check_classic_chain, (P20,), "2ffeb5f11076b188"),
+    (check_sandwich, (P20, 15), "bec6fa6e7748f643"),
+    (check_lower3, (P20, 10), "5c6d3d7e2137d063"),
+    (check_order2_bound, (P20,), "24a1f0589377f0ad"),
+    (check_classic_chain, (P20,), "24a1f0589377f0ad"),
 ]
+
+
+def oracle_digest(probs, **extra):
+    """The documented form: sorted-key JSON with the probabilities as the hex
+    of their little-endian binary64 bytes, hashed with SHA-256."""
+    payload = {"probs": struct.pack("<%dd" % len(probs), *probs).hex(), **extra}
+    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()[:16]
+
+
+def sandwich_digest(p, mmax=3):
+    return {r.inputs_digest for r in check_sandwich(p, mmax)}
 
 
 class TestInputsDigest:
@@ -273,3 +287,29 @@ class TestInputsDigest:
         assert len(calls) == 1
         assert len(reports) > 1
         assert {r.inputs_digest for r in reports} == {expected}
+
+    @pytest.mark.parametrize("check,args", [(c, a) for c, a, _ in DIGEST_CASES],
+                             ids=[case[0].__name__ for case in DIGEST_CASES])
+    def test_matches_oracle(self, check, args):
+        extra = {"mmax": args[1]} if len(args) > 1 else {}
+        assert {r.inputs_digest for r in check(*args)} == {oracle_digest(P20.probs, **extra)}
+
+    def test_matches_oracle_over_corpus(self):
+        for p in random_prob_vectors(20, seed=5):
+            assert sandwich_digest(p) == {oracle_digest(p.probs, mmax=3)}
+
+    def test_one_ulp_changes_it(self):
+        probs = list(P20.probs)
+        for i in (0, 7, 19):
+            for direction in (0.0, 1.0):
+                moved = probs.copy()
+                moved[i] = math.nextafter(moved[i], direction)
+                assert sandwich_digest(ProbVector(moved)) != sandwich_digest(P20)
+
+    def test_construction_forms_share_it(self):
+        probs = [0.25, 0.1, 1.0 / 3.0]
+        forms = [ProbVector(probs), ProbVector(tuple(probs)),
+                 ProbVector([0.0, 0.25, 0.0, 0.1, 1.0 / 3.0, 0.0])]
+        assert forms[2].dropped_zeros == 3
+        digests = [sandwich_digest(p) for p in forms]
+        assert digests == [{oracle_digest(probs, mmax=3)}] * 3

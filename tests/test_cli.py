@@ -432,7 +432,7 @@ class TestEdgeInputsPinned:
         assert r.stdout.startswith('{"reports": [{"name": "mu-sandwich[m=1]", '
                                    '"lhs": 0.29999999999999999, "rhs": 0.29999999999999999, ')
         digest = hashlib.sha256(r.stdout.encode()).hexdigest()
-        assert digest == "15c601ebc4c9e9e92ad0afda65d898c37fe9781cc09e8e3ffad53f7f6ee2807a"
+        assert digest == "d70d4f45ae729b677e9cafea1b4d6dd32ff248799ca84a6a4b74d98e7d75d96a"
 
     def test_pmf_rounding_refusal_is_one_line(self):
         # the exact law's masses drift past SignedPmf's fixed 1e-12 slack at n = 10^5

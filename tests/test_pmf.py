@@ -1,5 +1,8 @@
+import copy
+import dataclasses
 import json
 import math
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -17,8 +20,9 @@ from corrpois import (
     poisson_binomial_pmf,
     poisson_pmf,
     power_sums,
+    random_prob_vectors,
 )
-from corrpois.pmf import _linear_product, _product_error
+from corrpois.pmf import _linear_product, _product_error, _sn
 
 from conftest import enumerated_factorial_moment, enumerated_pmf
 
@@ -90,6 +94,42 @@ class TestProbVector:
     def test_ones_pass_through(self):
         pmf = poisson_binomial_pmf(ProbVector((1.0, 0.5)))
         assert np.allclose(pmf.mass, [0.0, 0.5, 0.5], atol=0)
+
+    def test_lam_is_the_fsum(self):
+        for p in random_prob_vectors(50, seed=3) + [spread_probs(1600, 70.0)]:
+            for _ in range(2):  # the first read computes it, the second reads it back
+                assert p.lam.hex() == math.fsum(p.probs).hex()
+
+    def test_equal_vectors_share_hash_and_record(self):
+        probs = [0.2, 0.5, 0.125]
+        a, b = ProbVector(probs), ProbVector(tuple(probs))
+        assert a is not b and a == b and hash(a) == hash(b)
+        poisson_binomial_pmf(a)
+        hits = _sn.cache_info().hits
+        poisson_binomial_pmf(b)
+        assert _sn.cache_info().hits == hits + 1
+        assert _sn(a) is _sn(b)
+
+    @pytest.mark.parametrize("copy_of", [lambda p: pickle.loads(pickle.dumps(p)), copy.deepcopy],
+                             ids=["pickle", "deepcopy"])
+    def test_copies_compute_their_own_hash_and_mean(self, copy_of):
+        p = ProbVector((0.1, 0.0, 0.2, 0.3))
+        fresh = ProbVector((0.1, 0.0, 0.2, 0.3))
+        hash(p), p.lam
+        vars(p)["lam"] = -1.0  # a kept value, as from another build, is not carried
+        q = copy_of(p)
+        assert q == fresh and q.dropped_zeros == 1
+        assert hash(q) == hash(fresh)
+        assert q.lam == math.fsum((0.1, 0.2, 0.3))
+
+    def test_replace_does_not_inherit_kept_values(self):
+        p = ProbVector((0.1, 0.2, 0.3))
+        hash(p), p.lam
+        q = dataclasses.replace(p, probs=(0.4, 0.0, 0.5))
+        fresh = ProbVector((0.4, 0.0, 0.5))
+        assert q == fresh != p
+        assert hash(q) == hash(fresh) != hash(p)
+        assert q.lam == 0.9 == fresh.lam
 
 
 class TestPoissonPmf:
@@ -236,6 +276,35 @@ class TestElementarySymmetric:
         w = factorial_moments_sn(equal_probs(3000, 450.0)).weighted
         assert not np.isnan(w).any()
         assert np.isinf(w).any()
+
+
+def spread_probs(n, lam, seed=0):
+    """n probabilities of mean lam, spread by weights uniform on [0.2, 1.8)."""
+    w = np.random.default_rng(seed).uniform(0.2, 1.8, n)
+    return ProbVector(tuple((lam * w / math.fsum(w.tolist())).tolist()))
+
+
+class TestArrayFedTrees:
+    """The trees read the vector's float array and give the bits of the same
+    trees fed Python lists of 1 - p_i, 2 p_i and 1."""
+
+    VECTORS = (random_prob_vectors(50)
+               + [equal_probs(n, lam) for n in (500, 1600) for lam in (1.0, 30.0)]
+               + [spread_probs(n, lam) for n in (500, 1600) for lam in (1.0, 100.0)])
+
+    @pytest.mark.parametrize("p", VECTORS, ids=lambda p: f"n{p.n}")
+    def test_bits_match_list_fed_trees(self, p):
+        probs = list(p.probs)
+        ones, doubled = [1.0] * p.n, [2.0 * x for x in probs]
+        assert (_sn(p).array(False).tobytes()
+                == _linear_product([1.0 - x for x in probs], probs, p.n + 1).tobytes())
+        assert _sn(p).array(True).tobytes() == _linear_product(ones, doubled, p.n + 1).tobytes()
+        for m in sorted({0, 3, 15, max(p.n - 1, 0)}):
+            assert (elementary_symmetric(p, m).tobytes()
+                    == _linear_product(ones, probs, m + 1).tobytes())
+            if m < p.n:
+                assert (factorial_moments_sn(p, m).weighted.tobytes()
+                        == _linear_product(ones, doubled, m + 1).tobytes())
 
 
 class TestFactorialMoments:
