@@ -36,6 +36,7 @@ from .distances import d2_exact_product, hellinger, sn_distance
 from .pmf import (
     PowerSums,
     ProbVector,
+    _sn,
     equal_probs,
     factorial_moments_sn,
     poisson_binomial_pmf,
@@ -73,8 +74,9 @@ def _digest(payload: dict) -> str:
 
 
 def _probs_hex(p: ProbVector) -> str:
-    """Lowercase hex of the probabilities' little-endian binary64 bytes."""
-    return np.asarray(p.probs, dtype="<f8").tobytes().hex()
+    """Lowercase hex of the probabilities' little-endian binary64 bytes, read
+    off the vector's shared float array (``pmf._sn``)."""
+    return np.asarray(_sn(p).floats(), dtype="<f8").tobytes().hex()
 
 
 @dataclass(frozen=True)

@@ -148,7 +148,9 @@ def _gamma_from_parts(parts: np.ndarray, lam) -> dict:
 def _log_coefficients(lams: Sequence, top: int) -> np.ndarray:
     """c_0..c_top of C(s) = sum_{k>=1} (-1)^k lambda_(k+1) s^k / (k + 1), so that
     L(t) = t C(s t) at s = 1 and s counts the weight: an object array when the
-    power sums are not all floats (Fractions stay exact)."""
+    power sums are not all floats (Fractions stay exact).  A float c_k is
+    within g_(k+2) of the exact one: ``pmf._sn`` puts lambda_(k+1) within
+    g_(k+1) (short of underflow), and the division adds u."""
     c = [0 * lams[0]] + [(-1) ** k * lams[k] / (k + 1) for k in range(1, top + 1)]
     exact = not all(isinstance(x, float) for x in lams[:top + 1])
     return np.array(c, dtype=object if exact else float)
@@ -164,10 +166,13 @@ def _series_powers(c: np.ndarray, top: int) -> np.ndarray:
     operations are +, * and /, so an object array of Fractions gives exact
     parts.
 
-    Rounding, for a float c within a relative 4u of the exact c_k: a product
-    node sums at most w + 1 products and divides by a rounded binomial, and
-    P_d is a binary tree of d - 1 nodes over d leaves, so by induction
-    parts[d, w] is within g_m of the same computation on |c|, m = w (w + 7).
+    Rounding, for a float c_k within g_(k+2) (``_log_coefficients``): a product
+    node sums at most w + 1 products and divides by a rounded binomial, w + 3
+    roundings, and P_d is a binary tree of d - 1 nodes over d leaves
+    c_(k_1)..c_(k_d), k_1 + .. + k_d = w, whose roundings add up to w + 2d.
+    So parts[d, w] is within g_m of the same computation on |c|, m = w (w +
+    7): a term meets (d - 1)(w + 3) + w + 2d <= w (w + 5) - 3 roundings, as
+    d <= w.
     """
     size = top + 1
     parts = np.full((size, size), c[0], dtype=c.dtype)  # zeros of c's type

@@ -304,8 +304,10 @@ def _difference(p: ProbVector, spec: CorrectionSpec, moments: bool) -> _Differen
 
 def _least(p: ProbVector, nu: int, scale: float) -> float:
     """The least rounding bound the kernel can have, times the scale: at
-    least u (nu (nu + 7) + 2 nu + 10) A_nu(2), where A_nu(2) has the terms
-    |c_nu| 2^(nu+1) and |c_1|^nu 4^nu / nu!."""
+    least u (nu (nu + 7) + 2 nu + 10) A_nu(2), its weight-nu term at W >=
+    2 nu + 8, with m = nu (nu + 7) from the power sums' g_j bound
+    (``_series_powers``).  A_nu(2) has the terms |c_nu| 2^(nu+1) and
+    |c_1|^nu 4^nu / nu!, read off the power sums that the kernel reads."""
     lams = _sn(p).power_sums(nu + 1)
     return scale * _U * (nu * (nu + 7) + 2 * nu + 10) * max(
         2.0 ** (nu + 1) * lams[nu] / (nu + 1), (2.0 * lams[1]) ** nu / math.factorial(nu))
@@ -322,8 +324,10 @@ def _mismatch(parts: np.ndarray, spec: CorrectionSpec) -> np.ndarray:
 
 
 def _radius_inputs(p: ProbVector) -> tuple[float, float]:
-    """q = 2 max p and an upper bound on lambda_2 (within 3u, plus the
-    underflow of its n + 1 operations) for ``_cauchy_tail``."""
+    """q = 2 max p and an upper bound on lambda_2 for ``_cauchy_tail``: the
+    computed one is within g_2 lambda_2 + (1 + u) n t / 2 (``pmf._sn``), so
+    lambda_2 <= l (1 + 4u) + (n + 1) t covers it with the rounding of both
+    operations."""
     return 2.0 * max(p.probs), _sn(p).power_sums(2)[1] * (1.0 + 4.0 * _U) + (p.n + 1) * _TINY
 
 
@@ -382,23 +386,24 @@ def _kernel(p: ProbVector, spec: CorrectionSpec, moments: bool, matched: bool, g
     the rounding bound of kappa; a first pass at 2 nu + 8 gives that bound,
     from which the next W is read off the tail.  A pass whose rounding bound
     is an eighth of the goal ends the attempt.  The power sums come from
-    ``pmf._sn``, so each pass computes only the ones not yet computed.
+    ``pmf._sn``, so each pass sums only the orders not summed before.
     With u = 2^-53, t = 2^-1074 and A_w(2) the weight-w part of the majorant
     at 2:
 
-    * Rounding.  The power sums are within 3u (``pmf._sn``: pow within an
-      ulp, one fsum), so c_k of ``_log_coefficients`` is within
-      4u, and the parts are within g_m, m = w (w + 7), of the majorant
-      (``_series_powers``); kappa_j sums at most W + 1 parts.  The
+    * Rounding.  The power sum lambda_j is within g_j (``pmf._sn``: j - 1
+      rounded products and one fsum), so c_k of ``_log_coefficients`` is
+      within g_(k+2), and the parts are within g_m, m = w (w + 7), of the
+      majorant (``_series_powers``); kappa_j sums at most W + 1 parts.  The
       coefficients of E_w(x - 1) and of E_w(2s) have absolute sums at most
       A_w(2), so the weight-w part costs u (w (w + 7) + W + 2) A_w(2), and
       T_nu - c, for a spec that is not matched, u (w (w + 7) + nu + 2) A_w(2)
       per w < nu plus 3u per |gamma_j| (2 lam)^j.  Horner's rule adds
       g_(2 len) sum_j |kappa_j| 2^j.
-    * Underflow.  A power sum may lose (n + 1) t and a product t; a unit
-      error at weight v grows to at most A_(w-v) at weight w over at most
-      4^W paths, so all add at most (n + 2)(W + 2)^2 4^(W+2) A^2 t, A =
-      sum_{w<=W} A_w(2).
+    * Underflow.  The power sum lambda_(k+1) may lose (1 + u) n k t / 2
+      (``pmf._sn``), so c_k, divided by k + 1, at most (n + 1) t, and a
+      product t; a unit error at weight v grows to at most A_(w-v) at
+      weight w over at most 4^W paths, so all add at most (n + 2)(W + 2)^2
+      4^(W+2) A^2 t, A = sum_{w<=W} A_w(2).
     * The tail.  For 1 < r < 1/(2 max p), positivity gives A_w(2) r^w <=
       exp(sum_i h(2 p_i r) / r) <= exp(2 r lambda_2 / (1 - 2 r max p)) =: M,
       h(y) = -log(1 - y) - y <= y^2 / (2 (1 - y)), so sum_{w>W} A_w(2) <= T_W

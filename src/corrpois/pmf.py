@@ -164,9 +164,10 @@ class PowerSums:
 
 
 def power_sums(p: ProbVector, jmax: int = 6) -> PowerSums:
-    """Exact power sums lambda_1..lambda_jmax with compensated accumulation,
-    one fsum each, so a longer run repeats the bits of a shorter one; they
-    come from ``_sn``, which computes each order once per vector."""
+    """Power sums lambda_1..lambda_jmax, each within g_j = j u / (1 - j u)
+    relative of the exact one, short of underflow (``_Sn.power_sums``), and
+    a longer run repeats the bits of a shorter one; they come from ``_sn``,
+    which computes each order once per vector."""
     if jmax < 1:
         raise ValueError("jmax must be >= 1")
     return PowerSums(_sn(p).power_sums(jmax))
@@ -320,17 +321,20 @@ def _poisson_masses(lam: float, kmax: int) -> np.ndarray:
 def _linear_product(a: Sequence[float], b: Sequence[float], length: int) -> np.ndarray:
     """Coefficients 0..length-1 of P(x) = prod_i (a_i + b_i x), for a_i, b_i >= 0.
 
-    A pairwise tree: the n factors are the rows of an n x 2 array, each level
-    multiplies rows 2r and 2r+1 truncated at ``length``, and an odd last row
-    is carried up unchanged, so D = ceil(log2 n) levels do all the work.  The
-    carried row is held apart from the array: padded with zeros, it would
-    meet an overflowed coefficient as inf * 0 = NaN.  A level of h pairs of
-    rows d long takes one slice update over all h pairs per offset where
-    h >= d, and one np.convolve per pair where h < d.  What np.convolve and
-    the carried row return loses the trailing coefficients that are zero in
-    every row: exact zeros add nothing, and far out the coefficients of a
-    product of many factors underflow to zero, where the top levels would
-    spend most of their O(n^2) products.
+    A pairwise tree: the n factors are the columns of a 2 x n array stored
+    coefficient-major (row i holds coefficient i of every factor), each level
+    multiplies columns 2r and 2r+1 truncated at ``length``, and an odd last
+    column is carried up unchanged, so D = ceil(log2 n) levels do all the
+    work.  The carried column is held apart from the array: padded with
+    zeros, it would meet an overflowed coefficient as inf * 0 = NaN.  A
+    level of h pairs of d coefficients copies its left and right factors
+    into two contiguous d x h arrays and takes, where h >= d, d row updates,
+    each adding coefficient i of every left factor times the first ones of
+    its right factor at once, and where h < d one np.convolve per pair.
+    What np.convolve and the carried column return loses the trailing
+    coefficients that are zero in every factor: exact zeros add nothing,
+    and far out the coefficients of a product of many factors underflow to
+    zero, where the top levels would spend most of their O(n^2) products.
 
     Rounding.  Every term of P_j is a product of n nonnegative factor
     coefficients, so the error is relative: with u = 2^-53 and
@@ -356,24 +360,24 @@ def _linear_product(a: Sequence[float], b: Sequence[float], length: int) -> np.n
     a_i + b_i).  So c_j is also off by at most (n - 1)(j + 1)(j + 2) B
     2^-1076 (1 + g_K) in absolute terms.
     """
-    rows = np.column_stack((a, b))[:, :length]
-    carried = np.ones(1)  # product of the rows carried so far; 1 is exact
-    while rows.shape[0] > 1:
-        if rows.shape[0] % 2:
-            carried = _cut_zeros(np.convolve(rows[-1], carried)[:length])
-            rows = rows[:-1]
-        left, right = rows[0::2], rows[1::2]
-        pairs, d = left.shape
+    cols = np.vstack((a, b))[:length]  # coefficient i of factor r at cols[i, r]
+    carried = np.ones(1)  # product of the factors carried so far; 1 is exact
+    while cols.shape[1] > 1:
+        if cols.shape[1] % 2:
+            carried = _cut_zeros(np.convolve(cols[:, -1], carried)[:length])
+            cols = cols[:, :-1]
+        left, right = np.ascontiguousarray(cols[:, 0::2]), np.ascontiguousarray(cols[:, 1::2])
+        d, pairs = left.shape
         k = min(2 * d - 1, length)
         if pairs >= d:
-            rows = np.zeros((pairs, k))
+            cols = np.zeros((k, pairs))
             for i in range(d):
                 w = min(d, k - i)
-                rows[:, i:i + w] += left[:, i:i + 1] * right[:, :w]
+                cols[i:i + w] += left[i] * right[:w]
         else:
-            rows = _cut_zeros(np.array([np.convolve(x, y)[:k] for x, y in zip(left, right)]))
+            cols = _cut_zeros(np.array([np.convolve(x, y)[:k] for x, y in zip(left.T, right.T)]).T)
     c = np.zeros(length)
-    top = np.convolve(rows[0], carried)[:length] if rows.shape[0] else carried
+    top = np.convolve(cols[:, 0], carried)[:length] if cols.shape[1] else carried
     c[:top.size] = top
     return c
 
@@ -395,11 +399,12 @@ def _product_error(c: np.ndarray | float, n: int, ones: bool, big: float) -> np.
 
 
 def _cut_zeros(x: np.ndarray) -> np.ndarray:
-    """x without the trailing columns that are zero in every row (one kept)."""
-    if x[..., -1].any():
+    """x without the trailing coefficients (rows) that are zero in every
+    factor (column); one is kept."""
+    if x[-1].any():
         return x
-    nonzero = np.flatnonzero(np.any(x.reshape(-1, x.shape[-1]) != 0.0, axis=0))
-    return x[..., :nonzero[-1] + 1 if nonzero.size else 1]
+    nonzero = np.flatnonzero(np.any(x.reshape(x.shape[0], -1) != 0.0, axis=1))
+    return x[:nonzero[-1] + 1 if nonzero.size else 1]
 
 
 def poisson_binomial_pmf(p: ProbVector) -> SignedPmf:
@@ -482,10 +487,29 @@ class _Sn:
         return self.probs
 
     def power_sums(self, last: int) -> tuple[float, ...]:
-        """lambda_1..lambda_last, one fsum each (within 3u: pow within an ulp)."""
+        """lambda_1..lambda_last: x^j by the running product y <- y x from
+        y = x over the float array, one rounding a step, and one correctly
+        rounded fsum per order.  A longer run starts again from x, so it
+        repeats the bits of a shorter one.
+
+        With u = 2^-53 and g_j = j u / (1 - j u), y_j is within g_(j-1) x^j
+        of x^j, plus (j - 1) 2^-1075 where products underflow: a subnormal
+        product is off by at most 2^-1075, and every later one, by x <= 1,
+        is subnormal too, so its error stays absolute.  The fsum adds u
+        relative where its exact sum is normal and nothing where it is
+        subnormal (exact), so lambda_j is within g_j lambda_j + (1 + u)
+        n (j - 1) 2^-1075.  Since fl(y x) <= y for x <= 1 and fsum is
+        monotone, lambda_(j+1) <= lambda_j holds exactly.  np.power is not
+        used: its last bit differs from libm pow, by platform.
+        """
         if len(self.sums) < last:
-            self.sums += tuple(math.fsum(x**j for x in self.p.probs)
-                               for j in range(len(self.sums) + 1, last + 1))
+            x = y = self.floats()
+            sums = list(self.sums)
+            for j in range(1, last + 1):
+                if j > len(sums):
+                    sums.append(math.fsum(y.tolist()))
+                y = y * x
+            self.sums = tuple(sums)
         return self.sums[:last]
 
     def array(self, moments: bool) -> np.ndarray:

@@ -432,7 +432,7 @@ class TestEdgeInputsPinned:
         assert r.stdout.startswith('{"reports": [{"name": "mu-sandwich[m=1]", '
                                    '"lhs": 0.29999999999999999, "rhs": 0.29999999999999999, ')
         digest = hashlib.sha256(r.stdout.encode()).hexdigest()
-        assert digest == "d70d4f45ae729b677e9cafea1b4d6dd32ff248799ca84a6a4b74d98e7d75d96a"
+        assert digest == "5977c5a84dc7aba983eb0a75bbec084255449347cf10166238836b351c7cdad1"
 
     def test_pmf_rounding_refusal_is_one_line(self):
         # the exact law's masses drift past SignedPmf's fixed 1e-12 slack at n = 10^5

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import hashlib
 import json
 import math
 import pickle
@@ -307,6 +308,90 @@ class TestArrayFedTrees:
                         == _linear_product(ones, doubled, m + 1).tobytes())
 
 
+def pinned_vectors():
+    """Seeded vectors of every tree shape: n = 1..3 (no level or one), odd
+    levels (31), slice and convolve levels (500, 1601), a p = 1 entry, all
+    p equal, and p near 1e-100, whose products underflow to zero."""
+    vectors = {}
+    for n in (1, 2, 3, 31, 500, 1601):
+        rng = np.random.default_rng(n)
+        vectors[f"n{n}"] = ProbVector(tuple(rng.uniform(0.0, min(1.0, 40.0 / n), n).tolist()))
+    rng = np.random.default_rng(7)
+    vectors["one"] = ProbVector((0.25, 1.0) + tuple(rng.uniform(0.0, 0.6, 20).tolist()))
+    vectors["equal"] = equal_probs(1000, 30.0)
+    vectors["tiny"] = ProbVector(
+        tuple((1e-100 * np.random.default_rng(8).uniform(0.5, 1.5, 40)).tolist()))
+    return vectors
+
+
+def sha16(a):
+    return hashlib.sha256(a.tobytes()).hexdigest()[:16]
+
+
+def dot_kernel_probe():
+    """np.convolve sums through numpy's dot, which is BLAS ddot, whose
+    summation order depends on the CPU kernel: this digest tells them apart."""
+    x = np.random.default_rng(0).uniform(0.0, 1.0, 1000)
+    return sha16(np.convolve(x, x[::-1].copy()))
+
+
+# First 16 hex digits of the SHA-256 of the bytes of the pmf, the uncut
+# weighted moments, the moments at mmax = 15 and elementary_symmetric(p, 20),
+# one table per dot kernel (set by OPENBLAS_CORETYPE): a rewrite of the tree
+# that keeps its summation order keeps these bits.
+PINNED_TREE_BITS = {
+    "4e62fc9ba73bd7a6": {  # SkylakeX (AVX-512)
+        "n1": ("b809631d87d9aa07", "d0f6f2a0c48d41e7", "d0f6f2a0c48d41e7", "2a23b0eb574df55a"),
+        "n2": ("7cfc575be78c86ed", "9b287808f0c54b62", "9b287808f0c54b62", "2d6480e6724dedd6"),
+        "n3": ("6d07580b5e879629", "34e36177416aa4e5", "34e36177416aa4e5", "5936e3be4a072cd1"),
+        "n31": ("5ba9c30462c5b79d", "6ac323157355d983", "7aaaa3caa545b036", "a0e8dad766eda761"),
+        "n500": ("716968081308620b", "ad2daf0726d2415f", "6452d732ebb6845f", "927ecbe72561a583"),
+        "n1601": ("62e70ff42efe466b", "25ca9255f52e7ea3", "0c0e5efb840decf7", "196e17b32aa218fc"),
+        "one": ("96502d849be97074", "e3bc8af9547aaf78", "073f04b6fcb79895", "ba3daa56ffbe3db6"),
+        "equal": ("72b866ceb25bcd5d", "e965f28e7edfccfb", "be5206a4c76b4c93", "ec6832997dc997a3"),
+        "tiny": ("50288093a18f8c64", "4f59294e053ffe4b", "9428b24e049d2708", "0dcd86646035e8fa"),
+    },
+    "468a345f40f0299a": {  # Haswell and Zen (AVX2)
+        "n1": ("b809631d87d9aa07", "d0f6f2a0c48d41e7", "d0f6f2a0c48d41e7", "2a23b0eb574df55a"),
+        "n2": ("7cfc575be78c86ed", "9b287808f0c54b62", "9b287808f0c54b62", "2d6480e6724dedd6"),
+        "n3": ("6d07580b5e879629", "34e36177416aa4e5", "34e36177416aa4e5", "5936e3be4a072cd1"),
+        "n31": ("3e16502310703db7", "824dd4cce00d9f07", "257be0408b0fe2b4", "3170c73685c4fb03"),
+        "n500": ("bbff0d12da6b30c5", "6e6b4cd0c9609fdc", "12de4507ff578584", "c2dd80a63a4049d2"),
+        "n1601": ("dd99dcad14b927da", "e9476652838c8bde", "8027d5797cf39bd9", "6f78075a66464ad5"),
+        "one": ("c5bc13ccd96e0b8a", "390755d8a8dc0639", "ecc2ff2707cecc23", "d9f2f550b2f07d42"),
+        "equal": ("d93204cfe01bc124", "7d32c7e77e8ae5b7", "c897dfd5c4135fdb", "5f934727e1c1a217"),
+        "tiny": ("50288093a18f8c64", "4f59294e053ffe4b", "9428b24e049d2708", "0dcd86646035e8fa"),
+    },
+    "40a9ad54100b8746": {  # Sandybridge (AVX)
+        "n1": ("b809631d87d9aa07", "d0f6f2a0c48d41e7", "d0f6f2a0c48d41e7", "2a23b0eb574df55a"),
+        "n2": ("7cfc575be78c86ed", "9b287808f0c54b62", "9b287808f0c54b62", "2d6480e6724dedd6"),
+        "n3": ("6d07580b5e879629", "34e36177416aa4e5", "34e36177416aa4e5", "5936e3be4a072cd1"),
+        "n31": ("3e16502310703db7", "824dd4cce00d9f07", "257be0408b0fe2b4", "3170c73685c4fb03"),
+        "n500": ("3442f44d676e347e", "811d1178bff529de", "12de4507ff578584", "c2dd80a63a4049d2"),
+        "n1601": ("20260347db35ed1e", "35a3b53bc2b98e9f", "8027d5797cf39bd9", "6f78075a66464ad5"),
+        "one": ("c5bc13ccd96e0b8a", "390755d8a8dc0639", "ecc2ff2707cecc23", "d9f2f550b2f07d42"),
+        "equal": ("4c91a26e82295d1a", "3f54f6e7147bf798", "c897dfd5c4135fdb", "5f934727e1c1a217"),
+        "tiny": ("50288093a18f8c64", "4f59294e053ffe4b", "9428b24e049d2708", "0dcd86646035e8fa"),
+    },
+}
+
+
+class TestPinnedTreeBits:
+    """The product tree's arrays keep the bits they had when these were
+    recorded; on a dot kernel with no record the test cannot say and skips."""
+
+    @pytest.mark.parametrize("name", list(pinned_vectors()))
+    def test_arrays_keep_their_bits(self, name):
+        pins = PINNED_TREE_BITS.get(dot_kernel_probe())
+        if pins is None:
+            pytest.skip("no pins recorded for this BLAS dot kernel")
+        p = pinned_vectors()[name]
+        with np.errstate(over="ignore"):
+            arrays = (poisson_binomial_pmf(p).mass, factorial_moments_sn(p).weighted,
+                      factorial_moments_sn(p, 15).weighted, elementary_symmetric(p, 20))
+        assert tuple(sha16(a) for a in arrays) == pins[name]
+
+
 class TestFactorialMoments:
     def test_hand_value(self):
         mu = factorial_moments_sn(ProbVector((0.1, 0.2, 0.3)))
@@ -388,6 +473,37 @@ class TestPowerSums:
         ps = power_sums(p, 8)
         for j in range(1, 8):
             assert ps[j] >= ps[j + 1]
+
+    ENTRIES = st.one_of(st.floats(0.0, 1.0), st.floats(0.0, 1e-300), st.floats(0.0, 1e-160),
+                        st.floats(0.999, 1.0), st.just(1.0))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(ENTRIES, max_size=30))
+    def test_running_product_bound(self, probs):
+        """The running product's proven bound against exact Fraction sums,
+        read as g_j lambda_j + n (j - 1) 2^-1075 (the proof also allows a
+        factor 1 + u on the second term)."""
+        p = ProbVector(tuple(probs))
+        lams = power_sums(p, 12).values
+        assert power_sums(p, 1).values[0] == p.lam
+        exact = [Fraction(x) for x in p.probs]
+        terms = exact
+        for j, got in enumerate(lams, start=1):
+            want = sum(terms, Fraction(0))
+            g = j * U / (1 - j * U)
+            assert abs(Fraction(got) - want) <= g * want + p.n * (j - 1) * Fraction(1, 2**1075), j
+            terms = [t * x for t, x in zip(terms, exact)]
+        assert all(b <= a for a, b in zip(lams, lams[1:]))
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(ENTRIES, max_size=30))
+    def test_longer_run_repeats_the_bits(self, probs):
+        p = ProbVector(tuple(probs))
+        _sn.cache_clear()
+        short = power_sums(p, 3).values
+        assert power_sums(p, 8).values[:3] == short
+        _sn.cache_clear()
+        assert power_sums(p, 8).values[:3] == short
 
 
 class TestSignedPmf:
