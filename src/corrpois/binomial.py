@@ -34,7 +34,7 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Mapping
 
-from .corrected import gamma_from_power_sums
+from .corrected import MAX_ORDER, gamma_from_power_sums
 
 __all__ = [
     "RationalPolynomial",
@@ -182,8 +182,8 @@ def solve_gamma_table(nu: int) -> GammaTable:
     gamma_j is gamma_j at order w + 1 minus gamma_j at order w, both from
     ``gamma_from_power_sums`` on unit power sums.
     """
-    if not 2 <= nu <= 8:
-        raise ValueError("supported truncation orders are 2..8")
+    if not 2 <= nu <= MAX_ORDER:
+        raise ValueError(f"supported truncation orders are 2..{MAX_ORDER}")
     by_order = [gamma_from_power_sums([Fraction(1)] * nu, order) for order in range(1, nu + 1)]
     polys = {j: RationalPolynomial((0, *(b.get(j, 0) - a.get(j, 0)
                                          for a, b in zip(by_order, by_order[1:]))))

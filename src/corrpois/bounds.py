@@ -157,7 +157,7 @@ def theta(j: int, m: int, s: int, ps: PowerSums) -> float:
     if ps.order < m + s:
         raise ValueError(f"power sums up to order {m + s} needed, have {ps.order}")
     lam = ps.lam
-    terms = [(-1.0) ** (k - j) * math.comb(m, k) * ps[k + s] * lam ** (m - k)
+    terms = [(-1.0) ** (k - j) * math.comb(m, k) * ps[k + s] * _power(lam, m - k, m)
              for k in range(j, m + 1)]
     value = math.fsum(terms)
     scale = max(1.0, math.fsum(abs(t) for t in terms))
@@ -166,18 +166,26 @@ def theta(j: int, m: int, s: int, ps: PowerSums) -> float:
     return value
 
 
+def _power(lam: float, k: int, m: int) -> float:
+    """lam^k in a term of order m, or OverflowError naming both."""
+    try:
+        return lam**k
+    except OverflowError:
+        raise OverflowError(f"lam^{k} exceeds binary64 at order m = {m}") from None
+
+
 def _moment_term(m: int, j: int, divisor: float, coef: float, lam: float) -> float:
     """(m)_j / divisor * coef * lam^(m-j), safe when the falling factorial is 0."""
     f = falling_factorial(m, j)
     if f == 0.0:
         return 0.0
-    return f / divisor * coef * lam ** (m - j)
+    return f / divisor * coef * _power(lam, m - j, m)
 
 
 def sandwich_sides(ps: PowerSums, m: int) -> tuple[float, float]:
     """Lower and upper closed-form bounds on mu_m (orders 2 and 3)."""
     lam = ps.lam
-    lower = lam**m - _moment_term(m, 2, 2.0, ps[2], lam)
+    lower = _power(lam, m, m) - _moment_term(m, 2, 2.0, ps[2], lam)
     upper = (lower + _moment_term(m, 3, 3.0, ps[3], lam)
              + _moment_term(m, 4, 8.0, ps[2] ** 2, lam))
     return lower, upper
@@ -190,7 +198,7 @@ def refined_lower(ps: PowerSums, m: int) -> float:
     f4 = falling_factorial(m, 4)
     if f4 == 0.0:
         return upper
-    return upper - f4 * falling_factorial(m, 2) / 48.0 * ps[4] * lam ** (m - 4)
+    return upper - f4 * falling_factorial(m, 2) / 48.0 * ps[4] * _power(lam, m - 4, m)
 
 
 def check_sandwich(p: ProbVector, mmax: int) -> list[BoundReport]:

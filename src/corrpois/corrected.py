@@ -53,6 +53,7 @@ __all__ = [
     "invert_moments",
 ]
 
+MAX_ORDER = 8  # the highest order of a moment-matched spec
 MOMENT_MATCHED = "moment-matched-from-ProbVector"
 USER_SUPPLIED = "user-supplied"
 
@@ -95,16 +96,14 @@ class CorrectionSpec:
         """Weighted factorial moments 2^m mu_m / m! = a_m - sum_j gamma_j (2 lam)^j a_(m-j).
 
         Here a_m = (2 lam)^m / m! = e^(2 lam) pi_(2 lam)(m): w = a * c, c =
-        ``_moment_kernel``, cut at M = ``_cutoff(2 lam, 2 nu - 1)``, past every
-        correction degree and the first unmatched moment, with the tail e^(2
-        lam) times ``_truncation``'s index-weighted bound; w comes from
-        ``_measure``.  Raises OverflowError when e^(2 lam) exceeds binary64
-        (lam above about 354).
+        ``_moment_kernel``, from ``_measure``, cut past every correction
+        degree and the first unmatched moment, with the tail e^(2 lam) times
+        ``_truncation``'s index-weighted bound, which that build computed.
+        Raises OverflowError when e^(2 lam) exceeds binary64 (lam above about
+        354).
         """
-        x, c = 2.0 * self.lam, _moment_kernel(self)
-        top = _cutoff(x, c.size)
-        return FactorialMoments(_measure(self, top, True)[0],
-                                math.exp(x) * _truncation(x, c, top)[1])
+        weighted, _, _, tail = _measure(self, True)
+        return FactorialMoments(weighted, tail)
 
 
 def spec_poisson(lam: float) -> CorrectionSpec:
@@ -201,15 +200,15 @@ def _weight_sum(parts: np.ndarray, first: int) -> np.ndarray:
 def spec_for_order(p: ProbVector, order: int | str) -> CorrectionSpec:
     """The moment-matched corrected-measure spec of the given order for S_n.
 
-    Orders 1..8 match the factorial moments of S_n up to that order, for any
-    probabilities; "3t" is order 3 without its gamma_4.  Every other order
-    raises ValueError, and so does a mean whose power lam^(2 order - 2)
+    Orders 1..MAX_ORDER match the factorial moments of S_n up to that order,
+    for any probabilities; "3t" is order 3 without its gamma_4.  Every other
+    order raises ValueError, and so does a mean whose power lam^(2 order - 2)
     falls below the normal floating-point range, where the coefficients
     would lose their precision or divide by zero.  The spec comes from
     ``_matched``.
     """
     nu = 3 if order == "3t" else order
-    if nu not in range(1, 9):
+    if nu not in range(1, MAX_ORDER + 1):
         raise ValueError(f"unsupported order: {order!r}")
     spec = _matched(p, int(nu))[1]
     if order == "3t":
@@ -255,29 +254,27 @@ def build_phi_nu(spec: CorrectionSpec, kmax: int | None = None,
     """Corrected measure of arbitrary order from an explicit coefficient spec.
 
     The masses on 0..K and their tail bound are ``_charlier_masses``', read
-    through ``_measure``; K is ``_cutoff``'s for the kernel length 2 nu - 1
-    unless ``kmax`` is given.
+    through ``_measure`` at its own cut unless ``kmax`` fixes K.
     """
-    kmax = _cutoff(spec.lam, 2 * spec.nu - 1) if kmax is None else kmax
-    mass, tail, _ = _measure(spec, kmax, False)
+    built = _measure(spec, False) if kmax is None else _charlier_masses(spec, kmax)
     if label is None:
         label = f"phi{spec.nu}" if spec.gamma or spec.nu == 1 else "poisson"
-    return CorrectedMeasure(spec, SignedPmf(mass, tail, label))
+    return CorrectedMeasure(spec, SignedPmf(built[0], built[1], label))
 
 
 @functools.lru_cache(maxsize=8)  # a vector's masses and moments for three specs
-def _measure(spec: CorrectionSpec, kmax: int, moments: bool) -> tuple[np.ndarray, float, float]:
-    """The spec's masses on 0..kmax (``_charlier_masses``) or, with ``moments``,
-    its weighted factorial moments (``_poisson_convolution`` of
-    ``_moment_kernel`` at the mean 2 lam), read-only, with their two bounds.
+def _measure(spec: CorrectionSpec, moments: bool) -> tuple:
+    """The spec's masses (``_charlier_masses``) or, with ``moments``, its
+    weighted factorial moments (``_poisson_convolution`` of ``_moment_kernel``
+    at the mean 2 lam), each cut by ``_cutoff`` for the kernel length 2 nu -
+    1, read-only, with their two bounds (and the moments' tail).
     ``build_phi_nu``, ``CorrectionSpec.moments`` and the direct differences
-    of ``distances`` share one build for an equal spec, cut and kind;
-    callers pass all three arguments positionally (``lru_cache`` keys a
-    keyword apart from the same value passed by position).  Errors are not
-    kept.
+    of ``distances`` share one build for an equal spec and kind; callers
+    pass both arguments positionally (``lru_cache`` keys a keyword apart
+    from the same value passed by position).  Errors are not kept.
     """
-    built = (_poisson_convolution(2.0 * spec.lam, _moment_kernel(spec), kmax, True) if moments
-             else _charlier_masses(spec, kmax))
+    built = (_poisson_convolution(2.0 * spec.lam, _moment_kernel(spec), True) if moments
+             else _charlier_masses(spec, _cutoff(spec.lam, 2 * spec.nu - 1)))
     built[0].flags.writeable = False
     return built
 
@@ -376,36 +373,37 @@ def _truncation(lam: float, c: np.ndarray, kmax: int) -> tuple[float, float]:
             math.fsum(w * (lam * tails[i + 1] + i * tails[i]) for i, w in enumerate(weights)))
 
 
-def _poisson_convolution(lam: float, c: np.ndarray, kmax: int,
-                         moments: bool = False) -> tuple[np.ndarray, float, float]:
-    """w * c on 0..K for a kernel c whose entries are each within 3u, w the
-    Poisson(lam) masses pi or, with ``moments``, w_m = lam^m / m! = E pi(m),
-    E = e^lam, from exactly w_0 = 1; and bounds on sum_k |e_k| and sum_k k
-    |e_k|, e_k the rounding of an entry up to K and the whole entry past K.
-    Past K they are E times ``_truncation``'s.  With S = sum_i |c_i|, u =
-    2^-53 and g_n = n u / (1 - n u): w_m is within g_(2m), and pi(m) of
-    ``poisson_pmf`` within g_(2m+2) below lam = 708 (exp within an ulp, two
-    roundings a step) and g_(2m+5) from there on (its scaled start is within
-    about 5u), costing about (2 lam + s) u E S, s = 0, 2 or 5.  The kernel
-    adds 3u E S, and an entry's len(c) products g_len times their absolute
-    sum; products of errors stay below u E S for lam < 1416, and the
+def _poisson_convolution(lam: float, c: np.ndarray,
+                         moments: bool = False) -> tuple[np.ndarray, float, float, float]:
+    """w * c on 0..K (``_cutoff``) for a kernel c whose entries are each within
+    3u, w the Poisson(lam) masses pi or, with ``moments``, w_m = lam^m / m! = E
+    pi(m), E = e^lam, from exactly w_0 = 1; bounds on sum_k |e_k| and sum_k k
+    |e_k|, e_k the rounding of an entry up to K and the whole entry past K,
+    where they are E times ``_truncation``'s; and that index-weighted tail.
+    With S = sum_i |c_i|, u = 2^-53 and g_n = n u / (1 - n u): w_m is within
+    g_(2m), and pi(m) of ``poisson_pmf`` within g_(2m+2) below lam = 708 (exp
+    within an ulp, two roundings a step) and g_(2m+5) from there on (its scaled
+    start is within about 5u), costing about (2 lam + s) u E S, s = 0, 2 or 5.
+    The kernel adds 3u E S, and an entry's len(c) products g_len times their
+    absolute sum; products of errors stay below u E S for lam < 1416, and the
     denominator covers each g_n and the rounding of E, S and the truncation.
     Below 2^-1022 a weight is, like its exact value, within 2^-1021, and an
     underflowing product loses 2^-1075: (S + len(c) + 1) (K + 1) 2^-1021.
     Up to K the rounding weighted by k is at most K times its sum.
     """
+    kmax = _cutoff(lam, c.size)
     total = math.exp(lam) if moments else 1.0
     size = math.fsum(np.abs(c).tolist())
     s = 0 if moments else 2 if lam < 708 else 5
     rounding = total * size * (2.0 * lam + c.size + s + 4) * 2.0**-53
     underflow = (size + (c.size + 1)) * (kmax + 1) * 2.0**-1021
     scale = 1.0 - (2 * kmax + c.size + 6) * 2.0**-53
-    plain, weighted = _truncation(lam, c, kmax)
+    plain, tail = (total * x for x in _truncation(lam, c, kmax))
     w = (np.cumprod(np.concatenate(([1.0], lam / np.arange(1.0, kmax + 1)))) if moments
          else _poisson_masses(lam, kmax))
     mass = np.convolve(w, c)[: kmax + 1]
-    return (mass, (total * plain + rounding + underflow) / scale,
-            (total * weighted + kmax * (rounding + underflow)) / scale)
+    return (mass, (plain + rounding + underflow) / scale,
+            (tail + kmax * (rounding + underflow)) / scale, tail)
 
 
 def build_phi2(p: ProbVector, kmax: int | None = None) -> CorrectedMeasure:

@@ -40,7 +40,7 @@ from typing import Callable
 
 import numpy as np
 
-from .corrected import (CorrectionSpec, _cutoff, _log_coefficients, _matched, _measure,
+from .corrected import (MAX_ORDER, CorrectionSpec, _log_coefficients, _matched, _measure,
                         _poisson_convolution, _series_powers, _weight_sum)
 from .pmf import FactorialMoments, ProbVector, SignedPmf, _product_error, _sn
 
@@ -269,7 +269,7 @@ def _difference(p: ProbVector, spec: CorrectionSpec, moments: bool) -> _Differen
         raise OverflowError(_overflow(lam))
     lams = _sn(p).power_sums(2)
     majorant, matched = None, False  # A_w(2) for w < nu of a matched spec
-    if nu <= 8:
+    if nu <= MAX_ORDER:
         try:
             low, twin = _matched(p, nu)
         except ValueError:
@@ -340,29 +340,28 @@ def _direct(p: ProbVector, spec: CorrectionSpec, moments: bool, majorant: np.nda
     """The difference by subtraction: Delta = f - phi with f the S_n pmf and
     phi the measure's masses, or D = w - a * c with w the weighted factorial
     moments of S_n, a_m = (2 lam)^m / m! and c = ``_moment_kernel``, both
-    from ``corrected._measure``.
+    from ``corrected._measure``; S_n's entries past the measure's cut stand.
 
     Errors: f and w are within ``_product_error`` of the exact law; the
-    measure's array within its bounds; the subtraction costs u.  A matched
-    spec adds the gap to the exact coefficients: the stored gamma_j lam^j,
-    from ``gamma_from_power_sums`` and one division by lam^j, differ from the
-    exact [t^j] T_nu by at most u (w (w + 7) + nu + 4) times the parts'
-    majorant (``_series_powers``), so the weight-w part costs that times
-    A_w(2) in the sum over t = 2s or x - 1; and the mean lam = fsum(p),
-    off by delta from sum_i p_i, multiplies the measure by e^(delta t),
-    costing 2.01 |delta| sum_{w < nu} A_w(2).  Both, times e^(2 lam) for D,
-    join every entry's bound, and times z + 2 nu (the index they reach, z
+    measure's array, whole past its cut, within its bounds; the subtraction
+    costs u.  A matched spec adds the gap to the exact coefficients: the
+    stored gamma_j lam^j, from ``gamma_from_power_sums`` and one division by
+    lam^j, differ from the exact [t^j] T_nu by at most u (w (w + 7) + nu + 4)
+    times the parts' majorant (``_series_powers``), so the weight-w part costs
+    that times A_w(2) in the sum over t = 2s or x - 1; and the mean lam =
+    fsum(p), off by delta from sum_i p_i, multiplies the measure by e^(delta
+    t), costing 2.01 |delta| sum_{w < nu} A_w(2).  Both, times e^(2 lam) for
+    D, join every entry's bound, and times z + 2 nu (the index they reach, z
     the Poisson mean) the moment-weighted one.
     """
     z = 2.0 * spec.lam if moments else spec.lam
     scale = math.exp(z) if moments else 1.0
     sn = _sn(p).array(moments)  # factorial_moments_sn(p).weighted or the pmf's masses
     sn_err = _product_error(sn, p.n, moments, 2.0 * scale)
-    top = max(_cutoff(z, 2 * spec.nu - 1), p.n)
-    phi, tail, moment_tail = _measure(spec, top, moments)
-    phi = -phi
-    phi[:sn.size] += sn  # now the differences
-    local = _U * np.abs(phi)
+    phi, tail, moment_tail = _measure(spec, moments)[:3]
+    diff = np.concatenate((sn, np.zeros(max(phi.size - sn.size, 0))))
+    diff[:phi.size] -= phi
+    local = _U * np.abs(diff)
     local[:sn.size] += sn_err
     extra = 0.0
     if majorant is not None:  # a matched spec
@@ -371,8 +370,8 @@ def _direct(p: ProbVector, spec: CorrectionSpec, moments: bool, majorant: np.nda
                                         for w, a in enumerate(low) if w)
                          + gap * math.fsum(low))
     spread = tail + extra
-    return _Difference(phi, local + spread, local.sum() + spread,
-                       np.arange(phi.size) @ local + moment_tail + extra * (z + 2 * spec.nu))
+    return _Difference(diff, local + spread, local.sum() + spread,
+                       np.arange(diff.size) @ local + moment_tail + extra * (z + 2 * spec.nu))
 
 
 def _kernel(p: ProbVector, spec: CorrectionSpec, moments: bool, matched: bool, gap: float,
@@ -456,7 +455,7 @@ def _kernel(p: ProbVector, spec: CorrectionSpec, moments: bool, matched: bool, g
         m = 2 * kappa.size
         rounding += m * _U / (1.0 - m * _U) * math.fsum(
             np.ldexp(np.abs(kappa), np.arange(kappa.size)).tolist())
-    values, conv, moment_conv = _poisson_convolution(z, kernel, _cutoff(z, kernel.size), moments)
+    values, conv, moment_conv, _ = _poisson_convolution(z, kernel, moments)
     cut, moment_cut = _cauchy_tail(q, l2, top)
     error = scale * (rounding + cut) + conv
     moment_error = scale * ((z + 2 * top) * rounding + z * cut + 2.0 * moment_cut) + moment_conv

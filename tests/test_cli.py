@@ -377,6 +377,17 @@ class TestScanCommand:
         r = run_cli("scan", "--lambda", "1", "--n-grid", "4", "--orders", "2")
         assert r.returncode == 5
 
+    def test_remark2_too_few_points(self):
+        # every f_n(0) - phi(0) rounds to 0 at this mean, so the fit has no points
+        r = run_cli("bounds", "--check", "remark2", "--lambda", "1e-300")
+        assert (r.returncode, r.stdout) == (5, "")
+        assert r.stderr == "error: fit refused: fewer than 3 usable points\n"
+
+    def test_remark2_grid_below_1000_is_input_error(self):
+        r = run_cli("bounds", "--check", "remark2", "--lambda", "1e-300", "--n-grid", "10,100")
+        assert (r.returncode, r.stdout) == (2, "")
+        assert r.stderr == "error: grid must reach at least 10^3\n"
+
     def test_byte_identical_reruns(self):
         args = ("scan", "--lambda", "1", "--n-grid", "8,16,32", "--orders", "1,3t")
         a, b = run_cli(*args), run_cli(*args)
@@ -463,6 +474,17 @@ def test_overflow_names_e2lam_and_the_mean(args, lam):
     assert len(r.stderr.splitlines()) == 1
     assert r.stderr.startswith("error: numeric overflow: e^(2 lam) ")
     assert r.stderr.rstrip().endswith(f"at the mean lam = {lam}")
+
+
+@pytest.mark.parametrize("args", [
+    ("--check", "sandwich", "--binomial", "2000", "1000", "--mmax", "110"),
+    ("--check", "lower3", "--binomial", "2000", "1000", "--mmax", "400"),
+    ("--check", "theta", "--binomial", "2000", "1000", "--j", "0", "--m", "400", "--s", "1"),
+])
+def test_bound_overflow_names_the_power(args):
+    r = run_cli("bounds", *args, timeout=120)
+    assert (r.returncode, r.stdout) == (3, "")
+    assert len(r.stderr.splitlines()) == 1 and "lam^" in r.stderr
 
 
 def test_scan_keeps_its_rows_where_the_bound_overflows():

@@ -596,9 +596,9 @@ class TestSharedBuilds:
             built["measures"].append((spec, kmax, False))
             return masses(spec, kmax)
 
-        def counted_convolution(lam, c, kmax, moments=False):
-            built["measures"].append((lam, c.tobytes(), kmax, moments))
-            return convolution(lam, c, kmax, moments)
+        def counted_convolution(lam, c, moments=False):
+            built["measures"].append((lam, c.tobytes(), moments))
+            return convolution(lam, c, moments)
 
         def counted_product(*args):
             built["sn"] += 1
@@ -615,6 +615,46 @@ class TestSharedBuilds:
         assert built["specs"] == [1, 2, 3]  # Poisson's through the difference's matched test
         assert len(set(built["measures"])) == len(built["measures"]) >= 6
         assert built["sn"] == 2
+
+    def test_one_cut_per_spec_and_kind(self, monkeypatch):
+        # 2 max p >= 1, so the kernel does not apply and every difference is direct
+        from corrpois import corrected, distances
+
+        cuts = []
+        cutoff = corrected._cutoff
+
+        def counted(lam, size):
+            cuts.append((lam, size))
+            return cutoff(lam, size)
+
+        for module in (corrected, distances):  # a cut taken outside corrected counts too
+            monkeypatch.setattr(module, "_cutoff", counted, raising=False)
+        p = ProbVector((0.6, 0.3))
+        spec = spec_phi2(p)
+        build_phi_nu(spec)
+        spec.moments()
+        certify_domination(p, spec)
+        d2_exact_product(p, spec)
+        sn_distance(p, spec, "tv")
+        assert cuts == [(spec.lam, 3), (2.0 * spec.lam, 3)]
+
+    def test_direct_difference_reads_the_measure_at_its_own_cut(self, monkeypatch):
+        # n = 4000 lies past the measure's cut, so S_n's entries past K stand alone
+        from corrpois import corrected
+
+        cuts = []
+        masses = corrected._charlier_masses
+
+        def counted(spec, kmax):
+            cuts.append(kmax)
+            return masses(spec, kmax)
+
+        monkeypatch.setattr(corrected, "_charlier_masses", counted)
+        p = equal_probs(4000, 300)
+        spec = spec_for_order(p, 8)
+        support = build_phi_nu(spec).pmf.support_max
+        sn_distance(p, spec, "tv")
+        assert support < p.n and cuts == [support]
 
     @pytest.mark.parametrize("index", [0, 1, 2])
     def test_shared_results_equal_fresh_builds(self, corpus, index):
@@ -656,8 +696,8 @@ class TestSharedBuilds:
         assert np.array_equal(poisson_binomial_pmf(P123).mass, masses)
         assert np.array_equal(factorial_moments_sn(P123).weighted, pmf._sn(P123).array(True))
         parts, spec = corrected._matched(P123, 3)
-        for shared in (parts, corrected._measure(spec, 20, False)[0],
-                       corrected._measure(spec, 20, True)[0]):
+        for shared in (parts, corrected._measure(spec, False)[0],
+                       corrected._measure(spec, True)[0]):
             with pytest.raises(ValueError):
                 shared[0] = 0.0
 
