@@ -55,6 +55,7 @@ __all__ = [
     "fit_rate",
     "fit_loglog",
     "check_simplified_order3",
+    "simplified_order3_differences",
     "random_prob_vectors",
 ]
 
@@ -157,7 +158,7 @@ def theta(j: int, m: int, s: int, ps: PowerSums) -> float:
     if ps.order < m + s:
         raise ValueError(f"power sums up to order {m + s} needed, have {ps.order}")
     lam = ps.lam
-    terms = [(-1.0) ** (k - j) * math.comb(m, k) * ps[k + s] * _power(lam, m - k, m)
+    terms = [(-1.0) ** (k - j) * _comb(m, k) * ps[k + s] * _power(lam, m - k, m)
              for k in range(j, m + 1)]
     value = math.fsum(terms)
     scale = max(1.0, math.fsum(abs(t) for t in terms))
@@ -172,6 +173,14 @@ def _power(lam: float, k: int, m: int) -> float:
         return lam**k
     except OverflowError:
         raise OverflowError(f"lam^{k} exceeds binary64 at order m = {m}") from None
+
+
+def _comb(m: int, k: int) -> float:
+    """C(m, k) as a float, or OverflowError naming it and the order."""
+    try:
+        return float(math.comb(m, k))
+    except OverflowError:
+        raise OverflowError(f"C({m}, {k}) exceeds binary64 at order m = {m}") from None
 
 
 def _moment_term(m: int, j: int, divisor: float, coef: float, lam: float) -> float:
@@ -367,27 +376,70 @@ def fit_rate(lam: float, orders: Iterable[int | str], n_grid: Sequence[int],
     return fits
 
 
-def check_simplified_order3(lam: float, n_grid: Sequence[int] | None = None) -> RateFit:
-    """Rate probe for the simplified order-3 measure at the origin.
+def _series(first: float, ratio, k: int) -> float:
+    """Sum of first, first*ratio(k), first*ratio(k)*ratio(k+1), ... until a term
+    no longer moves the sum (or vanishes)."""
+    total, term = 0.0, first
+    while abs(term) > 2.0**-53 * abs(total):
+        total += term
+        term *= ratio(k)
+        k += 1
+    return total
 
-    Computes f_n(0) - simplified(0) along the grid; n^2 times the last entry
-    should approach e^(-lam) lam^4 / 8, exposing that the simplified variant
-    is second-order only.  Probabilities are equal, so f_n(0) = (1-lam/n)^n
-    in closed form.
+
+def simplified_order3_differences(lam: float, n_grid: Sequence[int]) -> list[float]:
+    """f_n(0) - simplified(0) at each n of the grid, for Bin(n, lam/n).
+
+    Refuses (ValueError) a mean that is not finite and positive, a grid that
+    is not strictly increasing sizes >= 1 reaching 10^3, and a size n < lam,
+    whose lam/n is no probability.
+
+    With a = lam/n, f_n(0) = (1 - a)^n = e^(-lam) e^x for
+    x = lam + n log(1 - a) = -lam sum_{k>=2} a^(k-1)/k, and the simplified
+    mass at 0 is e^(-lam)(1 - lam a/2 - lam a^2/3), whose last two terms are
+    the series' first two.  So the difference is e^(-lam)((e^x - 1 - x) + r)
+    with r = -lam sum_{k>=4} a^(k-1)/k, and the two masses, equal to about
+    lam^4/(8 n^2), are never subtracted: both parts are summed as series
+    where they are small (a <= 1/2, |x| <= 1), and |r| is about 2/n of
+    e^x - 1 - x.  Past a = 1/2, x comes from the logarithm of (n - lam)/n,
+    whose numerator is exact there (Sterbenz); at n = lam, f_n(0) = 0.
     """
     if not 0 < lam < math.inf:
         raise ValueError("lam must be finite and positive")
-    if n_grid is None:
-        n_grid = (10, 100, 1000, 10_000)
     grid = _checked_grid(n_grid)
     if max(grid) < 1000:
         raise ValueError("grid must reach at least 10^3")
+    if grid[0] < lam:
+        raise ValueError(f"probability outside [0, 1]: {lam / grid[0]!r}")
     diffs = []
     for n in grid:
-        fn0 = (1.0 - lam / n) ** n
-        phi0 = math.exp(-lam) * (1.0 - lam**2 / (2.0 * n) - lam**3 / (3.0 * n**2))
-        diffs.append(fn0 - phi0)
-    return fit_loglog(grid, diffs, "3t")
+        a = lam / n
+        if n == lam:
+            diffs.append(-math.exp(-lam) * (1.0 - lam / 2.0 - lam / 3.0))
+            continue
+        if a <= 0.5:
+            r = -lam * _series(a**3 / 4.0, lambda k: a * k / (k + 1), 4)
+            x = r - lam * a / 2.0 - lam * a * a / 3.0
+        else:
+            x = lam + n * math.log((n - lam) / n)
+            r = x + lam * a / 2.0 + lam * a * a / 3.0
+        if abs(x) <= 1.0:
+            ex = _series(x * x / 2.0, lambda k: x / (k + 1), 2)
+        else:
+            ex = math.expm1(x) - x
+        diffs.append(math.exp(-lam) * (ex + r))
+    return diffs
+
+
+def check_simplified_order3(lam: float, n_grid: Sequence[int] | None = None) -> RateFit:
+    """Rate probe for the simplified order-3 measure at the origin.
+
+    Fits f_n(0) - simplified(0) along the grid (``simplified_order3_differences``);
+    n^2 times the last entry should approach e^(-lam) lam^4 / 8, exposing that
+    the simplified variant is second-order only.
+    """
+    grid = (10, 100, 1000, 10_000) if n_grid is None else n_grid
+    return fit_loglog(grid, simplified_order3_differences(lam, grid), "3t")
 
 
 def random_prob_vectors(count: int, nmax: int = 30, pmax: float = 0.5,

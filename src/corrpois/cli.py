@@ -8,9 +8,13 @@ identical invocations produce byte-identical output on one kind of CPU: for
 vectors of 31 or more entries the last bits of S_n's arrays follow the
 OpenBLAS dot kernel behind ``np.convolve``.
 
-Exit codes: 0 success (and, for bounds, all checks hold), 2 input error,
-3 domain error or numeric overflow, 4 metric domain error, 5 insufficient
-data.
+Exit codes: 0 success (for bounds: every check holds), 1 some bound check
+fails, 2 input error (an unreadable or malformed file or flag), 3 domain
+error or numeric overflow (every refusal the library raises as ValueError or
+OverflowError), 4 metric domain error, 5 insufficient data (a rate fit's
+refusal).  Every refusal prints one ``error:`` line on stderr and nothing on
+stdout; ``main`` decides the code, from ``CliError`` or the library's
+exception.
 """
 
 from __future__ import annotations
@@ -34,41 +38,17 @@ from .pmf import ProbVector, equal_probs, load_probs, poisson_binomial_pmf
 __all__ = ["main", "entrypoint"]
 
 
-class CliInputError(Exception):
-    """Unusable input: missing/garbled file, malformed flag values."""
+class CliError(Exception):
+    """A refusal and its exit code (see the module docstring)."""
 
-
-class CliDomainError(Exception):
-    """Mathematically invalid request (zero mean, probability above 1, ...)."""
-
-
-class MetricDomainError(Exception):
-    """Metric undefined for the requested measures."""
-
-
-class InsufficientDataError(Exception):
-    """Too few usable points to produce the requested summary."""
+    def __init__(self, code: int, message: str) -> None:
+        super().__init__(message)
+        self.code = code
 
 
 # ---------------------------------------------------------------------------
 # deterministic serialization
 # ---------------------------------------------------------------------------
-
-def _plain(obj: Any) -> Any:
-    if isinstance(obj, np.ndarray):
-        return [_plain(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, Fraction):
-        return str(obj)
-    if isinstance(obj, dict):
-        return {k: _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    return obj
-
 
 def _fmt_float(x: float) -> str:
     if math.isnan(x):
@@ -79,17 +59,20 @@ def _fmt_float(x: float) -> str:
 
 
 def _to_json(obj: Any) -> str:
-    obj = _plain(obj)
+    """JSON text of a payload; numpy arrays and scalars are written as lists
+    and numbers, and a ``Fraction`` as its string."""
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
     if obj is None:
         return "null"
     if isinstance(obj, bool):
         return "true" if obj else "false"
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, float):
-        return _fmt_float(obj)
-    if isinstance(obj, str):
-        return json.dumps(obj)
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        return _fmt_float(float(obj))
+    if isinstance(obj, (str, Fraction)):
+        return json.dumps(str(obj))
     if isinstance(obj, dict):
         parts = [f"{json.dumps(str(k))}: {_to_json(v)}" for k, v in obj.items()]
         return "{" + ", ".join(parts) + "}"
@@ -119,42 +102,36 @@ def _load_vector(args: argparse.Namespace) -> ProbVector:
         try:
             return load_probs(args.probs)
         except OSError as exc:
-            raise CliInputError(f"cannot read {args.probs}: {exc}") from exc
-        except (ValueError, json.JSONDecodeError) as exc:
-            raise CliInputError(str(exc)) from exc
+            raise CliError(2, f"cannot read {args.probs}: {exc}") from exc
+        except ValueError as exc:  # a malformed file, JSON included
+            raise CliError(2, str(exc)) from exc
     n_text, lam_text = args.binomial
     try:
         n = int(n_text)
         lam = float(lam_text)
     except ValueError as exc:
-        raise CliInputError(f"--binomial expects an integer and a decimal: {exc}") from exc
-    try:
-        return equal_probs(n, lam)
-    except ValueError as exc:
-        raise CliDomainError(str(exc)) from exc
+        raise CliError(2, f"--binomial expects an integer and a decimal: {exc}") from exc
+    return equal_probs(n, lam)
 
 
 def _check_lambda(lam: float) -> None:
     if not 0 < lam < math.inf:
-        raise CliDomainError(f"--lambda must be finite and positive, got {lam!r}")
+        raise CliError(3, f"--lambda must be finite and positive, got {lam!r}")
 
 
 def _check_order(order: int) -> None:
     if not 1 <= order <= MAX_ORDER:
-        raise CliInputError(f"unsupported order: {order} (orders 1..{MAX_ORDER} are supported)")
+        raise CliError(2, f"unsupported order: {order} (orders 1..{MAX_ORDER} are supported)")
 
 
 def _check_at_least(flag: str, value: int | None, low: int) -> None:
     if value is not None and value < low:
-        raise CliInputError(f"{flag} must be >= {low}, got {value}")
+        raise CliError(2, f"{flag} must be >= {low}, got {value}")
 
 
 def _spec_for_order(p: ProbVector, order: int) -> CorrectionSpec:
     _check_order(order)
-    try:
-        return spec_for_order(p, order)
-    except ValueError as exc:
-        raise CliDomainError(str(exc)) from exc
+    return spec_for_order(p, order)
 
 
 # ---------------------------------------------------------------------------
@@ -164,13 +141,10 @@ def _spec_for_order(p: ProbVector, order: int) -> CorrectionSpec:
 def _cmd_pmf(args: argparse.Namespace) -> int:
     p = _load_vector(args)
     if args.kmax is not None and args.order == 0:
-        raise CliInputError(f"--kmax applies only to --order 1..{MAX_ORDER}")
+        raise CliError(2, f"--kmax applies only to --order 1..{MAX_ORDER}")
     _check_at_least("--kmax", args.kmax, 0)
     spec = None if args.order == 0 else _spec_for_order(p, args.order)
-    try:
-        pmf = poisson_binomial_pmf(p) if spec is None else build_phi_nu(spec, args.kmax).pmf
-    except ValueError as exc:
-        raise CliDomainError(str(exc)) from exc
+    pmf = poisson_binomial_pmf(p) if spec is None else build_phi_nu(spec, args.kmax).pmf
     payload = {
         "support_max": pmf.support_max,
         "mass": pmf.mass,
@@ -189,24 +163,20 @@ def _cmd_pmf(args: argparse.Namespace) -> int:
 def _cmd_distance(args: argparse.Namespace) -> int:
     p = _load_vector(args)
     if args.exact and args.metric != "d2":
-        raise CliInputError("--exact applies only to --metric d2")
+        raise CliError(2, "--exact applies only to --metric d2")
     if args.kmax is not None and args.metric != "hellinger":
-        raise CliInputError("--kmax applies only to --metric hellinger")
+        raise CliError(2, "--kmax applies only to --metric hellinger")
     _check_at_least("--kmax", args.kmax, 0)
     if args.metric == "hellinger" and args.order >= 2:
-        raise MetricDomainError(
-            "Hellinger distance is undefined for signed corrected measures "
-            f"(order {args.order})")
+        raise CliError(4, "Hellinger distance is undefined for signed corrected measures "
+                          f"(order {args.order})")
     spec = _spec_for_order(p, args.order)
-    try:
-        if args.metric == "hellinger":
-            result = hellinger(poisson_binomial_pmf(p), build_phi_nu(spec, args.kmax).pmf)
-        else:
-            result = sn_distance(p, spec, args.metric)
-    except ValueError as exc:
-        raise CliDomainError(str(exc)) from exc
+    if args.metric == "hellinger":
+        result = hellinger(poisson_binomial_pmf(p), build_phi_nu(spec, args.kmax).pmf)
+    else:
+        result = sn_distance(p, spec, args.metric)
     if not math.isfinite(result.value):
-        raise CliDomainError(result.note or f"{args.metric} is not finite")
+        raise CliError(3, result.note or f"{args.metric} is not finite")
     payload = {
         "value": result.value,
         "truncation_error": result.truncation_error,
@@ -240,11 +210,11 @@ def _theta_reports(p: ProbVector, args: argparse.Namespace) -> list[_bounds.Boun
     digest = _bounds._digest({"probs": _bounds._probs_hex(p)})
     if any(explicit):
         if not all(explicit):
-            raise CliInputError("--j, --m and --s must be given together")
+            raise CliError(2, "--j, --m and --s must be given together")
         for flag, value, low in (("--j", args.j, 0), ("--m", args.m, 0), ("--s", args.s, 1)):
             _check_at_least(flag, value, low)
         if args.j > args.m:
-            raise CliInputError(f"--j must be <= --m, got {args.j} > {args.m}")
+            raise CliError(2, f"--j must be <= --m, got {args.j} > {args.m}")
         ps = _bounds.power_sums(p, args.m + args.s)
         value = _bounds.theta(args.j, args.m, args.s, ps)
         return [_bounds.BoundReport.make(
@@ -263,20 +233,23 @@ def _theta_reports(p: ProbVector, args: argparse.Namespace) -> list[_bounds.Boun
 
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
+    if args.check != "remark2" and args.probs is None and args.binomial is None:
+        raise CliError(2, f"--check {args.check} requires --probs or --binomial")
     for flag, value in (("--atol", args.atol), ("--rtol", args.rtol)):
         if value is not None and not 0 <= value < math.inf:
-            raise CliInputError(f"{flag} must be finite and >= 0, got {value}")
+            raise CliError(2, f"{flag} must be finite and >= 0, got {value}")
     if args.check == "remark2":
         if args.lam is None:
-            raise CliInputError("--check remark2 requires --lambda")
+            raise CliError(2, "--check remark2 requires --lambda")
         _check_lambda(args.lam)
         grid = _parse_grid(args.n_grid) if args.n_grid else (10, 100, 1000, 10_000)
         if grid[-1] < 1000:
-            raise CliInputError("grid must reach at least 10^3")
+            raise CliError(2, "grid must reach at least 10^3")
+        diffs = _bounds.simplified_order3_differences(args.lam, grid)
         try:
-            fit = _bounds.check_simplified_order3(args.lam, grid)
-        except ValueError as exc:  # the fit's refusal: too few usable points
-            raise InsufficientDataError(str(exc)) from exc
+            fit = _bounds.fit_loglog(grid, diffs, "3t")
+        except ValueError as exc:
+            raise CliError(5, str(exc)) from exc
         n_last = fit.grid[-1]
         scaled = n_last**2 * fit.distances[-1]
         limit = math.exp(-args.lam) * args.lam**4 / 8.0
@@ -294,34 +267,31 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     p = _load_vector(args)
     if args.check in ("sandwich", "lower3"):
         _check_at_least("--mmax", args.mmax, 1)
-    try:
-        if args.check == "theorem2":
-            reports = _bounds.check_order2_bound(p)
-        elif args.check == "theorem3":
-            reports = _bounds.check_order3_bound(p)
-        elif args.check == "sandwich":
-            # one merged row per order: lhs/rhs are the two enclosing bounds
-            # and holds means the exact moment sits between them
-            detail = _bounds.check_sandwich(p, args.mmax)
-            reports = [
-                dataclasses.replace(
-                    lo,
-                    name=f"mu-sandwich[m={m}]",
-                    rhs=up.rhs,
-                    holds=lo.holds and up.holds,
-                    slack=min(lo.slack, up.slack),
-                    tolerance=max(lo.tolerance, up.tolerance),
-                )
-                for m, (lo, up) in enumerate(zip(detail[0::2], detail[1::2]), start=1)
-            ]
-        elif args.check == "lower3":
-            reports = _bounds.check_lower3(p, args.mmax)
-        elif args.check == "theta":
-            reports = _theta_reports(p, args)
-        else:  # classic
-            reports = _bounds.check_classic_chain(p)
-    except ValueError as exc:
-        raise CliDomainError(str(exc)) from exc
+    if args.check == "theorem2":
+        reports = _bounds.check_order2_bound(p)
+    elif args.check == "theorem3":
+        reports = _bounds.check_order3_bound(p)
+    elif args.check == "sandwich":
+        # one merged row per order: lhs/rhs are the two enclosing bounds
+        # and holds means the exact moment sits between them
+        detail = _bounds.check_sandwich(p, args.mmax)
+        reports = [
+            dataclasses.replace(
+                lo,
+                name=f"mu-sandwich[m={m}]",
+                rhs=up.rhs,
+                holds=lo.holds and up.holds,
+                slack=min(lo.slack, up.slack),
+                tolerance=max(lo.tolerance, up.tolerance),
+            )
+            for m, (lo, up) in enumerate(zip(detail[0::2], detail[1::2]), start=1)
+        ]
+    elif args.check == "lower3":
+        reports = _bounds.check_lower3(p, args.mmax)
+    elif args.check == "theta":
+        reports = _theta_reports(p, args)
+    else:  # classic
+        reports = _bounds.check_classic_chain(p)
     reports = _retolerated(reports, args)
     ok = all(r.holds for r in reports)
     if args.format == "csv":
@@ -338,7 +308,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
 
 def _cmd_gamma_table(args: argparse.Namespace) -> int:
     if not 2 <= args.nu <= MAX_ORDER:
-        raise CliInputError(f"--nu must be between 2 and {MAX_ORDER}")
+        raise CliError(2, f"--nu must be between 2 and {MAX_ORDER}")
     table = _binomial.solve_gamma_table(args.nu)
     payload = table.to_json_dict()
     if args.compare_paper:
@@ -351,7 +321,7 @@ def _cmd_gamma_table(args: argparse.Namespace) -> int:
 
 def _cmd_qpoly(args: argparse.Namespace) -> int:
     if not 0 <= args.nu <= 10:
-        raise CliInputError("--nu must be between 0 and 10")
+        raise CliError(2, "--nu must be between 0 and 10")
     q = _binomial.q_polynomial(args.nu)
     payload: dict[str, Any] = {
         "nu": args.nu,
@@ -372,12 +342,12 @@ def _parse_grid(text: str) -> tuple[int, ...]:
     try:
         grid = tuple(int(tok) for tok in text.split(","))
     except ValueError as exc:
-        raise CliInputError(f"--n-grid expects comma-separated integers: {exc}") from exc
+        raise CliError(2, f"--n-grid expects comma-separated integers: {exc}") from exc
     if not grid:
-        raise CliInputError("--n-grid must not be empty")
+        raise CliError(2, "--n-grid must not be empty")
     _check_at_least("--n-grid entry", min(grid), 1)
     if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise CliInputError(f"--n-grid must be strictly increasing, got {text}")
+        raise CliError(2, f"--n-grid must be strictly increasing, got {text}")
     return grid
 
 
@@ -391,7 +361,7 @@ def _parse_orders(text: str) -> tuple[int | str, ...]:
             try:
                 orders.append(int(tok))
             except ValueError as exc:
-                raise CliInputError(f"--orders expects integers or 3t: {tok!r}") from exc
+                raise CliError(2, f"--orders expects integers or 3t: {tok!r}") from exc
             _check_order(orders[-1])
     return tuple(orders)
 
@@ -405,10 +375,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     for order in orders:
         distances = []
         for n in grid:
-            try:
-                dist = _bounds.rate_distance(order, n, args.lam, args.metric)
-            except ValueError as exc:
-                raise CliDomainError(str(exc)) from exc
+            dist = _bounds.rate_distance(order, n, args.lam, args.metric)
             bound = ""  # none for "3t", or where C_nu(lam) leaves binary64
             if isinstance(order, int):
                 try:
@@ -420,7 +387,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         try:
             fits.append(_bounds.fit_loglog(grid, distances, order))
         except ValueError as exc:
-            raise InsufficientDataError(str(exc)) from exc
+            raise CliError(5, str(exc)) from exc
     sys.stdout.write("n,order,distance,bound\n")
     for n, order, dist, bound in rows:
         sys.stdout.write(f"{n},{order},{_fmt_float(dist)},{bound}\n")
@@ -478,7 +445,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--atol", type=float, default=None)
     sp.add_argument("--rtol", type=float, default=None)
     sp.add_argument("--format", choices=("json", "csv"), default="json")
-    sp.set_defaults(func=_cmd_bounds_guard)
+    sp.set_defaults(func=_cmd_bounds)
 
     sp = subs.add_parser("gamma-table", help="exact correction coefficients for the "
                                              "equal-probability case")
@@ -504,12 +471,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_bounds_guard(args: argparse.Namespace) -> int:
-    if args.check != "remark2" and args.probs is None and args.binomial is None:
-        raise CliInputError(f"--check {args.check} requires --probs or --binomial")
-    return _cmd_bounds(args)
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     try:
@@ -518,21 +479,14 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return args.func(args)
-    except CliInputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except CliDomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except MetricDomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except InsufficientDataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 5
+    except CliError as exc:
+        code, reason = exc.code, str(exc)
+    except ValueError as exc:  # the library's refusal of a domain
+        code, reason = 3, str(exc)
     except OverflowError as exc:
-        print(f"error: numeric overflow: {exc}", file=sys.stderr)
-        return 3
+        code, reason = 3, f"numeric overflow: {exc}"
+    print(f"error: {reason}", file=sys.stderr)
+    return code
 
 
 def entrypoint() -> None:

@@ -1,8 +1,10 @@
 import hashlib
 import json
 import math
+import re
 import struct
 import warnings
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -47,6 +49,11 @@ class TestTheta:
         ps = power_sums(P345, 3)
         with pytest.raises(ValueError):
             theta(1, 3, 2, ps)
+
+    def test_binomial_coefficient_overflow_is_named(self):
+        ps = power_sums(equal_probs(2000, 0.5), 1101)
+        with pytest.raises(OverflowError, match=r"C\(1100, \d+\) exceeds binary64"):
+            theta(0, 1100, 1, ps)
 
     def test_argument_validation(self):
         ps = power_sums(P345, 8)
@@ -197,6 +204,17 @@ class TestRateFits:
         assert fits[0].slope == pytest.approx(-2.0, abs=0.2)
 
 
+def assert_differences_match(lam, grid):
+    """f_n(0) - simplified(0) within 1e-12 relative of a 60-digit reference."""
+    got = bounds.simplified_order3_differences(lam, grid)
+    with localcontext() as ctx:
+        ctx.prec = 60
+        L = Decimal(lam)
+        for n, d in zip(grid, got):
+            want = (1 - L / n) ** n - (-L).exp() * (1 - L**2 / (2 * n) - L**3 / (3 * n**2))
+            assert abs(Decimal(d) - want) <= Decimal("1e-12") * abs(want), (n, d, want)
+
+
 class TestSimplifiedOrder3Probe:
     def test_grid_validation(self):
         with pytest.raises(ValueError):
@@ -221,6 +239,24 @@ class TestSimplifiedOrder3Probe:
     def test_slope_is_second_order(self):
         fit = check_simplified_order3(1.0)
         assert fit.slope == pytest.approx(-2.0, abs=0.1)
+
+    @pytest.mark.parametrize("lam", [0.01, 0.1, 1.0])
+    def test_differences_match_a_60_digit_reference(self, lam):
+        # (1 - lam/n)^n and the simplified mass agree to about lam^4/(8 n^2),
+        # so subtracting them loses digits: at lam = 0.01 the difference came
+        # out negative
+        assert_differences_match(lam, (10, 100, 1000, 10_000))
+
+    @pytest.mark.parametrize("lam, grid", [(7.0, (7, 10, 1000)), (300.0, (599, 1000, 10**6))])
+    def test_differences_at_large_means(self, lam, grid):
+        # n = lam (f_n(0) = 0) and lam/n just past 1/2 take their own forms
+        assert_differences_match(lam, grid)
+
+    @pytest.mark.parametrize("lam, p", [(20.0, "2.0"), (1e100, "1e+99")])
+    def test_size_below_the_mean_refused(self, lam, p):
+        # lam/n is no probability at n = 10 of the default grid
+        with pytest.raises(ValueError, match=re.escape(f"probability outside [0, 1]: {p}")):
+            check_simplified_order3(lam)
 
 
 class TestReportPlumbing:

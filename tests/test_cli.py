@@ -4,6 +4,7 @@ import math
 import re
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from corrpois import (
     spec_poisson,
     tv,
 )
+from corrpois import cli
 
 
 def run_cli(*args, **kwargs):
@@ -557,3 +559,47 @@ def test_malformed_tolerance_is_input_error(flag, value):
     assert (r.returncode, r.stdout) == (2, "")
     assert r.stderr == f"error: {flag} must be finite and >= 0, got {float(value)}\n"
     assert run_cli(*args, "0").returncode == 0
+
+
+@pytest.mark.parametrize("lam", ["0.1", "0.01"])
+def test_remark2_small_mean_keeps_its_digits(lam):
+    # f_n(0) - simplified(0) is computed without cancellation, so the fit
+    # sees the n^-2 rate and the limit check holds
+    r = run_cli("bounds", "--check", "remark2", "--lambda", lam)
+    assert (r.returncode, r.stderr) == (0, "")
+    payload = json.loads(r.stdout)
+    assert payload["fit"]["slope"] == pytest.approx(-2.0, abs=0.05)
+    assert payload["all_hold"] is True
+
+
+@pytest.mark.parametrize("lam, p", [("20", "2.0"), ("1e100", "1e+99")])
+def test_remark2_size_below_the_mean_is_domain_error(lam, p):
+    # n = 10 of the default grid gives lam/n > 1: refused before any point
+    r = run_cli("bounds", "--check", "remark2", "--lambda", lam)
+    assert (r.returncode, r.stdout) == (3, "")
+    assert r.stderr == f"error: probability outside [0, 1]: {p}\n"
+
+
+def test_theta_binomial_overflow_names_the_coefficient():
+    r = run_cli("bounds", "--check", "theta", "--binomial", "2000", "0.5",
+                "--j", "0", "--m", "1100", "--s", "1", timeout=120)
+    assert (r.returncode, r.stdout) == (3, "")
+    assert len(r.stderr.splitlines()) == 1 and "C(1100, " in r.stderr
+
+
+@pytest.mark.parametrize("name, argv", [("solve_gamma_table", ["gamma-table", "--nu", "3"]),
+                                        ("q_polynomial", ["qpoly", "--nu", "2"])])
+def test_library_refusal_is_exit_3_in_every_subcommand(monkeypatch, capsys, name, argv):
+    def refuse(*args, **kwargs):
+        raise ValueError("x")
+
+    monkeypatch.setattr(cli._binomial, name, refuse)
+    assert cli.main(argv) == 3
+    assert capsys.readouterr() == ("", "error: x\n")
+
+
+def test_json_writer_takes_numpy_values_and_fractions():
+    payload = {"a": np.array([0.5, 1.0]), "b": np.float32(0.25), "c": np.int64(7),
+               "d": Fraction(1, 3), "e": (True, None, "s")}
+    assert cli._to_json(payload) == ('{"a": [0.5, 1], "b": 0.25, "c": 7, "d": "1/3", '
+                                     '"e": [true, null, "s"]}')
