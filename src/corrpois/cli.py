@@ -25,7 +25,7 @@ import json
 import math
 import sys
 from fractions import Fraction
-from typing import Any, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -81,20 +81,32 @@ def _to_json(obj: Any) -> str:
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
-def _emit(obj: Any) -> None:
-    sys.stdout.write(_to_json(obj) + "\n")
+def _cell(v: Any) -> str:
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    return _fmt_float(v) if isinstance(v, float) else str(v)
+
+
+def _write(fmt: str, payload: Any, header: str = "", rows: Iterable[Sequence[Any]] = ()) -> None:
+    """Print ``payload`` as JSON or, for ``csv``, the header and one line per row."""
+    if fmt == "csv":
+        lines = [header, *(",".join(map(_cell, row)) for row in rows)]
+        sys.stdout.write("\n".join(lines) + "\n")
+    else:
+        sys.stdout.write(_to_json(payload) + "\n")
 
 
 # ---------------------------------------------------------------------------
 # shared input handling
 # ---------------------------------------------------------------------------
 
-def _add_input_flags(sub: argparse.ArgumentParser) -> None:
-    grp = sub.add_mutually_exclusive_group(required=True)
+def _add_input_flags(sub: argparse.ArgumentParser, required: bool = True) -> None:
+    grp = sub.add_mutually_exclusive_group(required=required)
     grp.add_argument("--probs", metavar="FILE",
                      help="probability file (one decimal per line, or a JSON array)")
     grp.add_argument("--binomial", nargs=2, metavar=("N", "LAMBDA"),
                      help="equal probabilities lambda/n repeated n times")
+    sub.add_argument("--format", choices=("json", "csv"), default="json")
 
 
 def _load_vector(args: argparse.Namespace) -> ProbVector:
@@ -151,12 +163,7 @@ def _cmd_pmf(args: argparse.Namespace) -> int:
         "tail_bound": pmf.tail_bound,
         "label": pmf.label,
     }
-    if args.format == "csv":
-        sys.stdout.write("k,mass\n")
-        for k, v in enumerate(pmf.mass):
-            sys.stdout.write(f"{k},{_fmt_float(float(v))}\n")
-    else:
-        _emit(payload)
+    _write(args.format, payload, "k,mass", enumerate(pmf.mass.tolist()))
     return 0
 
 
@@ -183,12 +190,8 @@ def _cmd_distance(args: argparse.Namespace) -> int:
         "method": result.method,
         "note": result.note,
     }
-    if args.format == "csv":
-        sys.stdout.write("value,truncation_error,method\n")
-        sys.stdout.write(f"{_fmt_float(result.value)},{_fmt_float(result.truncation_error)},"
-                         f"{result.method}\n")
-    else:
-        _emit(payload)
+    _write(args.format, payload, "value,truncation_error,method",
+           [(result.value, result.truncation_error, result.method)])
     return 0
 
 
@@ -203,6 +206,23 @@ def _retolerated(reports: list[_bounds.BoundReport],
         tol = atol + rtol * max(abs(r.lhs), abs(r.rhs))
         out.append(dataclasses.replace(r, tolerance=tol, holds=r.lhs <= r.rhs + tol))
     return out
+
+
+def _merged_sandwich(reports: list[_bounds.BoundReport]) -> list[_bounds.BoundReport]:
+    """One row per order from ``check_sandwich``'s lower and upper reports:
+    lhs and rhs are the two enclosing bounds, and holds means the exact
+    moment sits between them."""
+    return [
+        dataclasses.replace(
+            lo,
+            name=f"mu-sandwich[m={m}]",
+            rhs=up.rhs,
+            holds=lo.holds and up.holds,
+            slack=min(lo.slack, up.slack),
+            tolerance=max(lo.tolerance, up.tolerance),
+        )
+        for m, (lo, up) in enumerate(zip(reports[0::2], reports[1::2]), start=1)
+    ]
 
 
 def _theta_reports(p: ProbVector, args: argparse.Namespace) -> list[_bounds.BoundReport]:
@@ -232,77 +252,58 @@ def _theta_reports(p: ProbVector, args: argparse.Namespace) -> list[_bounds.Boun
         f"theta-min[j={at[0]},m={at[1]},s={at[2]}]", 0.0, worst, digest)]
 
 
+def _remark2(args: argparse.Namespace) -> tuple[list[_bounds.BoundReport], dict]:
+    if args.lam is None:
+        raise CliError(2, "--check remark2 requires --lambda")
+    _check_lambda(args.lam)
+    grid = _parse_grid(args.n_grid) if args.n_grid else (10, 100, 1000, 10_000)
+    if grid[-1] < 1000:
+        raise CliError(2, "grid must reach at least 10^3")
+    diffs = _bounds.simplified_order3_differences(args.lam, grid)
+    try:
+        fit = _bounds.fit_loglog(grid, diffs, "3t")
+    except ValueError as exc:
+        raise CliError(5, str(exc)) from exc
+    scaled = fit.grid[-1]**2 * fit.distances[-1]
+    limit = math.exp(-args.lam) * args.lam**4 / 8.0
+    report = _bounds.BoundReport.make(
+        "simplified-order3-limit-gap", abs(scaled - limit), 0.05 * limit,
+        _bounds._digest({"lambda": args.lam, "grid": list(grid)}))
+    return [report], {"fit": fit.to_json_dict(), "n2_scaled_last": scaled, "limit": limit}
+
+
+def _mmax(args: argparse.Namespace) -> int:
+    _check_at_least("--mmax", args.mmax, 1)
+    return args.mmax
+
+
+# --check NAME: the library's reports, and the payload fields written before them
+_CHECKS: dict[str, Callable[[argparse.Namespace],
+                            tuple[list[_bounds.BoundReport], dict]]] = {
+    "theorem2": lambda a: (_bounds.check_order2_bound(_load_vector(a)), {}),
+    "theorem3": lambda a: (_bounds.check_order3_bound(_load_vector(a)), {}),
+    "sandwich": lambda a: (_bounds.check_sandwich(_load_vector(a), _mmax(a)), {}),
+    "lower3": lambda a: (_bounds.check_lower3(_load_vector(a), _mmax(a)), {}),
+    "theta": lambda a: (_theta_reports(_load_vector(a), a), {}),
+    "remark2": _remark2,
+    "classic": lambda a: (_bounds.check_classic_chain(_load_vector(a)), {}),
+}
+
+
 def _cmd_bounds(args: argparse.Namespace) -> int:
     if args.check != "remark2" and args.probs is None and args.binomial is None:
         raise CliError(2, f"--check {args.check} requires --probs or --binomial")
     for flag, value in (("--atol", args.atol), ("--rtol", args.rtol)):
         if value is not None and not 0 <= value < math.inf:
             raise CliError(2, f"{flag} must be finite and >= 0, got {value}")
-    if args.check == "remark2":
-        if args.lam is None:
-            raise CliError(2, "--check remark2 requires --lambda")
-        _check_lambda(args.lam)
-        grid = _parse_grid(args.n_grid) if args.n_grid else (10, 100, 1000, 10_000)
-        if grid[-1] < 1000:
-            raise CliError(2, "grid must reach at least 10^3")
-        diffs = _bounds.simplified_order3_differences(args.lam, grid)
-        try:
-            fit = _bounds.fit_loglog(grid, diffs, "3t")
-        except ValueError as exc:
-            raise CliError(5, str(exc)) from exc
-        n_last = fit.grid[-1]
-        scaled = n_last**2 * fit.distances[-1]
-        limit = math.exp(-args.lam) * args.lam**4 / 8.0
-        report = _bounds.BoundReport.make(
-            "simplified-order3-limit-gap", abs(scaled - limit), 0.05 * limit,
-            _bounds._digest({"lambda": args.lam, "grid": list(grid)}))
-        reports = _retolerated([report], args)
-        _emit({"fit": fit.to_json_dict(),
-               "n2_scaled_last": scaled,
-               "limit": limit,
-               "reports": [r.to_json_dict() for r in reports],
-               "all_hold": all(r.holds for r in reports)})
-        return 0 if all(r.holds for r in reports) else 1
-
-    p = _load_vector(args)
-    if args.check in ("sandwich", "lower3"):
-        _check_at_least("--mmax", args.mmax, 1)
-    if args.check == "theorem2":
-        reports = _bounds.check_order2_bound(p)
-    elif args.check == "theorem3":
-        reports = _bounds.check_order3_bound(p)
-    elif args.check == "sandwich":
-        # one merged row per order: lhs/rhs are the two enclosing bounds
-        # and holds means the exact moment sits between them
-        detail = _bounds.check_sandwich(p, args.mmax)
-        reports = [
-            dataclasses.replace(
-                lo,
-                name=f"mu-sandwich[m={m}]",
-                rhs=up.rhs,
-                holds=lo.holds and up.holds,
-                slack=min(lo.slack, up.slack),
-                tolerance=max(lo.tolerance, up.tolerance),
-            )
-            for m, (lo, up) in enumerate(zip(detail[0::2], detail[1::2]), start=1)
-        ]
-    elif args.check == "lower3":
-        reports = _bounds.check_lower3(p, args.mmax)
-    elif args.check == "theta":
-        reports = _theta_reports(p, args)
-    else:  # classic
-        reports = _bounds.check_classic_chain(p)
+    reports, payload = _CHECKS[args.check](args)
     reports = _retolerated(reports, args)
+    if args.check == "sandwich":
+        reports = _merged_sandwich(reports)
     ok = all(r.holds for r in reports)
-    if args.format == "csv":
-        sys.stdout.write("name,lhs,rhs,holds,slack,tolerance,inputs_digest\n")
-        for r in reports:
-            sys.stdout.write(
-                f"{r.name},{_fmt_float(r.lhs)},{_fmt_float(r.rhs)},"
-                f"{str(r.holds).lower()},{_fmt_float(r.slack)},"
-                f"{_fmt_float(r.tolerance)},{r.inputs_digest}\n")
-    else:
-        _emit({"reports": [r.to_json_dict() for r in reports], "all_hold": ok})
+    payload.update(reports=[r.to_json_dict() for r in reports], all_hold=ok)
+    header = ",".join(f.name for f in dataclasses.fields(_bounds.BoundReport))
+    _write(args.format, payload, header, map(dataclasses.astuple, reports))
     return 0 if ok else 1
 
 
@@ -315,7 +316,7 @@ def _cmd_gamma_table(args: argparse.Namespace) -> int:
         payload["comparison"] = {
             "mismatches": _binomial.compare_with_published(args.nu),
         }
-    _emit(payload)
+    _write("json", payload)
     return 0
 
 
@@ -334,7 +335,7 @@ def _cmd_qpoly(args: argparse.Namespace) -> int:
             payload["c_value"] = _binomial.c_constant(args.nu + 1, args.lam)
         except OverflowError:
             payload["c_value"] = None  # C_(nu+1)(lam) leaves binary64
-    _emit(payload)
+    _write("json", payload)
     return 0
 
 
@@ -373,25 +374,21 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     rows = []
     fits = []
     for order in orders:
-        distances = []
-        for n in grid:
-            dist = _bounds.rate_distance(order, n, args.lam, args.metric)
-            bound = ""  # none for "3t", or where C_nu(lam) leaves binary64
-            if isinstance(order, int):
-                try:
-                    bound = _fmt_float(_binomial.c_constant(order, args.lam) / n**order)
-                except OverflowError:
-                    pass
-            distances.append(dist)
-            rows.append((n, order, dist, bound))
+        distances = [_bounds.rate_distance(order, n, args.lam, args.metric) for n in grid]
+        c = None  # none for "3t", or where C_nu(lam) leaves binary64
+        if isinstance(order, int):
+            try:
+                c = _binomial.c_constant(order, args.lam)
+            except OverflowError:
+                pass
+        rows += [(n, order, dist, "" if c is None else c / n**order)
+                 for n, dist in zip(grid, distances)]
         try:
             fits.append(_bounds.fit_loglog(grid, distances, order))
         except ValueError as exc:
             raise CliError(5, str(exc)) from exc
-    sys.stdout.write("n,order,distance,bound\n")
-    for n, order, dist, bound in rows:
-        sys.stdout.write(f"{n},{order},{_fmt_float(dist)},{bound}\n")
-    _emit({"fits": [f.to_json_dict() for f in fits]})
+    _write("csv", None, "n,order,distance,bound", rows)
+    _write("json", {"fits": [f.to_json_dict() for f in fits]})
     return 0
 
 
@@ -411,7 +408,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--order", type=int, default=1,
                     help="correction order (0 = exact distribution of the sum)")
     sp.add_argument("--kmax", type=int, default=None, help="support cutoff (default auto)")
-    sp.add_argument("--format", choices=("json", "csv"), default="json")
     sp.set_defaults(func=_cmd_pmf)
 
     sp = subs.add_parser("distance", help="distance between the exact sum and a "
@@ -425,16 +421,11 @@ def _build_parser() -> argparse.ArgumentParser:
                          "route, the difference kernel of S_n and the measure")
     sp.add_argument("--kmax", type=int, default=None,
                     help="support cutoff of the measure for hellinger (default auto)")
-    sp.add_argument("--format", choices=("json", "csv"), default="json")
     sp.set_defaults(func=_cmd_distance)
 
     sp = subs.add_parser("bounds", help="verify inequalities and report slack")
-    grp = sp.add_mutually_exclusive_group(required=False)
-    grp.add_argument("--probs", metavar="FILE")
-    grp.add_argument("--binomial", nargs=2, metavar=("N", "LAMBDA"))
-    sp.add_argument("--check", required=True,
-                    choices=("theorem2", "theorem3", "sandwich", "lower3", "theta",
-                             "remark2", "classic"))
+    _add_input_flags(sp, required=False)
+    sp.add_argument("--check", required=True, choices=tuple(_CHECKS))
     sp.add_argument("--mmax", type=int, default=15)
     sp.add_argument("--lambda", dest="lam", type=float, default=None,
                     help="mean for --check remark2")
@@ -444,7 +435,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--s", type=int, default=None)
     sp.add_argument("--atol", type=float, default=None)
     sp.add_argument("--rtol", type=float, default=None)
-    sp.add_argument("--format", choices=("json", "csv"), default="json")
     sp.set_defaults(func=_cmd_bounds)
 
     sp = subs.add_parser("gamma-table", help="exact correction coefficients for the "

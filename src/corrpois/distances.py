@@ -206,7 +206,7 @@ def sn_distance(p: ProbVector, spec: CorrectionSpec, metric: str) -> DistanceRes
         value = math.fsum(np.abs(np.cumsum(diff.values[::-1])[::-1][1:]).tolist())
         err = diff.moment_error + _U * (size.size * (np.arange(size.size) @ size) + value)
     method = "pointwise" if metric in ("tv", "wass") else "exact-product"
-    return DistanceResult(value, err * _SLACK, method)
+    return DistanceResult(value, float(err * _SLACK), method)
 
 
 @dataclass(frozen=True)

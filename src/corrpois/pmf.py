@@ -244,9 +244,14 @@ class FactorialMoments:
     def __call__(self, m: int) -> float:
         """mu_m, or OverflowError when it lies beyond binary64.
 
-        An entry of ``weighted`` that underflowed still reads as 0.0 (m = 1500
-        for 1500 probabilities 20/1500, where mu_m is about 1e1301); only
-        scaled elementary symmetric functions would keep it.
+        Past m = 170, where m! overflows, mu_m = m! |w| / 2^m is assembled in
+        log space: from log(2^-m |w|) where that is a normal number, else from
+        log |w| - m log 2.  An entry stored as 0.0 may have underflowed from
+        any |w| below 2^-1074, that is from any mu_m below 2^-1074 m! / 2^m;
+        from m = 24 on, where m! / 2^m >= 2^52, that bound reaches the normal
+        range, and the read raises ValueError naming m (m = 1500 for 1500
+        probabilities 20/1500, where mu_m is about 1e1302).  Below m = 24 it
+        reads 0.0.
         """
         if m < 0:
             raise ValueError("moment order must be >= 0")
@@ -255,13 +260,20 @@ class FactorialMoments:
                 return 0.0
             raise ValueError(f"moments stored only up to order {self.weighted.size - 1}")
         w = float(self.weighted[m])
+        if w == 0.0 and m >= 24:
+            raise ValueError(f"factorial moment of order {m} underflowed to 0.0 in storage")
         if m <= 170:
             mu = w * math.ldexp(math.prod(range(2, m + 1), start=1.0), -m)
-        elif (e := math.ldexp(abs(w), -m)) == 0.0:
-            return 0.0
         else:
-            # m! overflows binary64 past m = 170: assemble m! |w| / 2^m in log space
-            mu = math.copysign(math.exp(math.lgamma(m + 1) + math.log(e)), w)
+            e = math.ldexp(abs(w), -m)
+            if e >= sys.float_info.min:
+                log_e = math.log(e)
+            else:  # 2^-m |w| is subnormal and would lose digits
+                log_e = math.log(abs(w)) - m * math.log(2.0)
+            try:
+                mu = math.copysign(math.exp(math.lgamma(m + 1) + log_e), w)
+            except OverflowError:
+                mu = math.inf
         if not math.isfinite(mu):
             raise OverflowError(f"factorial moment of order {m} exceeds the float range")
         return mu

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -603,3 +604,49 @@ def test_json_writer_takes_numpy_values_and_fractions():
                "d": Fraction(1, 3), "e": (True, None, "s")}
     assert cli._to_json(payload) == ('{"a": [0.5, 1], "b": 0.25, "c": 7, "d": "1/3", '
                                      '"e": [true, null, "s"]}')
+
+
+REPORT_HEADER = "name,lhs,rhs,holds,slack,tolerance,inputs_digest"
+
+
+def test_remark2_table_is_its_report_row():
+    r = run_cli("bounds", "--check", "remark2", "--lambda", "2", "--format", "csv")
+    assert r.returncode == 0
+    lines = r.stdout.splitlines()
+    assert lines[0] == REPORT_HEADER and len(lines) == 2
+    assert lines[1].startswith("simplified-order3-limit-gap,")
+
+
+def test_sandwich_tolerances_apply_before_the_merge(tmp_path):
+    # mu_2 = 0.8650000000000001 and the lower bound rounds to 0.8650000000000002:
+    # with no tolerance the m = 2 row fails, though lower <= upper
+    f = tmp_path / "five.txt"
+    f.write_text("0.1\n0.2\n0.3\n0.45\n0.05\n")
+    r = run_cli("bounds", "--check", "sandwich", "--probs", str(f), "--mmax", "3",
+                "--atol", "0", "--rtol", "0")
+    assert r.returncode == 1
+    payload = json.loads(r.stdout)
+    row = payload["reports"][1]
+    assert row["name"] == "mu-sandwich[m=2]"
+    assert (row["lhs"], row["holds"]) == (0.8650000000000002, False)
+    assert payload["all_hold"] is False
+    assert [x["holds"] for x in payload["reports"]] == [True, False, True]
+
+
+@pytest.mark.parametrize("check", ["theorem2", "theorem3", "sandwich", "lower3", "theta",
+                                   "remark2", "classic"])
+def test_every_bounds_table_has_the_report_fields(capsys, check):
+    argv = ["bounds", "--check", check, "--format", "csv"]
+    argv += ["--lambda", "1"] if check == "remark2" else ["--binomial", "20", "1"]
+    assert cli.main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    fields = [f.name for f in dataclasses.fields(cli._bounds.BoundReport)]
+    assert lines[0] == ",".join(fields) == REPORT_HEADER
+    assert len(lines) > 1 and not any(line.startswith("{") for line in lines)
+
+
+def test_lower3_stops_at_an_underflowed_moment():
+    # 2^m mu_m / m! underflows to 0.0 at m = 297 for 1500 probabilities 5/1500
+    r = run_cli("bounds", "--check", "lower3", "--binomial", "1500", "5", "--mmax", "300")
+    assert (r.returncode, r.stdout) == (3, "")
+    assert len(r.stderr.splitlines()) == 1 and "order 297" in r.stderr

@@ -710,3 +710,21 @@ class TestSharedBuilds:
         assert twin == spec and hash(twin) == hash(spec)
         assert hash(spec_phi3(P123)) == hash(spec_phi3(ProbVector(P123.probs)))
         assert pickle.loads(pickle.dumps(spec)) == spec
+
+
+@pytest.mark.parametrize("route", ["direct", "kernel"])
+def test_sn_distance_returns_plain_floats(monkeypatch, route):
+    from corrpois import distances
+
+    if route == "direct":  # 2 max p >= 1: the kernel does not apply
+        p = ProbVector((0.6, 0.7, 0.2))
+    else:
+        def refuse(*args):
+            raise AssertionError("the direct difference was built")
+
+        monkeypatch.setattr(distances, "_direct", refuse)
+        p = equal_probs(20_000, 5.0)
+    spec = spec_for_order(p, 3)
+    for metric in ("tv", "wass", "d2", "d2tilde"):
+        res = sn_distance(p, spec, metric)
+        assert type(res.value) is float and type(res.truncation_error) is float, metric

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import pickle
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -450,6 +451,44 @@ class TestFactorialMoments:
             factorial_moments_sn(equal_probs(3000, 450.0))(170)
         with pytest.raises(OverflowError):
             factorial_moments_sn(equal_probs(1000, 20.0))(300)
+        with pytest.raises(OverflowError, match="order 300 "):
+            factorial_moments_sn(equal_probs(1000, 30.0))(300)
+
+    def test_past_170_reads_every_stored_entry(self):
+        # 2^-m |w| is subnormal from about m = 248 on; it used to read 0.0 there
+        n, lam = 1500, 5.0
+        fm = factorial_moments_sn(equal_probs(n, lam))
+        assert fm.weighted[248] == pytest.approx(7.66e-250, rel=1e-3)
+        assert fm(248) == pytest.approx(8.8e163, rel=1e-2)
+        for m in range(171, n + 1):
+            w = float(fm.weighted[m])
+            if w == 0.0:
+                with pytest.raises(ValueError, match=f"order {m} "):
+                    fm(m)
+                continue
+            got = fm(m)
+            e = math.ldexp(w, -m)
+            if e >= sys.float_info.min:  # the bits of the read before subnormal 2^-m |w|
+                assert got == math.exp(math.lgamma(m + 1) + math.log(e))
+            # log mu_m = log(n! / (n - m)! (lam / n)^m); underflow in the product
+            # tree adds an absolute error below 2^-1022 to w
+            log_exact = math.lgamma(n + 1) - math.lgamma(n - m + 1) + m * math.log(lam / n)
+            assert abs(math.log(got) - log_exact) <= 1e-9 + 2.0**-1022 / w
+        assert min(m for m in range(n + 1) if fm.weighted[m] == 0.0) == 297
+
+    def test_underflowed_entry_refuses_where_it_may_hide_a_normal_moment(self):
+        with pytest.raises(ValueError, match="order 1500 "):
+            factorial_moments_sn(equal_probs(1500, 20.0))(1500)
+        # p near 1e-100: entries from m = 4 on are 0.0, and below m = 24
+        # (m! / 2^m < 2^52) they read as before, bit for bit
+        p = ProbVector(tuple((1e-100 * np.random.default_rng(8).uniform(0.5, 1.5, 40)).tolist()))
+        fm = factorial_moments_sn(p)
+        for m in range(24):
+            w = float(fm.weighted[m])
+            assert fm(m) == w * math.ldexp(math.factorial(m), -m)
+        assert fm(23) == 0.0
+        with pytest.raises(ValueError, match="order 24 "):
+            fm(24)
 
 
 class TestPowerSums:
