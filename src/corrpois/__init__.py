@@ -5,80 +5,68 @@ S_n = I_1 + ... + I_n, constructs corrected Poisson measures whose factorial
 moments match those of S_n to increasing order, measures how close the two
 are in several metrics, and numerically verifies the inequalities that make
 the corrections work.
+
+Each public name, and each submodule, is imported on first access (PEP 562),
+so ``import corrpois`` alone loads neither a submodule nor numpy.
+
+The function ``charlier`` shares its name with its module, and loading a
+submodule binds the module to its name in the package.  So the first access
+to one of a module's public names binds all of them, and ``bounds`` reaches
+the module ``charlier`` only through the package; after a bare
+``import corrpois.charlier``, ``corrpois.charlier`` is the module.
 """
 
-from .binomial import (
-    GammaTable,
-    RationalPolynomial,
-    c_constant,
-    c_constant_series,
-    compare_with_published,
-    falling_factorial_remainder,
-    gamma_floats,
-    q_polynomial,
-    solve_gamma_table,
-    stirling_unsigned,
-)
-from .bounds import (
-    BoundReport,
-    RateFit,
-    check_classic_chain,
-    check_lower3,
-    check_order2_bound,
-    check_order3_bound,
-    check_sandwich,
-    check_simplified_order3,
-    fit_loglog,
-    fit_rate,
-    random_prob_vectors,
-    theta,
-)
-from .charlier import (
-    charlier,
-    charlier_values,
-    covariance_identity_check,
-    falling_factorial,
-    orthogonality_check,
-)
-from .corrected import (
-    CorrectedMeasure,
-    CorrectionSpec,
-    build_phi2,
-    build_phi3,
-    build_phi3_tilde,
-    build_phi_nu,
-    invert_moments,
-    spec_phi2,
-    spec_phi3,
-    spec_for_order,
-    spec_phi3_tilde,
-    spec_poisson,
-)
-from .distances import (
-    DistanceResult,
-    certify_domination,
-    d2,
-    d2_exact_product,
-    d2_tilde,
-    hellinger,
-    sn_distance,
-    tv,
-    wasserstein,
-    weighted_l1,
-)
-from .pmf import (
-    FactorialMoments,
-    PowerSums,
-    ProbVector,
-    SignedPmf,
-    elementary_symmetric,
-    equal_probs,
-    factorial_moments_sn,
-    load_probs,
-    poisson_binomial_pmf,
-    poisson_pmf,
-    poisson_tail_bound,
-    power_sums,
-)
+import importlib
 
 __version__ = "0.1.0"
+
+# submodule -> the public names it defines
+_EXPORTS = {
+    "binomial": (
+        "GammaTable", "RationalPolynomial", "c_constant", "c_constant_series",
+        "compare_with_published", "falling_factorial_remainder", "gamma_floats",
+        "q_polynomial", "solve_gamma_table", "stirling_unsigned",
+    ),
+    "bounds": (
+        "BoundReport", "RateFit", "check_classic_chain", "check_lower3",
+        "check_order2_bound", "check_order3_bound", "check_sandwich",
+        "check_simplified_order3", "fit_loglog", "fit_rate", "random_prob_vectors",
+        "theta",
+    ),
+    "charlier": (
+        "charlier", "charlier_values", "covariance_identity_check",
+        "falling_factorial", "orthogonality_check",
+    ),
+    "corrected": (
+        "CorrectedMeasure", "CorrectionSpec", "build_phi2", "build_phi3",
+        "build_phi3_tilde", "build_phi_nu", "invert_moments", "spec_phi2", "spec_phi3",
+        "spec_for_order", "spec_phi3_tilde", "spec_poisson",
+    ),
+    "distances": (
+        "DistanceResult", "certify_domination", "d2", "d2_exact_product", "d2_tilde",
+        "hellinger", "sn_distance", "tv", "wasserstein", "weighted_l1",
+    ),
+    "pmf": (
+        "FactorialMoments", "PowerSums", "ProbVector", "SignedPmf",
+        "elementary_symmetric", "equal_probs", "factorial_moments_sn", "load_probs",
+        "poisson_binomial_pmf", "poisson_pmf", "poisson_tail_bound", "power_sums",
+    ),
+}
+_NAMES = {name: module for module, names in _EXPORTS.items() for name in names}
+_SUBMODULES = {*_EXPORTS, "cli"}
+
+__all__ = list(_NAMES)
+
+
+def __getattr__(name: str):
+    if name in _NAMES:
+        module = importlib.import_module(f".{_NAMES[name]}", __name__)
+        globals().update((n, getattr(module, n)) for n in _EXPORTS[_NAMES[name]])
+        return globals()[name]
+    if name in _SUBMODULES:
+        return importlib.import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_NAMES, *_SUBMODULES})

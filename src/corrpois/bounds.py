@@ -30,7 +30,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .charlier import falling_factorial
+from . import falling_factorial  # via the package, so corrpois.charlier stays the function
 from .corrected import build_phi_nu, spec_for_order, spec_phi2, spec_phi3, spec_poisson
 from .distances import d2_exact_product, hellinger, sn_distance
 from .pmf import (

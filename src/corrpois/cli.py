@@ -15,6 +15,9 @@ OverflowError), 4 metric domain error, 5 insufficient data (a rate fit's
 refusal).  Every refusal prints one ``error:`` line on stderr and nothing on
 stdout; ``main`` decides the code, from ``CliError`` or the library's
 exception.
+
+Each handler imports, when it runs, only the package's modules its subcommand
+calls, and loading this module loads none of them.
 """
 
 from __future__ import annotations
@@ -23,17 +26,17 @@ import argparse
 import dataclasses
 import json
 import math
+import numbers
 import sys
-from fractions import Fraction
-from typing import Any, Callable, Iterable, Sequence
+from types import ModuleType
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
 import numpy as np
 
-from . import binomial as _binomial
-from . import bounds as _bounds
-from .corrected import MAX_ORDER, CorrectionSpec, build_phi_nu, spec_for_order
-from .distances import hellinger, sn_distance
-from .pmf import ProbVector, equal_probs, load_probs, poisson_binomial_pmf
+if TYPE_CHECKING:
+    from .bounds import BoundReport
+    from .corrected import CorrectionSpec
+    from .pmf import ProbVector
 
 __all__ = ["main", "entrypoint"]
 
@@ -60,7 +63,8 @@ def _fmt_float(x: float) -> str:
 
 def _to_json(obj: Any) -> str:
     """JSON text of a payload; numpy arrays and scalars are written as lists
-    and numbers, and a ``Fraction`` as its string."""
+    and numbers, and a ``Fraction`` (any non-integer ``numbers.Rational``)
+    as its string."""
     if isinstance(obj, np.ndarray):
         obj = obj.tolist()
     if obj is None:
@@ -71,7 +75,7 @@ def _to_json(obj: Any) -> str:
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
         return _fmt_float(float(obj))
-    if isinstance(obj, (str, Fraction)):
+    if isinstance(obj, (str, numbers.Rational)):
         return json.dumps(str(obj))
     if isinstance(obj, dict):
         parts = [f"{json.dumps(str(k))}: {_to_json(v)}" for k, v in obj.items()]
@@ -82,9 +86,14 @@ def _to_json(obj: Any) -> str:
 
 
 def _cell(v: Any) -> str:
+    """One CSV cell; as in RFC 4180, a cell holding a comma or a quote is
+    quoted, with its quotes doubled."""
     if isinstance(v, bool):
         return "true" if v else "false"
-    return _fmt_float(v) if isinstance(v, float) else str(v)
+    text = _fmt_float(v) if isinstance(v, float) else str(v)
+    if "," in text or '"' in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def _write(fmt: str, payload: Any, header: str = "", rows: Iterable[Sequence[Any]] = ()) -> None:
@@ -110,9 +119,10 @@ def _add_input_flags(sub: argparse.ArgumentParser, required: bool = True) -> Non
 
 
 def _load_vector(args: argparse.Namespace) -> ProbVector:
+    from . import pmf
     if args.probs is not None:
         try:
-            return load_probs(args.probs)
+            return pmf.load_probs(args.probs)
         except OSError as exc:
             raise CliError(2, f"cannot read {args.probs}: {exc}") from exc
         except ValueError as exc:  # a malformed file, JSON included
@@ -123,7 +133,7 @@ def _load_vector(args: argparse.Namespace) -> ProbVector:
         lam = float(lam_text)
     except ValueError as exc:
         raise CliError(2, f"--binomial expects an integer and a decimal: {exc}") from exc
-    return equal_probs(n, lam)
+    return pmf.equal_probs(n, lam)
 
 
 def _check_lambda(lam: float) -> None:
@@ -132,6 +142,7 @@ def _check_lambda(lam: float) -> None:
 
 
 def _check_order(order: int) -> None:
+    from .corrected import MAX_ORDER
     if not 1 <= order <= MAX_ORDER:
         raise CliError(2, f"unsupported order: {order} (orders 1..{MAX_ORDER} are supported)")
 
@@ -142,8 +153,9 @@ def _check_at_least(flag: str, value: int | None, low: int) -> None:
 
 
 def _spec_for_order(p: ProbVector, order: int) -> CorrectionSpec:
+    from . import corrected
     _check_order(order)
-    return spec_for_order(p, order)
+    return corrected.spec_for_order(p, order)
 
 
 # ---------------------------------------------------------------------------
@@ -151,23 +163,29 @@ def _spec_for_order(p: ProbVector, order: int) -> CorrectionSpec:
 # ---------------------------------------------------------------------------
 
 def _cmd_pmf(args: argparse.Namespace) -> int:
+    from . import pmf
     p = _load_vector(args)
-    if args.kmax is not None and args.order == 0:
-        raise CliError(2, f"--kmax applies only to --order 1..{MAX_ORDER}")
-    _check_at_least("--kmax", args.kmax, 0)
-    spec = None if args.order == 0 else _spec_for_order(p, args.order)
-    pmf = poisson_binomial_pmf(p) if spec is None else build_phi_nu(spec, args.kmax).pmf
+    if args.order == 0:
+        if args.kmax is not None:
+            from .corrected import MAX_ORDER
+            raise CliError(2, f"--kmax applies only to --order 1..{MAX_ORDER}")
+        out = pmf.poisson_binomial_pmf(p)
+    else:
+        from . import corrected
+        _check_at_least("--kmax", args.kmax, 0)
+        out = corrected.build_phi_nu(_spec_for_order(p, args.order), args.kmax).pmf
     payload = {
-        "support_max": pmf.support_max,
-        "mass": pmf.mass,
-        "tail_bound": pmf.tail_bound,
-        "label": pmf.label,
+        "support_max": out.support_max,
+        "mass": out.mass,
+        "tail_bound": out.tail_bound,
+        "label": out.label,
     }
-    _write(args.format, payload, "k,mass", enumerate(pmf.mass.tolist()))
+    _write(args.format, payload, "k,mass", enumerate(out.mass.tolist()))
     return 0
 
 
 def _cmd_distance(args: argparse.Namespace) -> int:
+    from . import corrected, distances, pmf
     p = _load_vector(args)
     if args.exact and args.metric != "d2":
         raise CliError(2, "--exact applies only to --metric d2")
@@ -179,9 +197,10 @@ def _cmd_distance(args: argparse.Namespace) -> int:
                           f"(order {args.order})")
     spec = _spec_for_order(p, args.order)
     if args.metric == "hellinger":
-        result = hellinger(poisson_binomial_pmf(p), build_phi_nu(spec, args.kmax).pmf)
+        result = distances.hellinger(pmf.poisson_binomial_pmf(p),
+                                     corrected.build_phi_nu(spec, args.kmax).pmf)
     else:
-        result = sn_distance(p, spec, args.metric)
+        result = distances.sn_distance(p, spec, args.metric)
     if not math.isfinite(result.value):
         raise CliError(3, result.note or f"{args.metric} is not finite")
     payload = {
@@ -195,12 +214,12 @@ def _cmd_distance(args: argparse.Namespace) -> int:
     return 0
 
 
-def _retolerated(reports: list[_bounds.BoundReport],
-                 args: argparse.Namespace) -> list[_bounds.BoundReport]:
+def _retolerated(reports: list[BoundReport], args: argparse.Namespace) -> list[BoundReport]:
+    from . import bounds
     if args.atol is None and args.rtol is None:
         return reports
-    atol = args.atol if args.atol is not None else _bounds.ABS_TOL
-    rtol = args.rtol if args.rtol is not None else _bounds.REL_TOL
+    atol = args.atol if args.atol is not None else bounds.ABS_TOL
+    rtol = args.rtol if args.rtol is not None else bounds.REL_TOL
     out = []
     for r in reports:
         tol = atol + rtol * max(abs(r.lhs), abs(r.rhs))
@@ -208,7 +227,7 @@ def _retolerated(reports: list[_bounds.BoundReport],
     return out
 
 
-def _merged_sandwich(reports: list[_bounds.BoundReport]) -> list[_bounds.BoundReport]:
+def _merged_sandwich(reports: list[BoundReport]) -> list[BoundReport]:
     """One row per order from ``check_sandwich``'s lower and upper reports:
     lhs and rhs are the two enclosing bounds, and holds means the exact
     moment sits between them."""
@@ -225,9 +244,10 @@ def _merged_sandwich(reports: list[_bounds.BoundReport]) -> list[_bounds.BoundRe
     ]
 
 
-def _theta_reports(p: ProbVector, args: argparse.Namespace) -> list[_bounds.BoundReport]:
+def _theta_reports(bounds: ModuleType, p: ProbVector,
+                   args: argparse.Namespace) -> list[BoundReport]:
     explicit = [x is not None for x in (args.j, args.m, args.s)]
-    digest = _bounds._digest({"probs": _bounds._probs_hex(p)})
+    digest = bounds._digest({"probs": bounds._probs_hex(p)})
     if any(explicit):
         if not all(explicit):
             raise CliError(2, "--j, --m and --s must be given together")
@@ -235,40 +255,40 @@ def _theta_reports(p: ProbVector, args: argparse.Namespace) -> list[_bounds.Boun
             _check_at_least(flag, value, low)
         if args.j > args.m:
             raise CliError(2, f"--j must be <= --m, got {args.j} > {args.m}")
-        ps = _bounds.power_sums(p, args.m + args.s)
-        value = _bounds.theta(args.j, args.m, args.s, ps)
-        return [_bounds.BoundReport.make(
+        ps = bounds.power_sums(p, args.m + args.s)
+        value = bounds.theta(args.j, args.m, args.s, ps)
+        return [bounds.BoundReport.make(
             f"theta[j={args.j},m={args.m},s={args.s}]", 0.0, value, digest)]
-    ps = _bounds.power_sums(p, 12)
+    ps = bounds.power_sums(p, 12)
     worst = math.inf
     at = None
     for m in range(0, 9):
         for j in range(0, m + 1):
             for s in range(1, 5):
-                value = _bounds.theta(j, m, s, ps)
+                value = bounds.theta(j, m, s, ps)
                 if value < worst:
                     worst, at = value, (j, m, s)
-    return [_bounds.BoundReport.make(
+    return [bounds.BoundReport.make(
         f"theta-min[j={at[0]},m={at[1]},s={at[2]}]", 0.0, worst, digest)]
 
 
-def _remark2(args: argparse.Namespace) -> tuple[list[_bounds.BoundReport], dict]:
+def _remark2(bounds: ModuleType, args: argparse.Namespace) -> tuple[list[BoundReport], dict]:
     if args.lam is None:
         raise CliError(2, "--check remark2 requires --lambda")
     _check_lambda(args.lam)
     grid = _parse_grid(args.n_grid) if args.n_grid else (10, 100, 1000, 10_000)
     if grid[-1] < 1000:
         raise CliError(2, "grid must reach at least 10^3")
-    diffs = _bounds.simplified_order3_differences(args.lam, grid)
+    diffs = bounds.simplified_order3_differences(args.lam, grid)
     try:
-        fit = _bounds.fit_loglog(grid, diffs, "3t")
+        fit = bounds.fit_loglog(grid, diffs, "3t")
     except ValueError as exc:
         raise CliError(5, str(exc)) from exc
     scaled = fit.grid[-1]**2 * fit.distances[-1]
     limit = math.exp(-args.lam) * args.lam**4 / 8.0
-    report = _bounds.BoundReport.make(
+    report = bounds.BoundReport.make(
         "simplified-order3-limit-gap", abs(scaled - limit), 0.05 * limit,
-        _bounds._digest({"lambda": args.lam, "grid": list(grid)}))
+        bounds._digest({"lambda": args.lam, "grid": list(grid)}))
     return [report], {"fit": fit.to_json_dict(), "n2_scaled_last": scaled, "limit": limit}
 
 
@@ -277,53 +297,58 @@ def _mmax(args: argparse.Namespace) -> int:
     return args.mmax
 
 
-# --check NAME: the library's reports, and the payload fields written before them
-_CHECKS: dict[str, Callable[[argparse.Namespace],
-                            tuple[list[_bounds.BoundReport], dict]]] = {
-    "theorem2": lambda a: (_bounds.check_order2_bound(_load_vector(a)), {}),
-    "theorem3": lambda a: (_bounds.check_order3_bound(_load_vector(a)), {}),
-    "sandwich": lambda a: (_bounds.check_sandwich(_load_vector(a), _mmax(a)), {}),
-    "lower3": lambda a: (_bounds.check_lower3(_load_vector(a), _mmax(a)), {}),
-    "theta": lambda a: (_theta_reports(_load_vector(a), a), {}),
+# --check NAME: the library's reports, and the payload fields written before
+# them, from the module ``bounds`` once ``_cmd_bounds`` has imported it
+_CHECKS: dict[str, Callable[[ModuleType, argparse.Namespace],
+                            tuple[list[BoundReport], dict]]] = {
+    "theorem2": lambda b, a: (b.check_order2_bound(_load_vector(a)), {}),
+    "theorem3": lambda b, a: (b.check_order3_bound(_load_vector(a)), {}),
+    "sandwich": lambda b, a: (b.check_sandwich(_load_vector(a), _mmax(a)), {}),
+    "lower3": lambda b, a: (b.check_lower3(_load_vector(a), _mmax(a)), {}),
+    "theta": lambda b, a: (_theta_reports(b, _load_vector(a), a), {}),
     "remark2": _remark2,
-    "classic": lambda a: (_bounds.check_classic_chain(_load_vector(a)), {}),
+    "classic": lambda b, a: (b.check_classic_chain(_load_vector(a)), {}),
 }
 
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
+    from . import bounds
     if args.check != "remark2" and args.probs is None and args.binomial is None:
         raise CliError(2, f"--check {args.check} requires --probs or --binomial")
     for flag, value in (("--atol", args.atol), ("--rtol", args.rtol)):
         if value is not None and not 0 <= value < math.inf:
             raise CliError(2, f"{flag} must be finite and >= 0, got {value}")
-    reports, payload = _CHECKS[args.check](args)
+    reports, payload = _CHECKS[args.check](bounds, args)
     reports = _retolerated(reports, args)
     if args.check == "sandwich":
         reports = _merged_sandwich(reports)
     ok = all(r.holds for r in reports)
     payload.update(reports=[r.to_json_dict() for r in reports], all_hold=ok)
-    header = ",".join(f.name for f in dataclasses.fields(_bounds.BoundReport))
+    header = ",".join(f.name for f in dataclasses.fields(bounds.BoundReport))
     _write(args.format, payload, header, map(dataclasses.astuple, reports))
     return 0 if ok else 1
 
 
 def _cmd_gamma_table(args: argparse.Namespace) -> int:
+    from . import binomial
+    from .corrected import MAX_ORDER
     if not 2 <= args.nu <= MAX_ORDER:
         raise CliError(2, f"--nu must be between 2 and {MAX_ORDER}")
-    table = _binomial.solve_gamma_table(args.nu)
+    table = binomial.solve_gamma_table(args.nu)
     payload = table.to_json_dict()
     if args.compare_paper:
         payload["comparison"] = {
-            "mismatches": _binomial.compare_with_published(args.nu),
+            "mismatches": binomial.compare_with_published(args.nu),
         }
     _write("json", payload)
     return 0
 
 
 def _cmd_qpoly(args: argparse.Namespace) -> int:
+    from . import binomial
     if not 0 <= args.nu <= 10:
         raise CliError(2, "--nu must be between 0 and 10")
-    q = _binomial.q_polynomial(args.nu)
+    q = binomial.q_polynomial(args.nu)
     payload: dict[str, Any] = {
         "nu": args.nu,
         "coefficients": [str(c) for c in q.coeffs],
@@ -332,7 +357,7 @@ def _cmd_qpoly(args: argparse.Namespace) -> int:
         _check_lambda(args.lam)
         payload["c_order"] = args.nu + 1
         try:
-            payload["c_value"] = _binomial.c_constant(args.nu + 1, args.lam)
+            payload["c_value"] = binomial.c_constant(args.nu + 1, args.lam)
         except OverflowError:
             payload["c_value"] = None  # C_(nu+1)(lam) leaves binary64
     _write("json", payload)
@@ -368,23 +393,24 @@ def _parse_orders(text: str) -> tuple[int | str, ...]:
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:
+    from . import binomial, bounds
     _check_lambda(args.lam)
     grid = _parse_grid(args.n_grid)
     orders = _parse_orders(args.orders)
     rows = []
     fits = []
     for order in orders:
-        distances = [_bounds.rate_distance(order, n, args.lam, args.metric) for n in grid]
+        distances = [bounds.rate_distance(order, n, args.lam, args.metric) for n in grid]
         c = None  # none for "3t", or where C_nu(lam) leaves binary64
         if isinstance(order, int):
             try:
-                c = _binomial.c_constant(order, args.lam)
+                c = binomial.c_constant(order, args.lam)
             except OverflowError:
                 pass
         rows += [(n, order, dist, "" if c is None else c / n**order)
                  for n, dist in zip(grid, distances)]
         try:
-            fits.append(_bounds.fit_loglog(grid, distances, order))
+            fits.append(bounds.fit_loglog(grid, distances, order))
         except ValueError as exc:
             raise CliError(5, str(exc)) from exc
     _write("csv", None, "n,order,distance,bound", rows)

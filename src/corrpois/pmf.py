@@ -246,12 +246,16 @@ class FactorialMoments:
 
         Past m = 170, where m! overflows, mu_m = m! |w| / 2^m is assembled in
         log space: from log(2^-m |w|) where that is a normal number, else from
-        log |w| - m log 2.  An entry stored as 0.0 may have underflowed from
-        any |w| below 2^-1074, that is from any mu_m below 2^-1074 m! / 2^m;
-        from m = 24 on, where m! / 2^m >= 2^52, that bound reaches the normal
-        range, and the read raises ValueError naming m (m = 1500 for 1500
-        probabilities 20/1500, where mu_m is about 1e1302).  Below m = 24 it
-        reads 0.0.
+        log |w| - m log 2.  An entry stored below 2^-1022, subnormal or 0.0,
+        carries the product tree's absolute underflow error, up to
+        (n - 1)(m + 1)(m + 2) B 2^-1076 (``_linear_product``), which is then no
+        longer small next to the entry: 1500 probabilities 5/1500 store
+        subnormal entries at m = 287..296, and mu_296 read off them is 2.3 %
+        low.  A 0.0 may stand for any mu_m below 2^-1074 m! / 2^m.  From m = 24
+        on, where m! / 2^m >= 2^52, such an entry may hide a normal mu_m, and
+        the read raises ValueError naming m (m = 287 for 1500 probabilities
+        5/1500; m = 1500 for 20/1500, where mu_m is about 1e1302).  Below
+        m = 24 it reads as stored.
         """
         if m < 0:
             raise ValueError("moment order must be >= 0")
@@ -260,8 +264,8 @@ class FactorialMoments:
                 return 0.0
             raise ValueError(f"moments stored only up to order {self.weighted.size - 1}")
         w = float(self.weighted[m])
-        if w == 0.0 and m >= 24:
-            raise ValueError(f"factorial moment of order {m} underflowed to 0.0 in storage")
+        if abs(w) < sys.float_info.min and m >= 24:
+            raise ValueError(f"factorial moment of order {m} underflowed below 2^-1022 in storage")
         if m <= 170:
             mu = w * math.ldexp(math.prod(range(2, m + 1), start=1.0), -m)
         else:

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import hashlib
 import json
@@ -10,6 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import corrpois
 from corrpois import (
     build_phi2,
     build_phi_nu,
@@ -594,7 +596,7 @@ def test_library_refusal_is_exit_3_in_every_subcommand(monkeypatch, capsys, name
     def refuse(*args, **kwargs):
         raise ValueError("x")
 
-    monkeypatch.setattr(cli._binomial, name, refuse)
+    monkeypatch.setattr(corrpois.binomial, name, refuse)
     assert cli.main(argv) == 3
     assert capsys.readouterr() == ("", "error: x\n")
 
@@ -640,13 +642,94 @@ def test_every_bounds_table_has_the_report_fields(capsys, check):
     argv += ["--lambda", "1"] if check == "remark2" else ["--binomial", "20", "1"]
     assert cli.main(argv) == 0
     lines = capsys.readouterr().out.splitlines()
-    fields = [f.name for f in dataclasses.fields(cli._bounds.BoundReport)]
+    fields = [f.name for f in dataclasses.fields(corrpois.bounds.BoundReport)]
     assert lines[0] == ",".join(fields) == REPORT_HEADER
     assert len(lines) > 1 and not any(line.startswith("{") for line in lines)
+    rows = list(csv.reader(lines))
+    assert all(len(row) == len(fields) for row in rows)
 
 
 def test_lower3_stops_at_an_underflowed_moment():
-    # 2^m mu_m / m! underflows to 0.0 at m = 297 for 1500 probabilities 5/1500
+    # 2^m mu_m / m! is stored below 2^-1022 from m = 287 on for 1500 probabilities
+    # 5/1500 (subnormal up to 296, 0.0 from 297)
     r = run_cli("bounds", "--check", "lower3", "--binomial", "1500", "5", "--mmax", "300")
     assert (r.returncode, r.stdout) == (3, "")
-    assert len(r.stderr.splitlines()) == 1 and "order 297" in r.stderr
+    assert len(r.stderr.splitlines()) == 1 and "order 287 " in r.stderr
+
+
+def test_theta_names_are_quoted_cells(capsys):
+    assert cli.main(["bounds", "--check", "theta", "--binomial", "20", "1", "--j", "1",
+                     "--m", "3", "--s", "2", "--format", "csv"]) == 0
+    row = capsys.readouterr().out.splitlines()[1]
+    assert row.startswith('"theta[j=1,m=3,s=2]",0,')
+    assert next(csv.reader([row]))[0] == "theta[j=1,m=3,s=2]"
+    assert [cli._cell(v) for v in ('a"b', "a,b", "ab", 0.5)] == ['"a""b"', '"a,b"', "ab", "0.5"]
+
+
+# -- start-up: each probe runs in a fresh interpreter -----------------------
+
+def loaded_after(code):
+    """The modules a fresh interpreter holds after running ``code``."""
+    probe = code + "\nimport sys\nprint(' '.join(sorted(sys.modules)))"
+    r = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    return set(r.stdout.split())
+
+
+def loaded_by_call(*argv):
+    """The modules one ``python -m corrpois`` call has loaded when it exits."""
+    return loaded_after(
+        "import contextlib, io, runpy, sys\n"
+        f"sys.argv = ['corrpois', *{list(argv)!r}]\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.suppress(SystemExit):\n"
+        "    runpy.run_module('corrpois', run_name='__main__')")
+
+
+def test_package_import_loads_no_submodule():
+    loaded = loaded_after("import corrpois")
+    assert "corrpois" in loaded
+    assert not {m for m in loaded if m.startswith("corrpois.") or m.split(".")[0] == "numpy"}
+
+
+@pytest.mark.parametrize("argv", [
+    ("pmf", "--binomial", "20", "2", "--order", "0"),
+    ("pmf", "--binomial", "20", "2", "--order", "3"),
+    ("distance", "--metric", "tv", "--binomial", "20", "2", "--order", "3"),
+    ("distance", "--metric", "hellinger", "--binomial", "20", "2", "--order", "1"),
+])
+def test_pmf_and_distance_load_no_bound_or_exact_table_module(argv):
+    loaded = loaded_by_call(*argv)
+    assert "corrpois.pmf" in loaded
+    assert not loaded & {"corrpois.bounds", "corrpois.binomial", "corrpois.charlier",
+                         "fractions", "hashlib"}
+    assert ("corrpois.corrected" in loaded) == (argv[-1] != "0")
+
+
+@pytest.mark.parametrize("argv", [("gamma-table", "--nu", "3"), ("qpoly", "--nu", "2")])
+def test_exact_tables_load_no_bound_or_distance_module(argv):
+    loaded = loaded_by_call(*argv)
+    assert "corrpois.binomial" in loaded
+    assert not loaded & {"corrpois.bounds", "corrpois.distances", "hashlib"}
+
+
+def test_every_public_name_is_its_module_object():
+    import importlib
+
+    assert len(set(corrpois.__all__)) == len(corrpois.__all__)
+    for name in corrpois.__all__:
+        module = importlib.import_module(f"corrpois.{corrpois._NAMES[name]}")
+        assert getattr(corrpois, name) is getattr(module, name)
+        assert name in module.__all__ and name in dir(corrpois)
+
+
+def test_star_import_binds_every_name():
+    namespace = {}
+    exec("from corrpois import *", namespace)
+    assert all(namespace[name] is getattr(corrpois, name) for name in corrpois.__all__)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        corrpois.no_such_name
+
+
+def test_charlier_stays_the_function_once_bounds_loads_its_module():
+    loaded_after("import corrpois.bounds, corrpois, types\n"
+                 "assert not isinstance(corrpois.charlier, types.ModuleType)")
