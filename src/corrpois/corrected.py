@@ -424,20 +424,42 @@ def build_phi3_tilde(p: ProbVector, kmax: int | None = None) -> CorrectedMeasure
 def invert_moments(moments: FactorialMoments, kmax: int) -> SignedPmf:
     """Recover a mass function from its factorial moments.
 
-    Applies g(k) = sum_{m>=k} (-1)^(m-k) C(m, k) 2^-m w_m to the stored
-    weighted moments w_m = 2^m mu_m / m!, as one matrix-vector product.
-    Since C(m, k) 2^-m <= 1, each g(k) misses at most the moments' tail; the
-    recorded tail bound is (kmax + 1) times that plus the mass deficit of
-    the truncated support.
+    Applies g(k) = sum_m r_m(k) w_m, r_m(k) = (-1)^(m-k) C(m, k) 2^-m, to
+    the stored weighted moments w_m = 2^m mu_m / m!, m = 0..M, as one
+    matrix-vector product.  Row m has sum_k |r_m(k)| = 1, so the moments
+    past M move the masses by at most their tail in l1, and row m > kmax
+    puts 1 - s_m, s_m = sum_{k <= kmax} |r_m(k)|, past kmax.  With u =
+    2^-53, g_n = n u / (1 - n u) and W = sum_m |w_m|, ``tail_bound`` is
+    sum_{m > kmax} |w_m| (1 - s_m), the moments' tail and the rounding:
+
+    * Pascal's rule r_(m+1)(k) = (r_m(k - 1) - r_m(k)) / 2 subtracts two
+      terms of opposite sign, one rounding, and halves exactly above
+      2^-1022, so row m is within g_m of r_m; a halving below 2^-1022 loses
+      at most 2^-1075, at most m 2^-1075 an entry.
+    * The product adds g_(M+1) sum_m |w_m| |r_m(k)|, so the masses' l1
+      rounding is within g_(2M+1) W.
+    * Past kmax, the computed s_m is within g_(M+kmax+1) of s_m <= 1, and
+      the product adds g_(M+1) W.
+    * A product below 2^-1022 loses at most 2^-1075; with the rows' losses
+      that adds at most (kmax + 1)(M + 1)(W + 1) 2^-1074.
+
+    g_(4M+kmax+8) W covers the three g terms and leaves 5u W >= 5u for the
+    fsum of W and the bound's own operations.  The rounding is against the
+    law of the stored moments: S_n's moments carry a product tree's
+    rounding that ``FactorialMoments`` does not record.
     """
     if kmax < 0:
         raise ValueError("kmax must be >= 0")
     rows = []
-    row = np.zeros(kmax + 1)  # (-1)^(m-k) C(m, k) 2^-m for k = 0..kmax, by Pascal's rule
+    row = np.zeros(kmax + 1)  # r_m(k) for k = 0..kmax, by Pascal's rule
     row[0] = 1.0
     for _ in range(moments.weighted.size):
         rows.append(row)
         row = 0.5 * (np.concatenate(([0.0], row[:-1])) - row)
-    mass = moments.weighted @ np.array(rows)
-    deficit = abs(1.0 - math.fsum(mass.tolist()))
-    return SignedPmf(mass, deficit + (kmax + 1) * moments.tail, "inverted")
+    rows = np.array(rows)
+    mass = moments.weighted @ rows
+    rest = np.abs(moments.weighted[kmax + 1:]) @ (1.0 - np.abs(rows[kmax + 1:]).sum(axis=1))
+    size, top = math.fsum(np.abs(moments.weighted).tolist()), 4 * len(rows) + kmax + 4
+    error = (top * 2.0**-53 * size / (1.0 - top * 2.0**-53) + moments.tail
+             + (kmax + 1) * len(rows) * (size + 1.0) * 2.0**-1074)
+    return SignedPmf(mass, float(rest) + error, "inverted")

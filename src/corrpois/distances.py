@@ -66,7 +66,13 @@ _LOG_MAX = math.log(sys.float_info.max)
 
 @dataclass(frozen=True)
 class DistanceResult:
-    """A distance value plus a rigorous bound on what truncation discarded."""
+    """A distance value and ``truncation_error``, a bound on its gap to the
+    distance between the exact laws.  The pointwise metrics read it off the
+    inputs' ``tail_bound``s, which hold their cuts and their rounding;
+    ``d2`` and ``d2_tilde`` of two moment sequences off their tails, which
+    hold the cuts only (``FactorialMoments`` records no rounding);
+    ``sn_distance`` gives the proven error of the difference and of its
+    reading."""
 
     value: float
     truncation_error: float
@@ -92,13 +98,19 @@ def tv(g1: SignedPmf, g2: SignedPmf) -> DistanceResult:
 
 
 def hellinger(g1: SignedPmf, g2: SignedPmf) -> DistanceResult:
-    """Hellinger distance; defined only for proper (nonnegative) inputs."""
+    """Hellinger distance; defined only for proper (nonnegative) inputs.
+
+    H(f, g)^2 = (1/2) sum_k (sqrt f(k) - sqrt g(k))^2 <= (1/2) sum_k |f(k) -
+    g(k)|, so each input lies within sqrt(tail_bound / 2) of its exact law
+    (nonnegative too), and by the triangle inequality the value within the
+    sum of the two.
+    """
     if not g1.is_proper or not g2.is_proper:
         raise ValueError("Hellinger distance is undefined for signed measures")
     a, b = _aligned(g1.mass, g2.mass)
     sq = 0.5 * math.fsum(((np.sqrt(a) - np.sqrt(b)) ** 2).tolist())
-    # Discarded tail contributes at most half the missing mass of each input.
-    return DistanceResult(math.sqrt(sq), 0.5 * (g1.tail_bound + g2.tail_bound), "pointwise")
+    error = math.sqrt(0.5 * g1.tail_bound) + math.sqrt(0.5 * g2.tail_bound)
+    return DistanceResult(math.sqrt(sq), error, "pointwise")
 
 
 def wasserstein(g1: SignedPmf, g2: SignedPmf) -> DistanceResult:

@@ -177,12 +177,12 @@ def power_sums(p: ProbVector, jmax: int = 6) -> PowerSums:
 class SignedPmf:
     """A finitely supported, possibly signed, mass function on {0, 1, ...}.
 
-    ``mass[k]`` is the mass at k for k = 0..support_max.  ``tail_bound``
-    bounds the mass beyond support_max plus any rounding the builder records
-    (``build_phi_nu`` does), so the masses sum to 1 within tail_bound and a
-    fixed 1e-12 the constructor allows.  The S_n pmf has tail_bound 0: it is
-    not cut, and its rounding enters the distances to a corrected measure
-    instead.
+    ``mass[k]`` is the mass at k for k = 0..support_max.  ``tail_bound`` is
+    the builder's proven bound on sum_k |mass[k] - f(k)| over the support,
+    f the exact law, plus the exact mass sum_k |f(k)| beyond it.  So the
+    masses sum to 1 within tail_bound, which the constructor checks up to
+    the rounding of its own fsum (u (1 + tail_bound), u = 2^-53) and of the
+    slack: (tail_bound + 4u)(1 + 4u) covers both after its two roundings.
     """
 
     mass: np.ndarray
@@ -201,8 +201,8 @@ class SignedPmf:
         if self.tail_bound < 0:
             raise ValueError("tail_bound must be nonnegative")
         total = math.fsum(arr.tolist())
-        slack = self.tail_bound + 1e-12
-        if not (1.0 - slack <= total <= 1.0 + slack):
+        slack = (self.tail_bound + 2.0**-51) * (1.0 + 2.0**-51)
+        if not abs(total - 1.0) <= slack:
             raise ValueError(f"masses sum to {total}, outside 1 +/- {slack}")
 
     @property
@@ -305,13 +305,23 @@ def poisson_pmf(lam: float, kmax: int) -> SignedPmf:
     (u = 2^-53), and the masses are scaled back by 2^-E at the end.  Means
     from 1416 on raise ValueError, since there h is no longer normal.
 
-    The tail bound is the exact complement of the retained mass (plus a
-    small rounding guard), which is both rigorous and tighter than the
-    Chernoff form; the Chernoff bound remains available separately for
+    Rounding.  With u = 2^-53 and g_n = n u / (1 - n u), pi(k) is within
+    g_(2k+s) of e^-lam lam^k / k!, s = 2 below lam = 708 (exp within an
+    ulp, two roundings a step) and 5 from there on (the scaled start); a
+    mass below 2^-1022 is, like its exact value, within 2^-1021.  As
+    sum_k k pi(k) <= lam, the masses' l1 rounding is at most R = (2 lam + s)
+    u / (1 - (2 kmax + s) u) + (kmax + 1) 2^-1021.  The exact mass past kmax
+    is 1 minus the retained exact mass, so within R of 1 - sum_k pi(k); the
+    tail bound is that complement plus 2 R, and 4u more (the + 2 below)
+    covers the fsum, the subtraction and the bound's own rounding.  It is
+    tighter than the Chernoff form, which remains available for
     polynomial-weighted tails.
     """
     mass = _poisson_masses(lam, kmax)
-    tail = max(0.0, 1.0 - math.fsum(mass.tolist())) + 1e-15 * (kmax + 2)
+    s = 2 if lam < 708 else 5
+    rounding = ((2.0 * lam + s + 2) * 2.0**-53 / (1.0 - (2 * kmax + s) * 2.0**-53)
+                + (kmax + 1) * 2.0**-1021)
+    tail = max(0.0, 1.0 - math.fsum(mass.tolist())) + 2.0 * rounding
     return SignedPmf(mass, tail, "poisson")
 
 
@@ -427,15 +437,18 @@ def poisson_binomial_pmf(p: ProbVector) -> SignedPmf:
     """Distribution of S_n, the coefficients of prod_i ((1 - p_i) + p_i x).
 
     The pairwise tree of ``_linear_product`` keeps every intermediate
-    nonnegative, so the result is a proper distribution on 0..n with tail
-    bound 0.  The masses are not exact: the tree puts f(k) within g_K of
-    the product of the binary64 factors, K = n - 1 + D min(k, n - k) (D =
-    ceil(log2 n)), plus an underflow term, and rounding 1 - p_i adds at
-    most (n - k) u.  ``tail_bound`` leaves that rounding out (0 is exact for
-    exact inputs); the distances to a corrected measure add it
-    (``_product_error``).  The masses come from ``_sn``.
+    nonnegative, so the result is a proper distribution on 0..n.  The masses
+    are not exact: the tree puts f(k) within g_K of the product of the
+    binary64 factors, K = n - 1 + D min(k, n - k) (D = ceil(log2 n)), plus
+    an underflow term, and rounding 1 - p_i adds at most (n - k) u.
+    ``_product_error`` bounds each entry's gap to the exact law f by g_K
+    f(k) at the largest K plus the underflow term at j = n, with B <= 2; the
+    exact masses sum to 1, so ``tail_bound`` is that g_K plus n + 1 such
+    underflow terms, read off n alone (0 for n = 0).  The masses come from
+    ``_sn``.
     """
-    return SignedPmf(_sn(p).array(False), 0.0, "poisson-binomial")
+    bound = float(_product_error(1.0, p.n, False, 2.0 * (p.n + 1)))  # B <= 2, n + 1 entries
+    return SignedPmf(_sn(p).array(False), bound, "poisson-binomial")
 
 
 def elementary_symmetric(p: ProbVector, mmax: int) -> np.ndarray:

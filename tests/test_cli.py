@@ -420,13 +420,14 @@ def test_lambda_must_be_finite_and_positive(args):
 
 
 class TestEdgeInputsPinned:
-    """Inputs where the exact layer has nothing to round: stdout byte for byte."""
+    """Inputs where the exact layer has nothing to round: stdout byte for byte.
+    The masses are exact; a pmf's tail_bound is the tree's bound, read off n."""
 
     @pytest.mark.parametrize("lines, want", [
         ("0\n0\n0\n", '{"support_max": 0, "mass": [1], "tail_bound": 0, '
                        '"label": "poisson-binomial"}\n'),
-        ("1\n1\n0.5\n", '{"support_max": 3, "mass": [0, 0, 0.5, 0.5], "tail_bound": 0, '
-                         '"label": "poisson-binomial"}\n'),
+        ("1\n1\n0.5\n", '{"support_max": 3, "mass": [0, 0, 0.5, 0.5], '
+                         '"tail_bound": 8.8817841970012681e-16, "label": "poisson-binomial"}\n'),
     ])
     def test_pmf_of_a_file(self, tmp_path, lines, want):
         f = tmp_path / "p.txt"
@@ -437,8 +438,8 @@ class TestEdgeInputsPinned:
     def test_pmf_of_certain_indicators(self):
         r = run_cli("pmf", "--binomial", "5", "5", "--order", "0")
         assert (r.returncode, r.stderr) == (0, "")
-        assert r.stdout == ('{"support_max": 5, "mass": [0, 0, 0, 0, 0, 1], "tail_bound": 0, '
-                            '"label": "poisson-binomial"}\n')
+        assert r.stdout == ('{"support_max": 5, "mass": [0, 0, 0, 0, 0, 1], '
+                            '"tail_bound": 1.831867990631515e-15, "label": "poisson-binomial"}\n')
 
     def test_sandwich_of_one_entry(self, tmp_path):
         f = tmp_path / "p.txt"
@@ -450,12 +451,12 @@ class TestEdgeInputsPinned:
         digest = hashlib.sha256(r.stdout.encode()).hexdigest()
         assert digest == "5977c5a84dc7aba983eb0a75bbec084255449347cf10166238836b351c7cdad1"
 
-    def test_pmf_rounding_refusal_is_one_line(self):
-        # the exact law's masses drift past SignedPmf's fixed 1e-12 slack at n = 10^5
+    def test_pmf_at_n_1e5_records_its_rounding(self):
+        # the masses sum to 1 + 6.9e-12, within the product tree's proven bound
         r = run_cli("pmf", "--binomial", "100000", "50", "--order", "0")
-        assert (r.returncode, r.stdout) == (3, "")
-        assert len(r.stderr.splitlines()) == 1 and "Traceback" not in r.stderr
-        assert r.stderr.startswith("error: masses sum to ")
+        assert (r.returncode, r.stderr) == (0, "")
+        payload = json.loads(r.stdout)
+        assert abs(math.fsum(payload["mass"]) - 1.0) <= payload["tail_bound"] < 2e-10
 
     def test_overflowing_mean_keeps_its_exit(self):
         r = run_cli("distance", "--metric", "d2", "--binomial", "3000", "450", "--order", "2")

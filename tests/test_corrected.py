@@ -495,3 +495,26 @@ class TestInvertMoments:
         mu = factorial_moments_sn(P123)
         with pytest.raises(ValueError):
             invert_moments(mu, kmax=-1)
+
+    @pytest.mark.parametrize("nu", [2, 3, 4])
+    def test_signed_law_cut_short_within_its_bound(self, nu):
+        # a signed law may put more mass past kmax than its deficit |1 - sum| shows
+        spec = spec_for_order(ProbVector((0.4, 0.4)), nu)
+        whole = build_phi_nu(spec).pmf
+        assert not whole.is_proper
+        for kmax in range(8):
+            inv = invert_moments(spec.moments(), kmax)
+            gap = math.fsum(np.abs(inv.mass - whole.mass[:kmax + 1]).tolist())
+            beyond = math.fsum(np.abs(whole.mass[kmax + 1:]).tolist())
+            assert gap + beyond <= inv.tail_bound + whole.tail_bound, kmax
+
+    def test_roundtrip_within_both_bounds(self):
+        # the alternating sums lose up to 0.24 here (n = 400, p below 0.1)
+        rng = np.random.default_rng(1)
+        for n in (5, 20, 60, 120, 200, 400):
+            for top in (0.1, 0.5, 0.9):
+                p = ProbVector(tuple(rng.uniform(0.0, top, n).tolist()))
+                inv = invert_moments(factorial_moments_sn(p), n)
+                f = poisson_binomial_pmf(p)
+                gap = math.fsum(np.abs(inv.mass - f.mass).tolist())
+                assert gap <= inv.tail_bound + f.tail_bound, (n, top)

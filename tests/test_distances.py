@@ -100,6 +100,16 @@ class TestTotalVariation:
             lower = min(1.0, 1.0 / ps.lam) / 32.0 * ps[2]
             assert lower <= tv(fn, pois).value + 1e-12
 
+    @pytest.mark.parametrize("n, lam, nu", [(20000, 5.0, 5), (20000, 1.0, 8), (5000, 30.0, 8),
+                                            (20000, 50.0, 3)])
+    def test_pointwise_encloses_the_difference(self, n, lam, nu):
+        # where the true tv is tiny, the pointwise value is S_n's rounding, about 1e-14
+        p = equal_probs(n, lam)
+        spec = spec_for_order(p, nu)
+        a = tv(poisson_binomial_pmf(p), build_phi_nu(spec).pmf)
+        b = sn_distance(p, spec, "tv")
+        assert abs(a.value - b.value) <= a.truncation_error + b.truncation_error
+
 
 class TestD2:
     def test_identical_moments(self):
@@ -250,6 +260,18 @@ class TestHellinger:
             dh = hellinger(fn, pois).value
             dtv = tv(fn, pois).value
             assert dtv <= dh * math.sqrt(2 - dh**2) + 1e-10
+
+    @pytest.mark.parametrize("lam", [2.0, 5.0, 30.0])
+    def test_error_covers_a_cut(self, lam):
+        # two cuts of one measure are 0 apart, and S_n's distance to the cut
+        # measure lies within both errors of its distance to the uncut one
+        pois = spec_poisson(lam)
+        cut, whole = build_phi_nu(pois, 10).pmf, build_phi_nu(pois).pmf
+        h = hellinger(cut, whole)
+        assert h.value <= h.truncation_error
+        fn = poisson_binomial_pmf(equal_probs(40, lam))
+        a, b = hellinger(fn, cut), hellinger(fn, whole)
+        assert abs(a.value - b.value) <= a.truncation_error + b.truncation_error
 
     def test_cubic_power_sum_bound(self):
         rng = np.random.default_rng(89)

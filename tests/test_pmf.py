@@ -5,6 +5,7 @@ import json
 import math
 import pickle
 import sys
+from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -172,6 +173,19 @@ class TestPoissonPmf:
         want = math.exp(-lam + mode * math.log(lam) - math.lgamma(mode + 1))
         assert mass[mode] == pytest.approx(want, rel=1e-10)
 
+    @pytest.mark.parametrize("lam", [0.5, 30.0, 710.0])
+    def test_tail_bound_covers_the_gap_to_the_exact_masses(self, lam):
+        # sum_k |mass[k] - pi(k)| plus the exact mass past kmax, in 60 digits
+        with localcontext(Context(prec=60)):
+            for kmax in (0, int(lam), math.ceil(lam + 12 * math.sqrt(lam) + 40)):
+                pmf = poisson_pmf(lam, kmax)
+                exact, term = [], (-Decimal(lam)).exp()
+                for k in range(kmax + 1):
+                    exact.append(term)
+                    term = term * Decimal(lam) / (k + 1)
+                gap = sum(abs(Decimal(m) - e) for m, e in zip(pmf.mass.tolist(), exact))
+                assert gap + (1 - sum(exact)) <= Decimal(pmf.tail_bound), kmax
+
     def test_mean_from_1416_refused(self):
         poisson_pmf(1415.99, 10)
         with pytest.raises(ValueError, match="1416"):
@@ -182,7 +196,22 @@ class TestPoissonBinomial:
     def test_single_bernoulli(self):
         pmf = poisson_binomial_pmf(ProbVector((0.5,)))
         assert pmf.mass.tolist() == [0.5, 0.5]
-        assert pmf.tail_bound == 0.0
+        assert pmf.tail_bound == 2.0**-53 / (1.0 - 2.0**-52)  # g_1: rounding 1 - p
+
+    @pytest.mark.parametrize("lam", [0.01, 1.0, 30.0, 300.0, 1000.0])
+    def test_builds_at_n_1e5_within_its_bound(self, lam):
+        pmf = poisson_binomial_pmf(equal_probs(10**5, lam))
+        assert abs(pmf.total() - 1.0) <= pmf.tail_bound < 2e-10
+
+    @pytest.mark.parametrize("p", [ProbVector((0.1, 0.2, 0.3)), ProbVector((1.0, 1.0, 0.5)),
+                                   equal_probs(40, 5.0), *random_prob_vectors(6, seed=17)],
+                             ids=lambda p: f"n{p.n}")
+    def test_tail_bound_covers_the_gap_to_the_exact_law(self, p):
+        exact = exact_linear_product([1 - Fraction(x) for x in p.probs],
+                                     [Fraction(x) for x in p.probs])
+        pmf = poisson_binomial_pmf(p)
+        gap = sum(abs(Fraction(c) - e) for c, e in zip(pmf.mass.tolist(), exact))
+        assert gap <= Fraction(pmf.tail_bound)
 
     def test_small_cases_match_enumeration(self):
         for probs in [(0.1,), (0.1, 0.2), (0.1, 0.2, 0.3), (0.9, 0.4, 0.05)]:
@@ -551,6 +580,10 @@ class TestSignedPmf:
     def test_sum_outside_tail_bound_rejected(self):
         with pytest.raises(ValueError):
             SignedPmf(np.array([0.5, 0.4]), 0.0, "bad")
+
+    def test_no_allowance_past_the_tail_bound(self):
+        with pytest.raises(ValueError):
+            SignedPmf(np.array([0.5, 0.5 + 2**-45]), 0.0, "x")
 
     def test_signed_mass_allowed_within_bound(self):
         pmf = SignedPmf(np.array([1.2, -0.2]), 0.0, "signed")
