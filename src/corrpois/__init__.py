@@ -11,8 +11,7 @@ so ``import corrpois`` alone loads neither a submodule nor numpy.
 
 The function ``charlier`` shares its name with its module, and loading a
 submodule binds the module to its name in the package.  So the first access
-to one of a module's public names binds all of them, and ``bounds`` reaches
-the module ``charlier`` only through the package; after a bare
+to one of a module's public names binds all of them; after a bare
 ``import corrpois.charlier``, ``corrpois.charlier`` is the module.
 """
 
@@ -30,12 +29,11 @@ _EXPORTS = {
     "bounds": (
         "BoundReport", "RateFit", "check_classic_chain", "check_lower3",
         "check_order2_bound", "check_order3_bound", "check_sandwich",
-        "check_simplified_order3", "fit_loglog", "fit_rate", "random_prob_vectors",
-        "theta",
+        "check_simplified_order3", "falling_factorial", "fit_loglog", "fit_rate",
+        "random_prob_vectors", "theta",
     ),
     "charlier": (
-        "charlier", "charlier_values", "covariance_identity_check",
-        "falling_factorial", "orthogonality_check",
+        "charlier", "charlier_values", "covariance_identity_check", "orthogonality_check",
     ),
     "corrected": (
         "CorrectedMeasure", "CorrectionSpec", "build_phi2", "build_phi3",

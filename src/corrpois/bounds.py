@@ -2,9 +2,9 @@
 
 Every check produces a BoundReport with both sides, a holds flag and the
 slack, so a failing instance is immediately inspectable.  "Holds" always
-means lhs <= rhs + tol with tol = 1e-12 absolute plus 1e-9 relative;
-equality cases are tested separately (and much more tightly) in the test
-suite.
+means lhs <= rhs + tol with tol = 1e-12 absolute plus 1e-9 relative, set by
+``BoundReport.make`` alone; equality cases are tested separately (and much
+more tightly) in the test suite.
 
 The central objects are the theta quantities
 
@@ -30,7 +30,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from . import falling_factorial  # via the package, so corrpois.charlier stays the function
 from .corrected import build_phi_nu, spec_for_order, spec_phi2, spec_phi3, spec_poisson
 from .distances import d2_exact_product, hellinger, sn_distance
 from .pmf import (
@@ -57,6 +56,7 @@ __all__ = [
     "check_simplified_order3",
     "simplified_order3_differences",
     "random_prob_vectors",
+    "falling_factorial",
 ]
 
 ABS_TOL = 1e-12
@@ -84,6 +84,8 @@ def _probs_hex(p: ProbVector) -> str:
 class BoundReport:
     """One checked inequality lhs <= rhs with its slack and tolerance.
 
+    ``make`` is the only builder: ``holds`` means lhs <= rhs + ``tolerance``,
+    ``slack`` is rhs - lhs, and ``tolerance`` is atol + rtol max(|lhs|, |rhs|).
     ``inputs_digest`` is ``_digest`` of the check's inputs: computed once per
     check call and shared by every report that call returns.
     """
@@ -97,20 +99,17 @@ class BoundReport:
     inputs_digest: str
 
     @staticmethod
-    def make(name: str, lhs: float, rhs: float, digest: str) -> "BoundReport":
-        tol = ABS_TOL + REL_TOL * max(abs(lhs), abs(rhs))
-        return BoundReport(name, lhs, rhs, lhs <= rhs + tol, rhs - lhs, tol, digest)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "holds": self.holds,
-            "slack": self.slack,
-            "tolerance": self.tolerance,
-            "inputs_digest": self.inputs_digest,
-        }
+    def make(name: str, lhs: float, rhs: float, digest: str,
+             atol: float = ABS_TOL, rtol: float = REL_TOL) -> "BoundReport":
+        """The report of lhs <= rhs, or OverflowError naming it when a side,
+        the slack or the tolerance is not finite: an overflowed bound
+        compares as nothing."""
+        slack = rhs - lhs
+        tol = atol + rtol * max(abs(lhs), abs(rhs))
+        if not all(map(math.isfinite, (lhs, rhs, slack, tol))):
+            raise OverflowError(f"{name} leaves binary64: lhs = {lhs!r}, rhs = {rhs!r}, "
+                                f"slack = {slack!r}, tolerance = {tol!r}")
+        return BoundReport(name, lhs, rhs, lhs <= rhs + tol, slack, tol, digest)
 
 
 @dataclass(frozen=True)
@@ -131,17 +130,6 @@ class RateFit:
             raise ValueError("grid must be strictly increasing")
         if any(d <= 0 for d in self.distances):
             raise ValueError("fit refused: distances must be strictly positive")
-
-    def to_json_dict(self) -> dict:
-        return {
-            "order": self.order,
-            "grid": list(self.grid),
-            "distances": list(self.distances),
-            "slope": self.slope,
-            "intercept": self.intercept,
-            "r_squared": self.r_squared,
-            "note": self.note,
-        }
 
 
 def theta(j: int, m: int, s: int, ps: PowerSums) -> float:
@@ -165,6 +153,16 @@ def theta(j: int, m: int, s: int, ps: PowerSums) -> float:
     if value < -1e-12 * scale:
         raise RuntimeError(f"theta_{j}({m},{s}) = {value} < 0 beyond numeric slack")
     return value
+
+
+def falling_factorial(k: int, m: int) -> float:
+    """(k)_m = k (k-1) ... (k-m+1), with (k)_0 = 1; zero when m > k >= 0."""
+    if k < 0 or m < 0:
+        raise ValueError("falling factorial requires k >= 0 and m >= 0")
+    out = 1.0
+    for i in range(m):
+        out *= k - i
+    return out
 
 
 def _power(lam: float, k: int, m: int) -> float:

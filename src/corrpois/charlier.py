@@ -24,7 +24,6 @@ import numpy as np
 from .pmf import poisson_pmf, poisson_tail_bound
 
 __all__ = [
-    "falling_factorial",
     "charlier",
     "charlier_values",
     "default_kmax",
@@ -33,16 +32,6 @@ __all__ = [
     "orthogonality_check",
     "covariance_identity_check",
 ]
-
-
-def falling_factorial(k: int, m: int) -> float:
-    """(k)_m = k (k-1) ... (k-m+1), with (k)_0 = 1; zero when m > k >= 0."""
-    if k < 0 or m < 0:
-        raise ValueError("falling factorial requires k >= 0 and m >= 0")
-    out = 1.0
-    for i in range(m):
-        out *= k - i
-    return out
 
 
 def _charlier_at(m: int, lam: float, ks: np.ndarray) -> np.ndarray:

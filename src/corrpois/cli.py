@@ -63,8 +63,8 @@ def _fmt_float(x: float) -> str:
 
 def _to_json(obj: Any) -> str:
     """JSON text of a payload; numpy arrays and scalars are written as lists
-    and numbers, and a ``Fraction`` (any non-integer ``numbers.Rational``)
-    as its string."""
+    and numbers, a ``Fraction`` (any non-integer ``numbers.Rational``) as its
+    string, and a dataclass instance as its fields in declaration order."""
     if isinstance(obj, np.ndarray):
         obj = obj.tolist()
     if obj is None:
@@ -77,6 +77,8 @@ def _to_json(obj: Any) -> str:
         return _fmt_float(float(obj))
     if isinstance(obj, (str, numbers.Rational)):
         return json.dumps(str(obj))
+    if dataclasses.is_dataclass(obj):
+        obj = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
     if isinstance(obj, dict):
         parts = [f"{json.dumps(str(k))}: {_to_json(v)}" for k, v in obj.items()]
         return "{" + ", ".join(parts) + "}"
@@ -203,45 +205,18 @@ def _cmd_distance(args: argparse.Namespace) -> int:
         result = distances.sn_distance(p, spec, args.metric)
     if not math.isfinite(result.value):
         raise CliError(3, result.note or f"{args.metric} is not finite")
-    payload = {
-        "value": result.value,
-        "truncation_error": result.truncation_error,
-        "method": result.method,
-        "note": result.note,
-    }
-    _write(args.format, payload, "value,truncation_error,method",
+    _write(args.format, result, "value,truncation_error,method",
            [(result.value, result.truncation_error, result.method)])
     return 0
 
 
 def _retolerated(reports: list[BoundReport], args: argparse.Namespace) -> list[BoundReport]:
+    """Each report re-made under ``--atol``/``--rtol``, the library's where unset."""
     from . import bounds
-    if args.atol is None and args.rtol is None:
-        return reports
-    atol = args.atol if args.atol is not None else bounds.ABS_TOL
-    rtol = args.rtol if args.rtol is not None else bounds.REL_TOL
-    out = []
-    for r in reports:
-        tol = atol + rtol * max(abs(r.lhs), abs(r.rhs))
-        out.append(dataclasses.replace(r, tolerance=tol, holds=r.lhs <= r.rhs + tol))
-    return out
-
-
-def _merged_sandwich(reports: list[BoundReport]) -> list[BoundReport]:
-    """One row per order from ``check_sandwich``'s lower and upper reports:
-    lhs and rhs are the two enclosing bounds, and holds means the exact
-    moment sits between them."""
-    return [
-        dataclasses.replace(
-            lo,
-            name=f"mu-sandwich[m={m}]",
-            rhs=up.rhs,
-            holds=lo.holds and up.holds,
-            slack=min(lo.slack, up.slack),
-            tolerance=max(lo.tolerance, up.tolerance),
-        )
-        for m, (lo, up) in enumerate(zip(reports[0::2], reports[1::2]), start=1)
-    ]
+    atol = bounds.ABS_TOL if args.atol is None else args.atol
+    rtol = bounds.REL_TOL if args.rtol is None else args.rtol
+    return [bounds.BoundReport.make(r.name, r.lhs, r.rhs, r.inputs_digest, atol, rtol)
+            for r in reports]
 
 
 def _theta_reports(bounds: ModuleType, p: ProbVector,
@@ -289,7 +264,7 @@ def _remark2(bounds: ModuleType, args: argparse.Namespace) -> tuple[list[BoundRe
     report = bounds.BoundReport.make(
         "simplified-order3-limit-gap", abs(scaled - limit), 0.05 * limit,
         bounds._digest({"lambda": args.lam, "grid": list(grid)}))
-    return [report], {"fit": fit.to_json_dict(), "n2_scaled_last": scaled, "limit": limit}
+    return [report], {"fit": fit, "n2_scaled_last": scaled, "limit": limit}
 
 
 def _mmax(args: argparse.Namespace) -> int:
@@ -320,10 +295,8 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
             raise CliError(2, f"{flag} must be finite and >= 0, got {value}")
     reports, payload = _CHECKS[args.check](bounds, args)
     reports = _retolerated(reports, args)
-    if args.check == "sandwich":
-        reports = _merged_sandwich(reports)
     ok = all(r.holds for r in reports)
-    payload.update(reports=[r.to_json_dict() for r in reports], all_hold=ok)
+    payload.update(reports=reports, all_hold=ok)
     header = ",".join(f.name for f in dataclasses.fields(bounds.BoundReport))
     _write(args.format, payload, header, map(dataclasses.astuple, reports))
     return 0 if ok else 1
@@ -414,7 +387,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         except ValueError as exc:
             raise CliError(5, str(exc)) from exc
     _write("csv", None, "n,order,distance,bound", rows)
-    _write("json", {"fits": [f.to_json_dict() for f in fits]})
+    _write("json", {"fits": fits})
     return 0
 
 

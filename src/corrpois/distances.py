@@ -67,12 +67,14 @@ _LOG_MAX = math.log(sys.float_info.max)
 @dataclass(frozen=True)
 class DistanceResult:
     """A distance value and ``truncation_error``, a bound on its gap to the
-    distance between the exact laws.  The pointwise metrics read it off the
-    inputs' ``tail_bound``s, which hold their cuts and their rounding;
-    ``d2`` and ``d2_tilde`` of two moment sequences off their tails, which
-    hold the cuts only (``FactorialMoments`` records no rounding);
-    ``sn_distance`` gives the proven error of the difference and of its
-    reading."""
+    distance between the exact laws.  ``tv`` and ``hellinger`` read it off
+    the inputs' ``tail_bound``s, which hold their cuts and their rounding.
+    It covers less for two other functions: ``wasserstein``'s omits the
+    index-weighted mass past both supports, and ``d2`` and ``d2_tilde`` of
+    two moment sequences read it off their tails, which hold the cuts only
+    (``FactorialMoments`` records no rounding).  ``sn_distance`` gives the
+    proven error of the difference and of its reading; use it for S_n
+    against a corrected measure."""
 
     value: float
     truncation_error: float
@@ -118,8 +120,11 @@ def wasserstein(g1: SignedPmf, g2: SignedPmf) -> DistanceResult:
 
     sum_{m>=1} |T1(m) - T2(m)| with T(m) = sum_{k>=m} g(k), computed by
     reverse cumulative sums over the joint support.  Each retained tail is
-    off by at most the input's tail bound, and beyond the support the tails
-    themselves are bounded by it, whence the recorded truncation error.
+    off by at most the input's tail bound, whence the recorded truncation
+    error.  It omits the terms past both supports, sum_{k>K} (k - K)|f(k)|
+    for the exact laws' mass f there, which ``tail_bound`` does not bound:
+    ``wasserstein(poisson_pmf(50, 0), poisson_pmf(1, 0))`` reads 0.0 +/- 4.9,
+    while the distance is 49.  ``sn_distance(p, spec, "wass")`` is proven.
     """
     a, b = _aligned(g1.mass, g2.mass)
     ta = np.cumsum(a[::-1])[::-1]
@@ -149,7 +154,10 @@ def _moment_distance(m1: FactorialMoments, m2: FactorialMoments, tilde: bool) ->
     moments w_m = 2^m mu_m / m! with the shorter array zero-padded.
 
     Each omitted term is bounded by its sequence's tail, sum_{m>M} m |w_m|,
-    so half the sum of the two tails bounds the truncation.
+    so half the sum of the two tails bounds the truncation, and only that:
+    the rounding of the stored moments is not counted.  At
+    ``equal_probs(20000, 1)``, order 8, ``d2`` reads 2.43e-16 +/- 1.1e-36
+    while the proven ``sn_distance(p, spec, "d2")`` reads 7.86e-32.
     """
     a, b = _aligned(m1.weighted, m2.weighted)
     gap = np.abs(a - b)
@@ -161,12 +169,15 @@ def _moment_distance(m1: FactorialMoments, m2: FactorialMoments, tilde: bool) ->
 
 
 def d2(m1: FactorialMoments, m2: FactorialMoments) -> DistanceResult:
-    """Order-two factorial moment distance from two moment sequences."""
+    """Order-two factorial moment distance from two moment sequences; its
+    error bounds their truncation only (``_moment_distance``), so S_n
+    against a corrected measure goes through ``sn_distance``."""
     return _moment_distance(m1, m2, tilde=False)
 
 
 def d2_tilde(m1: FactorialMoments, m2: FactorialMoments) -> DistanceResult:
-    """The (m-1)!-weighted variant dominating the Wasserstein distance."""
+    """The (m-1)!-weighted variant dominating the Wasserstein distance, with
+    the error of ``d2``: the truncation only."""
     return _moment_distance(m1, m2, tilde=True)
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -170,7 +171,7 @@ class TestRateFits:
             fit = fit_loglog([8, 16, 32, 64], [0.1, 0.01, 0.001, 0.0], 2)
         assert fit.grid == (8, 16, 32)
         assert fit.note == "dropped 1 underflowed distance(s)"
-        assert fit.to_json_dict()["note"] == fit.note
+        assert dataclasses.asdict(fit)["note"] == fit.note
 
     def test_scattered_fit_is_noted(self):
         with warnings.catch_warnings():
@@ -276,7 +277,7 @@ class TestReportPlumbing:
         import json
 
         r = BoundReport.make("x", 0.5, 1.0, _digest({"seed": 0}))
-        payload = json.dumps(r.to_json_dict())
+        payload = json.dumps(dataclasses.asdict(r))
         assert json.loads(payload)["holds"] is True
 
     def test_corpus_reproducible(self):

@@ -227,7 +227,7 @@ class TestBoundsCommand:
                     "--mmax", "15")
         assert r.returncode == 0
         payload = json.loads(r.stdout)
-        assert len(payload["reports"]) == 15
+        assert len(payload["reports"]) == 30
 
     def test_lower3(self, probs_file):
         r = run_cli("bounds", "--check", "lower3", "--probs", probs_file,
@@ -446,10 +446,10 @@ class TestEdgeInputsPinned:
         f.write_text("0.3\n")
         r = run_cli("bounds", "--check", "sandwich", "--probs", str(f))
         assert (r.returncode, r.stderr) == (0, "")
-        assert r.stdout.startswith('{"reports": [{"name": "mu-sandwich[m=1]", '
+        assert r.stdout.startswith('{"reports": [{"name": "mu-lower2[m=1]", '
                                    '"lhs": 0.29999999999999999, "rhs": 0.29999999999999999, ')
         digest = hashlib.sha256(r.stdout.encode()).hexdigest()
-        assert digest == "5977c5a84dc7aba983eb0a75bbec084255449347cf10166238836b351c7cdad1"
+        assert digest == "1763c4f43ceb06e15267b1ad1644ab95ab1bd659af02ce2a04a768af5e3140c6"
 
     def test_pmf_at_n_1e5_records_its_rounding(self):
         # the masses sum to 1 + 6.9e-12, within the product tree's proven bound
@@ -491,6 +491,23 @@ def test_bound_overflow_names_the_power(args):
     r = run_cli("bounds", *args, timeout=120)
     assert (r.returncode, r.stdout) == (3, "")
     assert len(r.stderr.splitlines()) == 1 and "lam^" in r.stderr
+
+
+@pytest.mark.parametrize("check, name", [("sandwich", "mu-lower2[m=154]"),
+                                         ("lower3", "mu-lower-refined[m=153]")])
+def test_overflowed_bound_side_is_refused(check, name):
+    # (m)_2/2 l2 lam^(m-2) and the lambda_4 term leave binary64 first at these orders
+    r = run_cli("bounds", "--check", check, "--binomial", "1000", "100", "--mmax", "154")
+    assert (r.returncode, r.stdout) == (3, "")
+    assert len(r.stderr.splitlines()) == 1
+    assert r.stderr.startswith(f"error: numeric overflow: {name} leaves binary64: lhs = -inf")
+
+
+def test_overflowed_tolerance_is_refused():
+    r = run_cli("bounds", "--check", "theorem2", "--binomial", "20", "2",
+                "--atol", "1e308", "--rtol", "1e308")
+    assert (r.returncode, r.stdout) == (3, "")
+    assert len(r.stderr.splitlines()) == 1 and r.stderr.rstrip().endswith("tolerance = inf")
 
 
 def test_scan_keeps_its_rows_where_the_bound_overflows():
@@ -620,20 +637,38 @@ def test_remark2_table_is_its_report_row():
     assert lines[1].startswith("simplified-order3-limit-gap,")
 
 
-def test_sandwich_tolerances_apply_before_the_merge(tmp_path):
+FIVE = "0.1\n0.2\n0.3\n0.45\n0.05\n"
+
+
+def test_sandwich_lower_row_fails_at_zero_tolerance(tmp_path):
     # mu_2 = 0.8650000000000001 and the lower bound rounds to 0.8650000000000002:
-    # with no tolerance the m = 2 row fails, though lower <= upper
+    # with no tolerance the m = 2 lower row fails, though lower <= upper
     f = tmp_path / "five.txt"
-    f.write_text("0.1\n0.2\n0.3\n0.45\n0.05\n")
+    f.write_text(FIVE)
     r = run_cli("bounds", "--check", "sandwich", "--probs", str(f), "--mmax", "3",
                 "--atol", "0", "--rtol", "0")
     assert r.returncode == 1
     payload = json.loads(r.stdout)
-    row = payload["reports"][1]
-    assert row["name"] == "mu-sandwich[m=2]"
-    assert (row["lhs"], row["holds"]) == (0.8650000000000002, False)
+    row = payload["reports"][2]
+    assert row["name"] == "mu-lower2[m=2]"
+    assert (row["lhs"], row["rhs"], row["holds"]) == (0.8650000000000002, 0.8650000000000001,
+                                                      False)
     assert payload["all_hold"] is False
-    assert [x["holds"] for x in payload["reports"]] == [True, False, True]
+    assert [x["holds"] for x in payload["reports"]] == [True, True, False, True, True, True]
+
+
+@pytest.mark.parametrize("tolerances", [[], ["--atol", "0", "--rtol", "0"]])
+@pytest.mark.parametrize("check", ["theorem2", "theorem3", "sandwich", "lower3", "theta",
+                                   "remark2", "classic"])
+def test_every_report_row_is_its_inequality(capsys, tmp_path, check, tolerances):
+    f = tmp_path / "five.txt"
+    f.write_text(FIVE)
+    argv = ["bounds", "--check", check, *tolerances]
+    argv += ["--lambda", "1"] if check == "remark2" else ["--probs", str(f), "--mmax", "3"]
+    cli.main(argv)
+    rows = json.loads(capsys.readouterr().out)["reports"]
+    assert rows and all(r["holds"] == (r["lhs"] <= r["rhs"] + r["tolerance"]) for r in rows)
+    assert all(r["slack"] == r["rhs"] - r["lhs"] for r in rows)
 
 
 @pytest.mark.parametrize("check", ["theorem2", "theorem3", "sandwich", "lower3", "theta",
@@ -732,5 +767,6 @@ def test_star_import_binds_every_name():
 
 
 def test_charlier_stays_the_function_once_bounds_loads_its_module():
+    assert "corrpois.charlier" not in loaded_after("import corrpois.bounds")
     loaded_after("import corrpois.bounds, corrpois, types\n"
                  "assert not isinstance(corrpois.charlier, types.ModuleType)")
