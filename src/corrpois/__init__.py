@@ -29,8 +29,8 @@ _EXPORTS = {
     "bounds": (
         "BoundReport", "RateFit", "check_classic_chain", "check_lower3",
         "check_order2_bound", "check_order3_bound", "check_sandwich",
-        "check_simplified_order3", "falling_factorial", "fit_loglog", "fit_rate",
-        "random_prob_vectors", "theta",
+        "check_simplified_order3", "check_theta", "falling_factorial", "fit_loglog",
+        "fit_rate", "random_prob_vectors", "theta",
     ),
     "charlier": (
         "charlier", "charlier_values", "covariance_identity_check", "orthogonality_check",

@@ -18,6 +18,9 @@ factorial moment sandwich
 and the refined lower bound carrying the lambda_4 correction.  On top of
 those sit the order-2 and order-3 distance bounds and the empirical
 convergence-rate fits for the equal-probability case.
+
+``check_theta`` decides theta >= 0 like every other check: its report is
+-e <= theta, e the proven bound on theta's rounding, under the same rule.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .corrected import build_phi_nu, spec_for_order, spec_phi2, spec_phi3, spec_poisson
-from .distances import d2_exact_product, hellinger, sn_distance
+from .distances import _SLACK, _U, d2_exact_product, hellinger, sn_distance
 from .pmf import (
     PowerSums,
     ProbVector,
@@ -46,6 +49,7 @@ __all__ = [
     "BoundReport",
     "RateFit",
     "theta",
+    "check_theta",
     "check_sandwich",
     "check_lower3",
     "check_order2_bound",
@@ -133,11 +137,31 @@ class RateFit:
 
 
 def theta(j: int, m: int, s: int, ps: PowerSums) -> float:
-    """The alternating power-sum combination theta_j(m, s).
+    """The alternating power-sum combination theta_j(m, s), nonnegative for
+    probabilities in [0, 1].  Requires power sums up to order m + s; its
+    rounding is bounded by ``check_theta``, which decides the sign."""
+    return _theta(j, m, s, ps, 0)[0]
 
-    Requires power sums up to order m + s.  The value is provably
-    nonnegative; anything below -1e-12 of the term scale signals a numerics
-    problem and raises.
+
+def _theta(j: int, m: int, s: int, ps: PowerSums, n: int) -> tuple[float, float]:
+    """theta_j(m, s) and a bound e on its gap to the exact value, for the
+    power sums of n probabilities.
+
+    The term of index k is +-C(m, k) lambda_(k+s) lam^(m-k), with lam^i from
+    the running product of ``ps.lam`` (OverflowError naming the power where
+    it leaves binary64) and C(m, k) correctly rounded.  Counting one rounding
+    of C, k + s of lambda_(k+s) (``power_sums``), 2i - 1 of lam^i and two
+    products, each computed term is within g = g_(2m+s+2) of the exact one,
+    plus D_k = 2 C(m, k) max(lam^i, 1) (A + (i + 2) 2^-1075) for what
+    underflows: lambda_(k+s)'s own term A <= (1 + u) n (m + s) 2^-1075, and
+    at most 2^-1075 for each product, scaled by the later factors (lam^i
+    underflows only for lam < 1).  Since |exact| <= (|t| + D_k)/(1 - g), the
+    sum of the terms is within (g sum |t| + sum D_k)/(1 - g), and fsum adds
+    u |theta|.  Each D_k is at most (n + 1)(m + s + 2) 2^-1074 C(m, k)
+    max(lam^i, 1); ``under`` takes 2^-1073 in its place, twice that, which
+    covers the computed power in place of the exact one and the rounding of
+    ``under`` where it is subnormal.  ``_SLACK`` covers the rest of the
+    bound's arithmetic.
     """
     if not 0 <= j <= m:
         raise ValueError("require 0 <= j <= m")
@@ -145,14 +169,31 @@ def theta(j: int, m: int, s: int, ps: PowerSums) -> float:
         raise ValueError("require s >= 1")
     if ps.order < m + s:
         raise ValueError(f"power sums up to order {m + s} needed, have {ps.order}")
-    lam = ps.lam
-    terms = [(-1.0) ** (k - j) * _comb(m, k) * ps[k + s] * _power(lam, m - k, m)
+    powers = [1.0]
+    for i in range(1, m - j + 1):
+        powers.append(powers[-1] * ps.lam)
+        if powers[-1] == math.inf:
+            raise OverflowError(f"lam^{i} exceeds binary64 at order m = {m}")
+    terms = [(-1.0) ** (k - j) * _comb(m, k) * ps[k + s] * powers[m - k]
              for k in range(j, m + 1)]
+    tiny = (n + 1) * (m + s + 2) * 2.0**-1073
+    under = math.fsum(tiny * _comb(m, k) * max(powers[m - k], 1.0) for k in range(j, m + 1))
+    g = (2 * m + s + 2) * _U / (1.0 - (2 * m + s + 2) * _U)
     value = math.fsum(terms)
-    scale = max(1.0, math.fsum(abs(t) for t in terms))
-    if value < -1e-12 * scale:
-        raise RuntimeError(f"theta_{j}({m},{s}) = {value} < 0 beyond numeric slack")
-    return value
+    error = (g * math.fsum(map(abs, terms)) + under) / (1.0 - g) + _U * abs(value)
+    return value, error * _SLACK
+
+
+def check_theta(p: ProbVector, at: tuple[int, int, int] | None = None) -> list[BoundReport]:
+    """One report -e <= theta_j(m, s), e its rounding bound (``_theta``):
+    at ``at`` = (j, m, s), or else at the first (j, m, s) over m = 0..8,
+    j = 0..m, s = 1..4 whose theta is least."""
+    digest = _digest({"probs": _probs_hex(p)})
+    ps = power_sums(p, 12 if at is None else at[1] + at[2])
+    grid = [at] if at else [(j, m, s) for m in range(9) for j in range(m + 1) for s in range(1, 5)]
+    value, error, (j, m, s) = min(((*_theta(*t, ps, p.n), t) for t in grid), key=lambda r: r[0])
+    name = "theta-min" if at is None else "theta"
+    return [BoundReport.make(f"{name}[j={j},m={m},s={s}]", -error, value, digest)]
 
 
 def falling_factorial(k: int, m: int) -> float:

@@ -219,32 +219,18 @@ def _retolerated(reports: list[BoundReport], args: argparse.Namespace) -> list[B
             for r in reports]
 
 
-def _theta_reports(bounds: ModuleType, p: ProbVector,
-                   args: argparse.Namespace) -> list[BoundReport]:
+def _theta_at(args: argparse.Namespace) -> tuple[int, int, int] | None:
+    """--j, --m and --s, checked, or None when none is given."""
     explicit = [x is not None for x in (args.j, args.m, args.s)]
-    digest = bounds._digest({"probs": bounds._probs_hex(p)})
-    if any(explicit):
-        if not all(explicit):
-            raise CliError(2, "--j, --m and --s must be given together")
-        for flag, value, low in (("--j", args.j, 0), ("--m", args.m, 0), ("--s", args.s, 1)):
-            _check_at_least(flag, value, low)
-        if args.j > args.m:
-            raise CliError(2, f"--j must be <= --m, got {args.j} > {args.m}")
-        ps = bounds.power_sums(p, args.m + args.s)
-        value = bounds.theta(args.j, args.m, args.s, ps)
-        return [bounds.BoundReport.make(
-            f"theta[j={args.j},m={args.m},s={args.s}]", 0.0, value, digest)]
-    ps = bounds.power_sums(p, 12)
-    worst = math.inf
-    at = None
-    for m in range(0, 9):
-        for j in range(0, m + 1):
-            for s in range(1, 5):
-                value = bounds.theta(j, m, s, ps)
-                if value < worst:
-                    worst, at = value, (j, m, s)
-    return [bounds.BoundReport.make(
-        f"theta-min[j={at[0]},m={at[1]},s={at[2]}]", 0.0, worst, digest)]
+    if not any(explicit):
+        return None
+    if not all(explicit):
+        raise CliError(2, "--j, --m and --s must be given together")
+    for flag, value, low in (("--j", args.j, 0), ("--m", args.m, 0), ("--s", args.s, 1)):
+        _check_at_least(flag, value, low)
+    if args.j > args.m:
+        raise CliError(2, f"--j must be <= --m, got {args.j} > {args.m}")
+    return args.j, args.m, args.s
 
 
 def _remark2(bounds: ModuleType, args: argparse.Namespace) -> tuple[list[BoundReport], dict]:
@@ -280,7 +266,7 @@ _CHECKS: dict[str, Callable[[ModuleType, argparse.Namespace],
     "theorem3": lambda b, a: (b.check_order3_bound(_load_vector(a)), {}),
     "sandwich": lambda b, a: (b.check_sandwich(_load_vector(a), _mmax(a)), {}),
     "lower3": lambda b, a: (b.check_lower3(_load_vector(a), _mmax(a)), {}),
-    "theta": lambda b, a: (_theta_reports(b, _load_vector(a), a), {}),
+    "theta": lambda b, a: (b.check_theta(_load_vector(a), _theta_at(a)), {}),
     "remark2": _remark2,
     "classic": lambda b, a: (b.check_classic_chain(_load_vector(a)), {}),
 }

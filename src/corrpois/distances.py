@@ -68,13 +68,15 @@ _LOG_MAX = math.log(sys.float_info.max)
 class DistanceResult:
     """A distance value and ``truncation_error``, a bound on its gap to the
     distance between the exact laws.  ``tv`` and ``hellinger`` read it off
-    the inputs' ``tail_bound``s, which hold their cuts and their rounding.
-    It covers less for two other functions: ``wasserstein``'s omits the
-    index-weighted mass past both supports, and ``d2`` and ``d2_tilde`` of
-    two moment sequences read it off their tails, which hold the cuts only
-    (``FactorialMoments`` records no rounding).  ``sn_distance`` gives the
-    proven error of the difference and of its reading; use it for S_n
-    against a corrected measure."""
+    the inputs' ``tail_bound``s, which hold their cuts and their rounding,
+    and add their own rounding.  It covers less for three other functions:
+    ``wasserstein``'s omits the index-weighted mass past both supports,
+    ``weighted_l1``'s weights the inputs' tail bounds by the largest weight
+    on the support, which bounds no weight past it, and ``d2`` and
+    ``d2_tilde`` of two moment sequences read it off their tails, which hold
+    the cuts only (``FactorialMoments`` records no rounding).
+    ``sn_distance`` gives the proven error of the difference and of its
+    reading; use it for S_n against a corrected measure."""
 
     value: float
     truncation_error: float
@@ -93,10 +95,15 @@ def _aligned(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def tv(g1: SignedPmf, g2: SignedPmf) -> DistanceResult:
-    """Total variation distance, half the pointwise L1 difference."""
+    """Total variation distance, half the pointwise L1 difference.
+
+    Its error is half the inputs' tail bounds plus 2u of the value: u for
+    the differences, each within u of its size, and u for the fsum.
+    """
     a, b = _aligned(g1.mass, g2.mass)
     value = 0.5 * math.fsum(np.abs(a - b).tolist())
-    return DistanceResult(value, 0.5 * (g1.tail_bound + g2.tail_bound), "pointwise")
+    error = 0.5 * (g1.tail_bound + g2.tail_bound) + 2.0 * _U * value
+    return DistanceResult(value, error * _SLACK, "pointwise")
 
 
 def hellinger(g1: SignedPmf, g2: SignedPmf) -> DistanceResult:
@@ -106,13 +113,21 @@ def hellinger(g1: SignedPmf, g2: SignedPmf) -> DistanceResult:
     g(k)|, so each input lies within sqrt(tail_bound / 2) of its exact law
     (nonnegative too), and by the triangle inequality the value within the
     sum of the two.
+
+    Its own rounding adds u (sqrt(sum a) + sqrt(sum b)) + 3u H: each
+    difference of square roots d_k is within u (sqrt a_k + sqrt b_k) + u |d_k|
+    of its exact value, so the l2 norm of d, times 1/sqrt(2), within
+    u (sqrt(sum a) + sqrt(sum b)) / sqrt(2) + u H; the squares, the fsum and
+    the square root add 3u/2 of H.
     """
     if not g1.is_proper or not g2.is_proper:
         raise ValueError("Hellinger distance is undefined for signed measures")
     a, b = _aligned(g1.mass, g2.mass)
-    sq = 0.5 * math.fsum(((np.sqrt(a) - np.sqrt(b)) ** 2).tolist())
-    error = math.sqrt(0.5 * g1.tail_bound) + math.sqrt(0.5 * g2.tail_bound)
-    return DistanceResult(math.sqrt(sq), error, "pointwise")
+    value = math.sqrt(0.5 * math.fsum(((np.sqrt(a) - np.sqrt(b)) ** 2).tolist()))
+    error = (math.sqrt(0.5 * g1.tail_bound) + math.sqrt(0.5 * g2.tail_bound)
+             + _U * (math.sqrt(math.fsum(a.tolist())) + math.sqrt(math.fsum(b.tolist()))
+                     + 3.0 * value))
+    return DistanceResult(value, error * _SLACK, "pointwise")
 
 
 def wasserstein(g1: SignedPmf, g2: SignedPmf) -> DistanceResult:
@@ -135,7 +150,14 @@ def wasserstein(g1: SignedPmf, g2: SignedPmf) -> DistanceResult:
 
 
 def weighted_l1(h: Callable[[int], float], g1: SignedPmf, g2: SignedPmf) -> DistanceResult:
-    """sum_k h(k) |g1(k) - g2(k)| for a nonnegative weight h."""
+    """sum_k h(k) |g1(k) - g2(k)| for a nonnegative weight h.
+
+    The error is the largest weight on the joint support times the inputs'
+    tail bounds, which bounds nothing past the support, where h can be
+    larger, nor the rounding: ``weighted_l1(lambda k: float(k),
+    poisson_pmf(50, 0), poisson_pmf(1, 0))`` reads 0.0 +/- 0.0, while the
+    distance is about 51.
+    """
     a, b = _aligned(g1.mass, g2.mass)
     weights = []
     for k in range(a.size):

@@ -6,6 +6,7 @@ import re
 import struct
 import warnings
 from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from corrpois import (
     check_order3_bound,
     check_sandwich,
     check_simplified_order3,
+    check_theta,
     equal_probs,
     factorial_moments_sn,
     fit_loglog,
@@ -75,6 +77,49 @@ class TestTheta:
             j = int(rng.integers(0, m + 1))
             s = int(rng.integers(1, 5))
             assert theta(j, m, s, ps) >= -1e-12
+
+
+def exact_theta(p, j, m, s):
+    """theta_j(m, s) of the binary64 probabilities in exact rationals."""
+    fp = [Fraction(x) for x in p.probs]
+    lam = sum(fp)
+    return sum((-1) ** (k - j) * math.comb(m, k) * sum(x ** (k + s) for x in fp)
+               * lam ** (m - k) for k in range(j, m + 1))
+
+
+ONE = ProbVector((0.9999,))
+# theta of one indicator is exactly 0; the tiny entries make the power sums,
+# lam^i and the products underflow
+THETA_EDGES = [(ONE, (0, 20, 2000)), (ONE, (5, 60, 3))] + [
+    (p, at) for p in (ProbVector((1e-200,) * 3), ProbVector((0.5, 1e-300)),
+                      ProbVector((1e-160, 1e-170, 0.9)), ProbVector((1.0,) * 3),
+                      ProbVector((5e-324, 1e-310)), ProbVector((1e-5,) * 20))
+    for at in ((0, 8, 4), (3, 8, 1), (8, 8, 4), (2, 70, 3))]
+
+
+class TestThetaRounding:
+    def test_bound_holds_against_exact_arithmetic(self):
+        rng = np.random.default_rng(28)
+        cases = list(THETA_EDGES)
+        for _ in range(600):
+            p = ProbVector(tuple(rng.uniform(0, 1, int(rng.integers(1, 8))).tolist()))
+            m = int(rng.integers(0, 9))
+            cases.append((p, (int(rng.integers(0, m + 1)), m, int(rng.integers(1, 5)))))
+        for p, (j, m, s) in cases:
+            [r] = check_theta(p, (j, m, s))
+            assert r.rhs == theta(j, m, s, power_sums(p, m + s))
+            assert abs(Fraction(r.rhs) - exact_theta(p, j, m, s)) <= Fraction(-r.lhs), (p, j, m, s)
+            assert r.holds
+
+    def test_sweep_reports_the_first_least_theta(self):
+        for p in (P345, equal_probs(20, 1.0), ONE):
+            ps = power_sums(p, 12)
+            at = min(((j, m, s) for m in range(9) for j in range(m + 1) for s in range(1, 5)),
+                     key=lambda t: theta(*t, ps))
+            [r] = check_theta(p)
+            assert r.name == "theta-min[j={},m={},s={}]".format(*at)
+            assert r.rhs == theta(*at, ps) and r.lhs == check_theta(p, at)[0].lhs
+            assert r.inputs_digest == oracle_digest(p.probs)
 
 
 class TestSandwich:

@@ -601,6 +601,18 @@ def test_remark2_size_below_the_mean_is_domain_error(lam, p):
     assert r.stderr == f"error: probability outside [0, 1]: {p}\n"
 
 
+def test_theta_of_one_indicator_is_decided_by_its_rounding(tmp_path):
+    # theta is exactly 0 for one probability; its binary64 value is -2.7e-11,
+    # within its proven rounding bound, so the report holds (exit 1 before)
+    f = tmp_path / "one.txt"
+    f.write_text("0.9999\n")
+    r = run_cli("bounds", "--check", "theta", "--probs", str(f), "--j", "0", "--m", "20",
+                "--s", "2000", "--atol", "0", "--rtol", "0")
+    assert r.returncode == 0
+    row = json.loads(r.stdout)["reports"][0]
+    assert row["lhs"] < row["rhs"] < 0.0
+
+
 def test_theta_binomial_overflow_names_the_coefficient():
     r = run_cli("bounds", "--check", "theta", "--binomial", "2000", "0.5",
                 "--j", "0", "--m", "1100", "--s", "1", timeout=120)
@@ -697,7 +709,8 @@ def test_theta_names_are_quoted_cells(capsys):
     assert cli.main(["bounds", "--check", "theta", "--binomial", "20", "1", "--j", "1",
                      "--m", "3", "--s", "2", "--format", "csv"]) == 0
     row = capsys.readouterr().out.splitlines()[1]
-    assert row.startswith('"theta[j=1,m=3,s=2]",0,')
+    # lhs is -e, the proven bound on the rounding of theta (``bounds._theta``)
+    assert row.startswith('"theta[j=1,m=3,s=2]",-9.5416730072715272e-18,')
     assert next(csv.reader([row]))[0] == "theta[j=1,m=3,s=2]"
     assert [cli._cell(v) for v in ('a"b', "a,b", "ab", 0.5)] == ['"a""b"', '"a,b"', "ab", "0.5"]
 
@@ -749,12 +762,13 @@ def test_exact_tables_load_no_bound_or_distance_module(argv):
 
 
 def test_every_public_name_is_its_module_object():
-    import importlib
-
     assert len(set(corrpois.__all__)) == len(corrpois.__all__)
     for name in corrpois.__all__:
-        module = importlib.import_module(f"corrpois.{corrpois._NAMES[name]}")
-        assert getattr(corrpois, name) is getattr(module, name)
+        # through the package first: a first import of corrpois.charlier would
+        # bind the module over the function of that name (``corrpois`` docstring)
+        value = getattr(corrpois, name)
+        module = sys.modules[f"corrpois.{corrpois._NAMES[name]}"]
+        assert value is getattr(module, name)
         assert name in module.__all__ and name in dir(corrpois)
 
 

@@ -57,7 +57,27 @@ def point_mass(at, size):
     return SignedPmf(mass, 0.0, f"delta{at}")
 
 
+def three_point_pairs(seed, count):
+    """Seeded pairs of exact three-point laws (``tail_bound`` 0.0)."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        x, y = rng.uniform(size=3), rng.uniform(size=3) ** 4
+        yield tuple(SignedPmf(v / v.sum(), 0.0, "") for v in (x, y))
+
+
 class TestTotalVariation:
+    def test_error_counts_its_rounding(self):
+        # 0.5616998809555815 +/- 0.0 missed the exact value by 1.7e-17 at the
+        # first pair, when the error counted only the inputs' tail bounds
+        pairs = [tuple(SignedPmf(np.array(v), 0.0, "") for v in (
+            (0.07697430866546645, 0.4854760764029465, 0.43754961493158706),
+            (0.0002550690257394217, 0.000495435087091941, 0.9992494958871686)))]
+        for a, b in pairs + list(three_point_pairs(101, 3000)):
+            r = tv(a, b)
+            exact = sum(abs(Fraction(x) - Fraction(y))
+                        for x, y in zip(a.mass.tolist(), b.mass.tolist())) / 2
+            assert abs(Fraction(r.value) - exact) <= Fraction(r.truncation_error)
+
     def test_identical_inputs(self):
         pmf = poisson_pmf(1.0, 20)
         assert tv(pmf, pmf).value == 0.0
@@ -240,6 +260,14 @@ class TestWasserstein:
 
 
 class TestHellinger:
+    def test_error_counts_its_rounding(self):
+        with localcontext(Context(prec=60)):
+            for a, b in three_point_pairs(103, 2000):
+                r = hellinger(a, b)
+                exact = (sum((Decimal(x).sqrt() - Decimal(y).sqrt()) ** 2
+                             for x, y in zip(a.mass.tolist(), b.mass.tolist())) / 2).sqrt()
+                assert abs(Decimal(r.value) - exact) <= Decimal(r.truncation_error)
+
     def test_identical(self):
         pmf = poisson_pmf(2.0, 40)
         assert hellinger(pmf, pmf).value == 0.0
