@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
@@ -90,13 +91,6 @@ class RationalPolynomial:
         """Multiply by the variable."""
         return RationalPolynomial((Fraction(0),) + self.coeffs)
 
-    def eval_exact(self, x) -> Fraction:
-        x = Fraction(x)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
     def eval_float(self, x: float) -> float:
         acc = 0.0
         for c in reversed(self.coeffs):
@@ -155,14 +149,34 @@ class GammaTable:
 
     ``entries[j]`` is a RationalPolynomial in the variable 1/n (coefficient
     index = power of 1/n, constant term always zero), for j = 2..2 nu - 2.
+
+    With a_k / L the coefficients c_k of gamma_j over their least common
+    denominator L and D its degree, gamma_j(n) = (sum_k a_k n^(D-k)) /
+    (L n^D): the constructor computes the a_k and L once, and ``gamma_at``
+    and ``gamma_floats`` evaluate the numerator by Horner's rule in integers.
     """
 
     nu: int
     entries: Mapping[int, RationalPolynomial]
 
+    def __post_init__(self) -> None:
+        integers = {}
+        for j, poly in self.entries.items():
+            lcd = math.lcm(*(c.denominator for c in poly.coeffs))
+            integers[j] = (tuple(c.numerator * (lcd // c.denominator) for c in poly.coeffs), lcd)
+        # not a field: equality, hashing and the JSON export read ``entries``
+        object.__setattr__(self, "_integers", integers)
+
+    def _ratio(self, j: int, n: int) -> tuple[int, int]:
+        """gamma_j(n) as (numerator, denominator), both integers."""
+        coeffs, lcd = self._integers[j]
+        num = 0
+        for a in coeffs:
+            num = num * n + a
+        return num, lcd * n ** (len(coeffs) - 1)
+
     def gamma_at(self, j: int, n: int) -> Fraction:
-        poly = self.entries.get(j)
-        return poly.eval_exact(Fraction(1, n)) if poly is not None else Fraction(0)
+        return Fraction(*self._ratio(j, n)) if j in self._integers else Fraction(0)
 
     def to_json_dict(self) -> dict:
         return {
@@ -196,11 +210,20 @@ def solve_gamma_table(nu: int) -> GammaTable:
 
 
 def gamma_floats(nu: int, n: int) -> dict[int, float]:
-    """gamma_j(nu) evaluated at a concrete n, as floats keyed by degree j."""
+    """gamma_j(nu) evaluated at a concrete n, as floats keyed by degree j.
+
+    Each is one division of the integers of ``GammaTable._ratio``, which
+    CPython rounds correctly, as it does ``float(Fraction)``: the floats are
+    gamma_j(n) rounded to nearest.  An n that is not an integer >= 1 has no
+    binomial and raises ValueError.
+    """
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+        raise ValueError(f"n must be an integer >= 1, got {n!r}")
     if nu == 1:
         return {}
     table = solve_gamma_table(nu)
-    return {j: float(table.gamma_at(j, n)) for j in sorted(table.entries)}
+    ratios = {j: table._ratio(j, int(n)) for j in sorted(table.entries)}
+    return {j: num / den for j, (num, den) in ratios.items()}
 
 
 # Coefficient listing as printed in the published table for this correction

@@ -94,13 +94,20 @@ def _aligned(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
+def _nonzero_aligned(g1: SignedPmf, g2: SignedPmf) -> tuple[np.ndarray, np.ndarray]:
+    """The two mass arrays up to their last nonzero masses, aligned."""
+    return _aligned(g1.mass[: g1._end], g2.mass[: g2._end])
+
+
 def tv(g1: SignedPmf, g2: SignedPmf) -> DistanceResult:
     """Total variation distance, half the pointwise L1 difference.
 
     Its error is half the inputs' tail bounds plus 2u of the value: u for
-    the differences, each within u of its size, and u for the fsum.
+    the differences, each within u of its size, and u for the fsum.  It
+    reads each input up to its last nonzero mass (``SignedPmf``): the terms
+    past both are |0 - 0| and add nothing to the fsum.
     """
-    a, b = _aligned(g1.mass, g2.mass)
+    a, b = _nonzero_aligned(g1, g2)
     value = 0.5 * math.fsum(np.abs(a - b).tolist())
     error = 0.5 * (g1.tail_bound + g2.tail_bound) + 2.0 * _U * value
     return DistanceResult(value, error * _SLACK, "pointwise")
@@ -118,11 +125,12 @@ def hellinger(g1: SignedPmf, g2: SignedPmf) -> DistanceResult:
     difference of square roots d_k is within u (sqrt a_k + sqrt b_k) + u |d_k|
     of its exact value, so the l2 norm of d, times 1/sqrt(2), within
     u (sqrt(sum a) + sqrt(sum b)) / sqrt(2) + u H; the squares, the fsum and
-    the square root add 3u/2 of H.
+    the square root add 3u/2 of H.  Like ``tv`` it reads each input up to
+    its last nonzero mass; the terms past both are 0 in every fsum.
     """
     if not g1.is_proper or not g2.is_proper:
         raise ValueError("Hellinger distance is undefined for signed measures")
-    a, b = _aligned(g1.mass, g2.mass)
+    a, b = _nonzero_aligned(g1, g2)
     value = math.sqrt(0.5 * math.fsum(((np.sqrt(a) - np.sqrt(b)) ** 2).tolist()))
     error = (math.sqrt(0.5 * g1.tail_bound) + math.sqrt(0.5 * g2.tail_bound)
              + _U * (math.sqrt(math.fsum(a.tolist())) + math.sqrt(math.fsum(b.tolist()))

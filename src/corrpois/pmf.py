@@ -183,6 +183,13 @@ class SignedPmf:
     masses sum to 1 within tail_bound, which the constructor checks up to
     the rounding of its own fsum (u (1 + tail_bound), u = 2^-53) and of the
     slack: (tail_bound + 4u)(1 + 4u) covers both after its two roundings.
+
+    S_n's masses at large n are mostly underflowed zeros (about 250 nonzero of
+    100,001 for 10^5 probabilities 5/10^5), so the constructor records where
+    the nonzero masses end, and its fsum check, ``total`` and the pointwise
+    distances ``tv`` and ``hellinger`` read ``mass`` only up to there.  Zeros
+    add nothing to an fsum, so every value keeps its bits (an all-zero array
+    is read whole).
     """
 
     mass: np.ndarray
@@ -200,7 +207,15 @@ class SignedPmf:
         object.__setattr__(self, "mass", arr)
         if self.tail_bound < 0:
             raise ValueError("tail_bound must be nonnegative")
-        total = math.fsum(arr.tolist())
+        # one comparison when the last mass is nonzero, as it is for every
+        # corrected measure; not a field, so the CLI does not print it
+        end = arr.size
+        if arr[-1] == 0.0:
+            nonzero = np.flatnonzero(arr)
+            if nonzero.size:
+                end = int(nonzero[-1]) + 1
+        object.__setattr__(self, "_end", end)
+        total = self.total()
         slack = (self.tail_bound + 2.0**-51) * (1.0 + 2.0**-51)
         if not abs(total - 1.0) <= slack:
             raise ValueError(f"masses sum to {total}, outside 1 +/- {slack}")
@@ -211,10 +226,10 @@ class SignedPmf:
 
     @property
     def is_proper(self) -> bool:
-        return bool(np.all(self.mass >= 0.0))
+        return bool(np.all(self.mass[: self._end] >= 0.0))
 
     def total(self) -> float:
-        return math.fsum(self.mass.tolist())
+        return math.fsum(self.mass[: self._end].tolist())
 
 
 @dataclass(frozen=True)

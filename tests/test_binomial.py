@@ -10,6 +10,7 @@ from corrpois import (
     c_constant_series,
     compare_with_published,
     falling_factorial_remainder,
+    gamma_floats,
     q_polynomial,
     solve_gamma_table,
     stirling_unsigned,
@@ -163,6 +164,35 @@ class TestGammaTable:
         assert payload["gamma"]["2"] == [[1, "1/2"]]
         assert payload["gamma"]["3"] == [[2, "-1/3"]]
         json.dumps(payload)  # must be serializable as-is
+
+
+def horner_at_inverse(poly, n):
+    """Oracle: the polynomial in 1/n at a concrete n, by Fraction Horner."""
+    x, acc = Fraction(1, n), Fraction(0)
+    for c in reversed(poly.coeffs):
+        acc = acc * x + c
+    return acc
+
+
+class TestGammaFloats:
+    @pytest.mark.parametrize("nu", range(1, 9))
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 12, 500, 1600, 10**5, 10**30])
+    def test_each_float_is_the_exact_value_rounded(self, nu, n):
+        got = gamma_floats(nu, n)
+        if nu == 1:
+            assert got == {}
+            return
+        table = solve_gamma_table(nu)
+        want = {j: float(horner_at_inverse(poly, n)) for j, poly in sorted(table.entries.items())}
+        assert list(got) == list(want)
+        assert {j: g.hex() for j, g in got.items()} == {j: g.hex() for j, g in want.items()}
+        assert all(table.gamma_at(j, n) == horner_at_inverse(table.entries[j], n) for j in got)
+
+    @pytest.mark.parametrize("nu", [1, 3])
+    @pytest.mark.parametrize("n", [0, -3, 2.5])
+    def test_an_n_with_no_binomial_is_refused(self, nu, n):
+        with pytest.raises(ValueError, match=f"n must be an integer >= 1, got {n!r}"):
+            gamma_floats(nu, n)
 
 
 class TestComparisonWithPublished:

@@ -778,3 +778,91 @@ def test_sn_distance_returns_plain_floats(monkeypatch, route):
     for metric in ("tv", "wass", "d2", "d2tilde"):
         res = sn_distance(p, spec, metric)
         assert type(res.value) is float and type(res.truncation_error) is float, metric
+
+
+# -- reads up to the last nonzero mass --------------------------------------
+
+ENTRIES = st.floats(-1.0, 1.0) | st.floats(-2.0**-1022, 2.0**-1022)  # subnormals too
+TRAILING_ZEROS = st.lists(st.sampled_from([0.0, -0.0]), max_size=50)
+
+
+@st.composite
+def padded_masses(draw, signed=True):
+    """A mass array whose nonzero masses (if any) end in 0-50 zeros; its last
+    nonzero mass may be subnormal, and the array may be all zeros."""
+    body = draw(st.lists(ENTRIES, max_size=12))
+    if not signed:
+        body = [abs(x) for x in body]
+    if body and draw(st.booleans()):  # sums to about 1, as a built measure does
+        body[0] = 1.0 - math.fsum(body[1:])
+        if not signed:
+            body[0] = abs(body[0])
+    mass = body + draw(TRAILING_ZEROS)
+    return np.array(mass or [0.0])
+
+
+def accepted(mass):
+    """A measure over the array with the least tail bound its sum allows."""
+    return SignedPmf(mass, abs(math.fsum(mass.tolist()) - 1.0), "padded")
+
+
+def padded_tv(g1, g2):
+    """``tv``'s formula as written before it read the nonzero masses only."""
+    k = max(g1.mass.size, g2.mass.size)
+    a, b = np.zeros(k), np.zeros(k)
+    a[: g1.mass.size], b[: g2.mass.size] = g1.mass, g2.mass
+    value = 0.5 * math.fsum(np.abs(a - b).tolist())
+    error = 0.5 * (g1.tail_bound + g2.tail_bound) + 2.0 * 2.0**-53 * value
+    return value, error * (1.0 + 2.0**-40)
+
+
+def padded_hellinger(g1, g2):
+    """``hellinger``'s formula as written before it read the nonzero masses only."""
+    k = max(g1.mass.size, g2.mass.size)
+    a, b = np.zeros(k), np.zeros(k)
+    a[: g1.mass.size], b[: g2.mass.size] = g1.mass, g2.mass
+    value = math.sqrt(0.5 * math.fsum(((np.sqrt(a) - np.sqrt(b)) ** 2).tolist()))
+    error = (math.sqrt(0.5 * g1.tail_bound) + math.sqrt(0.5 * g2.tail_bound)
+             + 2.0**-53 * (math.sqrt(math.fsum(a.tolist())) + math.sqrt(math.fsum(b.tolist()))
+                           + 3.0 * value))
+    return value, error * (1.0 + 2.0**-40)
+
+
+def bits(res):
+    return res.value.hex(), res.truncation_error.hex()
+
+
+class TestNonzeroSupport:
+    @settings(max_examples=400, deadline=None)
+    @given(padded_masses(), st.floats(0.0, 20.0) | st.sampled_from([0.0, 2.0**-52, 1e-12]))
+    def test_sum_check_is_the_padded_fsum(self, mass, tail):
+        total = math.fsum(mass.tolist())
+        if abs(total - 1.0) <= (tail + 2.0**-51) * (1.0 + 2.0**-51):
+            f = SignedPmf(mass, tail, "padded")
+            assert f.total().hex() == total.hex()
+            assert f.support_max == mass.size - 1 and f.mass.tolist() == mass.tolist()
+        else:
+            with pytest.raises(ValueError, match="masses sum to"):
+                SignedPmf(mass, tail, "padded")
+
+    @settings(max_examples=300, deadline=None)
+    @given(padded_masses(), padded_masses())
+    def test_tv_keeps_the_padded_bits(self, x, y):
+        g1, g2 = accepted(x), accepted(y)
+        assert bits(tv(g1, g2)) == tuple(v.hex() for v in padded_tv(g1, g2))
+
+    @settings(max_examples=300, deadline=None)
+    @given(padded_masses(signed=False), padded_masses(signed=False))
+    def test_hellinger_keeps_the_padded_bits(self, x, y):
+        g1, g2 = accepted(x), accepted(y)
+        assert bits(hellinger(g1, g2)) == tuple(v.hex() for v in padded_hellinger(g1, g2))
+
+    def test_sn_at_ten_to_the_five(self):
+        # S_n's pmf is almost all underflowed zeros here
+        f = poisson_binomial_pmf(equal_probs(10**5, 5.0))
+        pois = build_phi_nu(spec_poisson(5.0)).pmf
+        assert np.count_nonzero(f.mass) < 1000 < f.mass.size
+        assert f.total().hex() == math.fsum(f.mass.tolist()).hex()
+        for metric, padded in ((tv, padded_tv), (hellinger, padded_hellinger)):
+            assert bits(metric(f, pois)) == tuple(v.hex() for v in padded(f, pois))
+            assert bits(metric(pois, f)) == tuple(v.hex() for v in padded(pois, f))
