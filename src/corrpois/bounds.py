@@ -21,6 +21,10 @@ convergence-rate fits for the equal-probability case.
 
 ``check_theta`` decides theta >= 0 like every other check: its report is
 -e <= theta, e the proven bound on theta's rounding, under the same rule.
+``check_simplified_order3`` (Remark 2) builds the report
+``simplified-order3-limit-gap``, |n^2 d_n - e^(-lam) lam^4/8| <= 5% of that
+limit for the last difference d_n its fit kept.  A rate fit refuses too few
+usable points with ``FitRefused``, a ValueError.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .corrected import build_phi_nu, spec_for_order, spec_phi2, spec_phi3, spec_poisson
+from .corrected import MAX_ORDER, build_phi_nu, spec_for_order, spec_phi2, spec_phi3, spec_poisson
 from .distances import _SLACK, _U, d2_exact_product, hellinger, sn_distance
 from .pmf import (
     PowerSums,
@@ -48,6 +52,8 @@ from .pmf import (
 __all__ = [
     "BoundReport",
     "RateFit",
+    "FitRefused",
+    "SimplifiedOrder3Probe",
     "theta",
     "check_theta",
     "check_sandwich",
@@ -116,9 +122,14 @@ class BoundReport:
         return BoundReport(name, lhs, rhs, lhs <= rhs + tol, slack, tol, digest)
 
 
+class FitRefused(ValueError):
+    """A rate fit's refusal: fewer than 3 usable points to fit."""
+
+
 @dataclass(frozen=True)
 class RateFit:
-    """Least-squares exponent of distance against n on a log-log grid."""
+    """Least-squares exponent of distance against n on a log-log grid, over
+    the sizes and positive distances ``fit_loglog`` kept."""
 
     order: int | str
     grid: tuple[int, ...]
@@ -127,13 +138,6 @@ class RateFit:
     intercept: float
     r_squared: float
     note: str = ""  # dropped points and an unreliable fit, "" when neither
-
-    def __post_init__(self) -> None:
-        g = self.grid
-        if any(b <= a for a, b in zip(g, g[1:])):
-            raise ValueError("grid must be strictly increasing")
-        if any(d <= 0 for d in self.distances):
-            raise ValueError("fit refused: distances must be strictly positive")
 
 
 def theta(j: int, m: int, s: int, ps: PowerSums) -> float:
@@ -348,15 +352,19 @@ def fit_loglog(grid: Sequence[int], distances: Sequence[float],
                order: int | str) -> RateFit:
     """Ordinary least squares of log(distance) on log(n).
 
-    Distances that underflowed to 0 are dropped, and an r^2 below 0.98 marks
-    the fit unreliable; the fit's ``note`` says so.
+    The grid must hold strictly increasing sizes >= 1 (ValueError).  Only
+    positive distances are fitted: the fit's ``note`` counts the distances
+    that underflowed to 0 and the negative values it dropped, and says when
+    an r^2 below 0.98 marks the fit unreliable.  Fewer than 3 points left is
+    refused with ``FitRefused``.
     """
-    pts = [(n, d) for n, d in zip(grid, distances) if d > 0.0]
-    notes = []
-    if len(pts) < len(grid):
-        notes.append(f"dropped {len(grid) - len(pts)} underflowed distance(s)")
+    pts = [(n, d) for n, d in zip(_checked_grid(grid), distances) if d > 0.0]
+    zeros = sum(d == 0.0 for d in distances)
+    negatives = sum(d < 0.0 for d in distances)
+    notes = [f"dropped {k} {what}" for k, what in
+             ((zeros, "underflowed distance(s)"), (negatives, "negative value(s)")) if k]
     if len(pts) < 3:
-        raise ValueError("fit refused: fewer than 3 usable points")
+        raise FitRefused("fit refused: fewer than 3 usable points")
     xs = [math.log(n) for n, _ in pts]
     ys = [math.log(d) for _, d in pts]
     k = len(pts)
@@ -379,10 +387,7 @@ def rate_distance(order: int | str, n: int, lam: float, metric: str) -> float:
     """One point of the rate curve: the metric between Bin(n, lam/n) and the
     corrected measure of the given order."""
     p = equal_probs(n, lam)
-    spec = spec_for_order(p, order)
-    if metric not in ("tv", "d2"):
-        raise ValueError(f"unknown metric: {metric!r}")
-    return sn_distance(p, spec, metric).value
+    return sn_distance(p, spec_for_order(p, order), metric).value
 
 
 def _checked_grid(n_grid: Sequence[int]) -> list[int]:
@@ -400,19 +405,25 @@ def fit_rate(lam: float, orders: Iterable[int | str], n_grid: Sequence[int],
 
     For each order, builds the corrected measure at every n in the grid,
     computes the chosen metric against Bin(n, lam/n), and fits
-    log(distance) against log(n).  Grid entries must be strictly increasing
-    and at least 2 lam so the probabilities stay small.
+    log(distance) against log(n) (``fit_loglog``).  The mean must be finite
+    and positive, the metric ``tv`` or ``d2``, each order 1..MAX_ORDER or
+    "3t", and the grid entries strictly increasing and at least 2 lam so the
+    probabilities stay small; each is checked (ValueError) before any point
+    is computed.
     """
-    if lam <= 0:
-        raise ValueError("lam must be positive")
+    if not 0 < lam < math.inf:
+        raise ValueError("lam must be finite and positive")
+    if metric not in ("tv", "d2"):
+        raise ValueError(f"unknown metric: {metric!r}")
+    orders = list(orders)
+    unknown = [order for order in orders if order != "3t" and order not in range(1, MAX_ORDER + 1)]
+    if unknown:
+        raise ValueError(f"unsupported order: {unknown[0]!r}")
     grid = _checked_grid(n_grid)
     if any(n < 2 * lam for n in grid):
         raise ValueError("every grid entry must be >= 2*lam")
-    fits = []
-    for order in orders:
-        distances = [rate_distance(order, n, lam, metric) for n in grid]
-        fits.append(fit_loglog(grid, distances, order))
-    return fits
+    return [fit_loglog(grid, [rate_distance(order, n, lam, metric) for n in grid], order)
+            for order in orders]
 
 
 def _series(first: float, ratio, k: int) -> float:
@@ -470,15 +481,35 @@ def simplified_order3_differences(lam: float, n_grid: Sequence[int]) -> list[flo
     return diffs
 
 
-def check_simplified_order3(lam: float, n_grid: Sequence[int] | None = None) -> RateFit:
+@dataclass(frozen=True)
+class SimplifiedOrder3Probe:
+    """Remark 2's probe: the fit of f_n(0) - simplified(0) against n, n^2
+    times the last difference it kept, the limit e^(-lam) lam^4 / 8 that
+    product approaches, and the report that the two are within 5%."""
+
+    fit: RateFit
+    n2_scaled_last: float
+    limit: float
+    report: BoundReport
+
+
+def check_simplified_order3(lam: float,
+                            n_grid: Sequence[int] | None = None) -> SimplifiedOrder3Probe:
     """Rate probe for the simplified order-3 measure at the origin.
 
-    Fits f_n(0) - simplified(0) along the grid (``simplified_order3_differences``);
-    n^2 times the last entry should approach e^(-lam) lam^4 / 8, exposing that
-    the simplified variant is second-order only.
+    Fits f_n(0) - simplified(0) along the grid (``simplified_order3_differences``,
+    by default 10, 100, 1000, 10^4); n^2 times the last kept difference should
+    approach e^(-lam) lam^4 / 8, exposing that the simplified variant is
+    second-order only.  The report ``simplified-order3-limit-gap`` reads
+    |n^2 d_n - limit| <= limit / 20, its digest that of lam and the grid.
     """
     grid = (10, 100, 1000, 10_000) if n_grid is None else n_grid
-    return fit_loglog(grid, simplified_order3_differences(lam, grid), "3t")
+    fit = fit_loglog(grid, simplified_order3_differences(lam, grid), "3t")
+    scaled = fit.grid[-1]**2 * fit.distances[-1]
+    limit = math.exp(-lam) * lam**4 / 8.0
+    report = BoundReport.make("simplified-order3-limit-gap", abs(scaled - limit), 0.05 * limit,
+                              _digest({"lambda": lam, "grid": list(grid)}))
+    return SimplifiedOrder3Probe(fit, scaled, limit, report)
 
 
 def random_prob_vectors(count: int, nmax: int = 30, pmax: float = 0.5,

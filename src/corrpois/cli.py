@@ -10,11 +10,11 @@ OpenBLAS dot kernel behind ``np.convolve``.
 
 Exit codes: 0 success (for bounds: every check holds), 1 some bound check
 fails, 2 input error (an unreadable or malformed file or flag), 3 domain
-error or numeric overflow (every refusal the library raises as ValueError or
-OverflowError), 4 metric domain error, 5 insufficient data (a rate fit's
-refusal).  Every refusal prints one ``error:`` line on stderr and nothing on
-stdout; ``main`` decides the code, from ``CliError`` or the library's
-exception.
+error or numeric overflow (every other refusal the library raises as
+ValueError or OverflowError), 4 metric domain error, 5 insufficient data (a
+rate fit's refusal, ``bounds.FitRefused``).  Every refusal prints one
+``error:`` line on stderr and nothing on stdout; ``main`` decides the code,
+from ``CliError`` or the library's exception.
 
 Each handler imports, when it runs, only the package's modules its subcommand
 calls, and loading this module loads none of them.
@@ -237,20 +237,12 @@ def _remark2(bounds: ModuleType, args: argparse.Namespace) -> tuple[list[BoundRe
     if args.lam is None:
         raise CliError(2, "--check remark2 requires --lambda")
     _check_lambda(args.lam)
-    grid = _parse_grid(args.n_grid) if args.n_grid else (10, 100, 1000, 10_000)
-    if grid[-1] < 1000:
+    grid = _parse_grid(args.n_grid) if args.n_grid else None  # None: the library's grid
+    if grid and grid[-1] < 1000:
         raise CliError(2, "grid must reach at least 10^3")
-    diffs = bounds.simplified_order3_differences(args.lam, grid)
-    try:
-        fit = bounds.fit_loglog(grid, diffs, "3t")
-    except ValueError as exc:
-        raise CliError(5, str(exc)) from exc
-    scaled = fit.grid[-1]**2 * fit.distances[-1]
-    limit = math.exp(-args.lam) * args.lam**4 / 8.0
-    report = bounds.BoundReport.make(
-        "simplified-order3-limit-gap", abs(scaled - limit), 0.05 * limit,
-        bounds._digest({"lambda": args.lam, "grid": list(grid)}))
-    return [report], {"fit": fit, "n2_scaled_last": scaled, "limit": limit}
+    probe = bounds.check_simplified_order3(args.lam, grid)
+    return [probe.report], {"fit": probe.fit, "n2_scaled_last": probe.n2_scaled_last,
+                            "limit": probe.limit}
 
 
 def _mmax(args: argparse.Namespace) -> int:
@@ -355,23 +347,18 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     from . import binomial, bounds
     _check_lambda(args.lam)
     grid = _parse_grid(args.n_grid)
-    orders = _parse_orders(args.orders)
+    fits = bounds.fit_rate(args.lam, _parse_orders(args.orders), grid, args.metric)
     rows = []
-    fits = []
-    for order in orders:
-        distances = [bounds.rate_distance(order, n, args.lam, args.metric) for n in grid]
+    for fit in fits:
         c = None  # none for "3t", or where C_nu(lam) leaves binary64
-        if isinstance(order, int):
+        if isinstance(fit.order, int):
             try:
-                c = binomial.c_constant(order, args.lam)
+                c = binomial.c_constant(fit.order, args.lam)
             except OverflowError:
                 pass
-        rows += [(n, order, dist, "" if c is None else c / n**order)
-                 for n, dist in zip(grid, distances)]
-        try:
-            fits.append(bounds.fit_loglog(grid, distances, order))
-        except ValueError as exc:
-            raise CliError(5, str(exc)) from exc
+        kept = dict(zip(fit.grid, fit.distances))  # a size the fit dropped prints 0
+        rows += [(n, fit.order, kept.get(n, 0.0), "" if c is None else c / n**fit.order)
+                 for n in grid]
     _write("csv", None, "n,order,distance,bound", rows)
     _write("json", {"fits": fits})
     return 0
@@ -456,8 +443,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         return args.func(args)
     except CliError as exc:
         code, reason = exc.code, str(exc)
-    except ValueError as exc:  # the library's refusal of a domain
-        code, reason = 3, str(exc)
+    except ValueError as exc:  # the library's refusal of a domain, or of a rate fit
+        bounds = sys.modules.get(f"{__package__}.bounds")  # loaded if a fit ran
+        code = 5 if bounds and isinstance(exc, bounds.FitRefused) else 3
+        reason = str(exc)
     except OverflowError as exc:
         code, reason = 3, f"numeric overflow: {exc}"
     print(f"error: {reason}", file=sys.stderr)

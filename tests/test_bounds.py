@@ -228,18 +228,50 @@ class TestRateFits:
     def test_clean_fit_has_no_note(self):
         assert fit_loglog([8, 16, 32], [0.1, 0.05, 0.025], 1).note == ""
 
+    def test_negative_value_dropped_with_its_own_note(self):
+        fit = fit_loglog([1, 10, 100, 1000, 10_000], [-0.06, 4e-4, 4e-6, 4e-8, 0.0], "3t")
+        assert fit.grid == (10, 100, 1000)
+        assert fit.note == "dropped 1 underflowed distance(s); dropped 1 negative value(s)"
+
+    def test_refusal_is_a_value_error_of_its_own(self):
+        with pytest.raises(bounds.FitRefused, match="fewer than 3 usable points"):
+            fit_loglog([8, 16, 32], [0.1, 0.0, 0.0], 1)
+        assert issubclass(bounds.FitRefused, ValueError)
+
     def test_grid_must_exceed_twice_mean(self):
         with pytest.raises(ValueError):
             fit_rate(4.0, [1], [4, 8, 16])
 
-    @pytest.mark.parametrize("grid", [(0, 8, 16), (-5, 8, 16), (8, 16, 16, 32), (32, 16, 64)])
-    def test_grid_refused_before_any_point(self, grid, monkeypatch):
+    @pytest.fixture
+    def no_point(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("a point was computed")
 
         monkeypatch.setattr(bounds, "rate_distance", refuse)
+
+    @pytest.mark.parametrize("grid", [(0, 8, 16), (-5, 8, 16), (8, 16, 16, 32), (32, 16, 64)])
+    def test_grid_refused_before_any_point(self, grid, no_point):
         with pytest.raises(ValueError, match=r"grid \[.*\] must hold sizes >= 1"):
             fit_rate(0.5, [2], grid)
+
+    def test_size_below_twice_the_mean_refused_before_any_point(self, no_point):
+        with pytest.raises(ValueError, match=re.escape("every grid entry must be >= 2*lam")):
+            fit_rate(1.0, [2], [1, 2, 3])
+
+    @pytest.mark.parametrize("lam", [0.0, -1.0, math.nan, math.inf])
+    def test_mean_refused_before_any_point(self, lam, no_point):
+        # a nan mean failed inside ProbVector, and inf got the 2*lam message
+        with pytest.raises(ValueError, match="lam must be finite and positive"):
+            fit_rate(lam, [2], [8, 16, 32])
+
+    def test_metric_refused_before_any_point(self, no_point):
+        with pytest.raises(ValueError, match="unknown metric: 'wass'"):
+            fit_rate(1.0, [2], [8, 16, 32], metric="wass")
+
+    @pytest.mark.parametrize("order", [0, 9, "3s"])
+    def test_order_refused_before_any_point(self, order, no_point):
+        with pytest.raises(ValueError, match=re.escape(f"unsupported order: {order!r}")):
+            fit_rate(1.0, [2, order], [8, 16, 32])
 
     def test_poisson_tv_slope(self):
         fits = fit_rate(1.0, [1], [8, 16, 32, 64], metric="tv")
@@ -277,14 +309,25 @@ class TestSimplifiedOrder3Probe:
             check_simplified_order3(lam)
 
     def test_limit_direction_lambda2(self):
-        fit = check_simplified_order3(2.0, [10, 100, 1000])
+        fit = check_simplified_order3(2.0, [10, 100, 1000]).fit
         limit = math.exp(-2.0) * 2.0**4 / 8
         gaps = [abs(n**2 * d - limit) for n, d in zip(fit.grid, fit.distances)]
         assert gaps[-1] < gaps[0]
 
     def test_slope_is_second_order(self):
-        fit = check_simplified_order3(1.0)
+        fit = check_simplified_order3(1.0).fit
         assert fit.slope == pytest.approx(-2.0, abs=0.1)
+
+    def test_report_is_the_limit_gap_of_the_last_kept_difference(self):
+        probe = check_simplified_order3(1.0, [1, 10, 100, 1000])
+        # f_1(0) - simplified(0) = -e^-1/6 is dropped, so the last kept n is 10^3
+        assert probe.fit.note == "dropped 1 negative value(s)"
+        assert probe.n2_scaled_last == 1000**2 * probe.fit.distances[-1]
+        assert probe.limit == math.exp(-1.0) / 8.0
+        assert probe.report == BoundReport.make(
+            "simplified-order3-limit-gap", abs(probe.n2_scaled_last - probe.limit),
+            0.05 * probe.limit, _digest({"lambda": 1.0, "grid": [1, 10, 100, 1000]}))
+        assert probe.report.holds
 
     @pytest.mark.parametrize("lam", [0.01, 0.1, 1.0])
     def test_differences_match_a_60_digit_reference(self, lam):

@@ -15,8 +15,10 @@ import corrpois
 from corrpois import (
     build_phi2,
     build_phi_nu,
+    c_constant,
     d2_exact_product,
     equal_probs,
+    fit_rate,
     poisson_binomial_pmf,
     poisson_pmf,
     spec_phi2,
@@ -388,10 +390,38 @@ class TestScanCommand:
         assert (r.returncode, r.stdout) == (5, "")
         assert r.stderr == "error: fit refused: fewer than 3 usable points\n"
 
+    def test_remark2_negative_difference_is_named(self):
+        # f_1(0) - phi(0) = -0.0613 at n = lam is dropped as negative, not underflowed
+        r = run_cli("bounds", "--check", "remark2", "--lambda", "1", "--n-grid", "1,10,100,1000")
+        assert (r.returncode, r.stderr) == (0, "")
+        assert json.loads(r.stdout)["fit"]["note"] == "dropped 1 negative value(s)"
+
     def test_remark2_grid_below_1000_is_input_error(self):
         r = run_cli("bounds", "--check", "remark2", "--lambda", "1e-300", "--n-grid", "10,100")
         assert (r.returncode, r.stdout) == (2, "")
         assert r.stderr == "error: grid must reach at least 10^3\n"
+
+    def test_rows_and_fits_are_fit_rates(self):
+        # the n = 10^5 distance underflows to 0: the fit drops it and notes it,
+        # and its row still prints 0
+        r = run_cli("scan", "--lambda", "1e-160", "--n-grid", "10,20,40,100000", "--orders", "1",
+                    "--metric", "tv")
+        assert (r.returncode, r.stderr) == (0, "")
+        *table, last = r.stdout.splitlines()
+        fits = fit_rate(1e-160, [1], [10, 20, 40, 100000], metric="tv")
+        assert last == cli._to_json({"fits": fits})
+        assert fits[0].note == "dropped 1 underflowed distance(s)"
+        assert table == ["n,order,distance,bound",
+                         *(f"{n},1,{cli._fmt_float(d)},{cli._fmt_float(c_constant(1, 1e-160) / n)}"
+                           for n, d in zip(fits[0].grid, fits[0].distances)),
+                         f"100000,1,0,{cli._fmt_float(c_constant(1, 1e-160) / 100000)}"]
+
+    def test_size_below_twice_the_mean_is_fit_rates_refusal(self):
+        with pytest.raises(ValueError) as refusal:
+            fit_rate(1.0, [2], [1, 2, 3])
+        r = run_cli("scan", "--lambda", "1", "--n-grid", "1,2,3", "--orders", "2")
+        assert (r.returncode, r.stdout) == (3, "")
+        assert r.stderr == f"error: {refusal.value}\n"
 
     def test_byte_identical_reruns(self):
         args = ("scan", "--lambda", "1", "--n-grid", "8,16,32", "--orders", "1,3t")
