@@ -8,11 +8,6 @@ the corrections work.
 
 Each public name, and each submodule, is imported on first access (PEP 562),
 so ``import corrpois`` alone loads neither a submodule nor numpy.
-
-The function ``charlier`` shares its name with its module, and loading a
-submodule binds the module to its name in the package.  So the first access
-to one of a module's public names binds all of them; after a bare
-``import corrpois.charlier``, ``corrpois.charlier`` is the module.
 """
 
 import importlib
@@ -23,26 +18,22 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "binomial": (
         "GammaTable", "RationalPolynomial", "c_constant", "c_constant_series",
-        "compare_with_published", "falling_factorial_remainder", "gamma_floats",
-        "q_polynomial", "solve_gamma_table", "stirling_unsigned",
+        "compare_with_published", "gamma_floats", "q_polynomial", "solve_gamma_table",
+        "stirling_unsigned",
     ),
     "bounds": (
         "BoundReport", "RateFit", "check_classic_chain", "check_lower3",
         "check_order2_bound", "check_order3_bound", "check_sandwich",
         "check_simplified_order3", "check_theta", "falling_factorial", "fit_loglog",
-        "fit_rate", "random_prob_vectors", "theta",
-    ),
-    "charlier": (
-        "charlier", "charlier_values", "covariance_identity_check", "orthogonality_check",
+        "fit_rate", "theta",
     ),
     "corrected": (
-        "CorrectedMeasure", "CorrectionSpec", "build_phi2", "build_phi3",
-        "build_phi3_tilde", "build_phi_nu", "invert_moments", "spec_phi2", "spec_phi3",
-        "spec_for_order", "spec_phi3_tilde", "spec_poisson",
+        "CorrectedMeasure", "CorrectionSpec", "build_phi_nu", "invert_moments", "spec_phi2",
+        "spec_phi3", "spec_for_order", "spec_phi3_tilde", "spec_poisson",
     ),
     "distances": (
         "DistanceResult", "certify_domination", "d2", "d2_exact_product", "d2_tilde",
-        "hellinger", "sn_distance", "tv", "wasserstein", "weighted_l1",
+        "hellinger", "sn_distance", "tv", "wasserstein",
     ),
     "pmf": (
         "FactorialMoments", "PowerSums", "ProbVector", "SignedPmf",

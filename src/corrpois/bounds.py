@@ -65,7 +65,6 @@ __all__ = [
     "fit_loglog",
     "check_simplified_order3",
     "simplified_order3_differences",
-    "random_prob_vectors",
     "falling_factorial",
 ]
 
@@ -331,7 +330,7 @@ def check_classic_chain(p: ProbVector) -> list[BoundReport]:
     pois = spec_poisson(lam)
     dtv, dw, d2v, d2t = (sn_distance(p, pois, metric).value
                          for metric in ("tv", "wass", "d2", "d2tilde"))
-    dh = hellinger(poisson_binomial_pmf(p), build_phi_nu(pois, label="phi1").pmf).value
+    dh = hellinger(poisson_binomial_pmf(p), build_phi_nu(pois).pmf).value
     hel_rhs = math.fsum(x**3 / (1.0 - x) for x in p.probs) / lam
     return [
         BoundReport.make("tv-poisson-classic-lower",
@@ -510,19 +509,3 @@ def check_simplified_order3(lam: float,
     report = BoundReport.make("simplified-order3-limit-gap", abs(scaled - limit), 0.05 * limit,
                               _digest({"lambda": lam, "grid": list(grid)}))
     return SimplifiedOrder3Probe(fit, scaled, limit, report)
-
-
-def random_prob_vectors(count: int, nmax: int = 30, pmax: float = 0.5,
-                        seed: int = 0) -> list[ProbVector]:
-    """Reproducible corpus of probability vectors for the property suites.
-
-    Sizes are uniform on 1..nmax and entries uniform on [0, pmax); one seed
-    always draws the same vectors.  Report digests hash the probabilities
-    drawn, not the seed.
-    """
-    rng = np.random.default_rng(seed)
-    out = []
-    for _ in range(count):
-        n = int(rng.integers(1, nmax + 1))
-        out.append(ProbVector(tuple(rng.uniform(0.0, pmax, n).tolist())))
-    return out

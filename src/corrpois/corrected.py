@@ -47,9 +47,6 @@ __all__ = [
     "spec_for_order",
     "gamma_from_power_sums",
     "build_phi_nu",
-    "build_phi2",
-    "build_phi3",
-    "build_phi3_tilde",
     "invert_moments",
 ]
 
@@ -249,16 +246,15 @@ class CorrectedMeasure:
         return self.spec.moments()
 
 
-def build_phi_nu(spec: CorrectionSpec, kmax: int | None = None,
-                 label: str | None = None) -> CorrectedMeasure:
+def build_phi_nu(spec: CorrectionSpec, kmax: int | None = None) -> CorrectedMeasure:
     """Corrected measure of arbitrary order from an explicit coefficient spec.
 
     The masses on 0..K and their tail bound are ``_charlier_masses``', read
-    through ``_measure`` at its own cut unless ``kmax`` fixes K.
+    through ``_measure`` at its own cut unless ``kmax`` fixes K.  The pmf is
+    labelled ``phi<nu>``, or ``poisson`` for an order above 1 with no correction.
     """
     built = _measure(spec, False) if kmax is None else _charlier_masses(spec, kmax)
-    if label is None:
-        label = f"phi{spec.nu}" if spec.gamma or spec.nu == 1 else "poisson"
+    label = f"phi{spec.nu}" if spec.gamma or spec.nu == 1 else "poisson"
     return CorrectedMeasure(spec, SignedPmf(built[0], built[1], label))
 
 
@@ -404,21 +400,6 @@ def _poisson_convolution(lam: float, c: np.ndarray,
     mass = np.convolve(w, c)[: kmax + 1]
     return (mass, (plain + rounding + underflow) / scale,
             (tail + kmax * (rounding + underflow)) / scale, tail)
-
-
-def build_phi2(p: ProbVector, kmax: int | None = None) -> CorrectedMeasure:
-    """Order-2 corrected measure for S_n (variance matching)."""
-    return build_phi_nu(spec_phi2(p), kmax, label="phi2")
-
-
-def build_phi3(p: ProbVector, kmax: int | None = None) -> CorrectedMeasure:
-    """Order-3 corrected measure for S_n (moments matched up to order 3)."""
-    return build_phi_nu(spec_phi3(p), kmax, label="phi3")
-
-
-def build_phi3_tilde(p: ProbVector, kmax: int | None = None) -> CorrectedMeasure:
-    """Simplified order-3 corrected measure (P_2, P_3 corrections only)."""
-    return build_phi_nu(spec_phi3_tilde(p), kmax, label="phi3-tilde")
 
 
 def invert_moments(moments: FactorialMoments, kmax: int) -> SignedPmf:

@@ -1,8 +1,8 @@
 """Distances between finitely supported (possibly signed) mass functions,
 and between S_n and a corrected measure.
 
-Pointwise metrics (total variation, Hellinger, Wasserstein, weighted L1)
-work directly on truncated mass vectors and report the truncation honestly.
+Pointwise metrics (total variation, Hellinger, Wasserstein) work directly on
+truncated mass vectors and report the truncation honestly.
 The factorial-moment distances
 
     d2      = (1/2) sum_m 2^m / m!       |mu_m(g1) - mu_m(g2)|
@@ -36,8 +36,6 @@ import functools
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable
-
 import numpy as np
 
 from .corrected import (MAX_ORDER, CorrectionSpec, _log_coefficients, _matched, _measure,
@@ -54,7 +52,6 @@ __all__ = [
     "certify_domination",
     "wasserstein",
     "hellinger",
-    "weighted_l1",
 ]
 
 _U = 2.0**-53  # unit roundoff
@@ -69,12 +66,10 @@ class DistanceResult:
     """A distance value and ``truncation_error``, a bound on its gap to the
     distance between the exact laws.  ``tv`` and ``hellinger`` read it off
     the inputs' ``tail_bound``s, which hold their cuts and their rounding,
-    and add their own rounding.  It covers less for three other functions:
-    ``wasserstein``'s omits the index-weighted mass past both supports,
-    ``weighted_l1``'s weights the inputs' tail bounds by the largest weight
-    on the support, which bounds no weight past it, and ``d2`` and
-    ``d2_tilde`` of two moment sequences read it off their tails, which hold
-    the cuts only (``FactorialMoments`` records no rounding).
+    and add their own rounding.  It covers less for two other functions:
+    ``wasserstein``'s omits the index-weighted mass past both supports, and
+    ``d2`` and ``d2_tilde`` of two moment sequences read it off their tails,
+    which hold the cuts only (``FactorialMoments`` records no rounding).
     ``sn_distance`` gives the proven error of the difference and of its
     reading; use it for S_n against a corrected measure."""
 
@@ -155,28 +150,6 @@ def wasserstein(g1: SignedPmf, g2: SignedPmf) -> DistanceResult:
     value = math.fsum(np.abs(ta[1:] - tb[1:]).tolist())
     per = g1.tail_bound + g2.tail_bound
     return DistanceResult(value, (a.size + 2) * per, "pointwise")
-
-
-def weighted_l1(h: Callable[[int], float], g1: SignedPmf, g2: SignedPmf) -> DistanceResult:
-    """sum_k h(k) |g1(k) - g2(k)| for a nonnegative weight h.
-
-    The error is the largest weight on the joint support times the inputs'
-    tail bounds, which bounds nothing past the support, where h can be
-    larger, nor the rounding: ``weighted_l1(lambda k: float(k),
-    poisson_pmf(50, 0), poisson_pmf(1, 0))`` reads 0.0 +/- 0.0, while the
-    distance is about 51.
-    """
-    a, b = _aligned(g1.mass, g2.mass)
-    weights = []
-    for k in range(a.size):
-        hk = h(k)
-        if hk < 0:
-            raise ValueError(f"weight must be nonnegative, got h({k}) = {hk}")
-        weights.append(hk)
-    value = math.fsum(w * abs(x - y) for w, x, y in zip(weights, a, b))
-    wmax = max(weights) if weights else 0.0
-    return DistanceResult(value, wmax * (g1.tail_bound + g2.tail_bound), "pointwise",
-                          note="truncation bound uses the max retained weight")
 
 
 def _moment_distance(m1: FactorialMoments, m2: FactorialMoments, tilde: bool) -> DistanceResult:

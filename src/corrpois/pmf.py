@@ -239,7 +239,8 @@ class FactorialMoments:
     ``weighted[m]`` = 2^m mu_m / m! for m = 0..M (read-only, weighted[0] = 1)
     and ``tail`` bounds sum_{m>M} m |2^m mu_m / m!|: 0 when every later
     moment vanishes, inf when nothing is known about them.  Calling the
-    object returns mu_m itself.
+    object returns mu_m itself.  A NaN entry is refused, naming its order;
+    an infinite one is kept, and reading it raises OverflowError.
     """
 
     weighted: np.ndarray
@@ -249,6 +250,8 @@ class FactorialMoments:
         w = np.array(self.weighted, dtype=float)
         if w.ndim != 1 or w.size == 0:
             raise ValueError("weighted moments must be a nonempty 1-D array")
+        if np.isnan(w).any():
+            raise ValueError(f"weighted moment of order {int(np.isnan(w).argmax())} is NaN")
         if abs(w[0] - 1.0) > 1e-12:
             raise ValueError("mu(0) must equal 1")
         if not self.tail >= 0:

@@ -4,9 +4,10 @@ import math
 from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from corrpois import corrected, distances, pmf, random_prob_vectors
+from corrpois import ProbVector, corrected, distances, pmf
 from corrpois.corrected import gamma_from_power_sums
 
 # Single shared corpus for the randomized verification suites: sizes up to
@@ -28,6 +29,21 @@ def fresh_caches():
     measures' arrays and the differences itself, so one that patches the
     builders is not served an entry an earlier test left."""
     clear_caches()
+
+
+def random_prob_vectors(count, nmax=30, pmax=0.5, seed=0):
+    """Reproducible corpus of probability vectors for the property suites.
+
+    Sizes are uniform on 1..nmax and entries uniform on [0, pmax); one seed
+    always draws the same vectors.  Report digests hash the probabilities
+    drawn, not the seed.
+    """
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(count):
+        n = int(rng.integers(1, nmax + 1))
+        out.append(ProbVector(tuple(rng.uniform(0.0, pmax, n).tolist())))
+    return out
 
 
 @pytest.fixture(scope="session")

@@ -14,9 +14,6 @@ import numpy as np
 
 from corrpois import (
     ProbVector,
-    build_phi2,
-    build_phi3,
-    build_phi3_tilde,
     build_phi_nu,
     certify_domination,
     c_constant,
@@ -34,6 +31,7 @@ from corrpois import (
     q_polynomial,
     spec_phi2,
     spec_phi3,
+    spec_phi3_tilde,
     spec_poisson,
     theta,
     tv,
@@ -240,7 +238,7 @@ def test_criterion_10_metric_chain(corpus, corpus_wide):
             lhs = tv(fn, phi.pmf)
             rhs = d2(mu_sn, spec.moments())
             ok &= le_rel(lhs.value, rhs.value + lhs.truncation_error + rhs.truncation_error)
-        pois = build_phi_nu(spec_poisson(lam), label="phi1").pmf
+        pois = build_phi_nu(spec_poisson(lam)).pmf
         dw = wasserstein(fn, pois)
         dt = d2_tilde(mu_sn, spec_poisson(lam).moments())
         l2 = power_sums(p, 2)[2]
@@ -252,7 +250,7 @@ def test_criterion_10_metric_chain(corpus, corpus_wide):
         if any(x >= 1.0 for x in p.probs):
             continue
         fn = poisson_binomial_pmf(p)
-        pois = build_phi_nu(spec_poisson(p.lam), label="phi1").pmf
+        pois = build_phi_nu(spec_poisson(p.lam)).pmf
         dh = hellinger(fn, pois).value
         dtv = tv(fn, pois).value
         rhs = math.fsum(x**3 / (1 - x) for x in p.probs) / p.lam
@@ -279,8 +277,8 @@ def test_criterion_11_oracles_and_inversion():
     pairs = [
         (factorial_moments_sn(p), poisson_binomial_pmf(p).mass),
     ]
-    for build in (build_phi2, build_phi3, build_phi3_tilde):
-        measure = build(p, kmax=35)
+    for spec_of in (spec_phi2, spec_phi3, spec_phi3_tilde):
+        measure = build_phi_nu(spec_of(p), kmax=35)
         pairs.append((measure.moments, measure.pmf.mass))
     pois = build_phi_nu(spec_poisson(p.lam), kmax=35)
     pairs.append((pois.moments, pois.pmf.mass))

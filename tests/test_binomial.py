@@ -9,13 +9,36 @@ from corrpois import (
     c_constant,
     c_constant_series,
     compare_with_published,
-    falling_factorial_remainder,
     gamma_floats,
     q_polynomial,
     solve_gamma_table,
     stirling_unsigned,
 )
 from corrpois.binomial import RationalPolynomial
+
+
+def falling_factorial_remainder(n: int, m: int, nu: int) -> tuple[int, Fraction]:
+    """Truncate the (n)_m expansion after nu alternating terms.
+
+    Returns (truncation, R_nu) where
+
+        truncation = sum_{k=0}^{nu-1} (-1)^k A_k(m-1) n^(m-k)
+        R_nu = (-1)^nu ((n)_m - truncation) n^(nu-m),
+
+    and asserts the sandwich 0 <= R_nu <= A_nu(m-1).  R_nu = 0 whenever the
+    truncation already reproduces (n)_m exactly (nu >= m).
+    """
+    if nu < 1 or n < 1 or m < 0:
+        raise ValueError("require nu >= 1, n >= 1, m >= 0")
+    exact = 1
+    for i in range(m):
+        exact *= n - i
+    trunc = sum((-1) ** k * stirling_unsigned(m, k) * n ** (m - k) for k in range(nu))
+    r = Fraction((-1) ** nu * (exact - trunc), n ** (m - nu)) if m >= nu \
+        else Fraction((-1) ** nu * (exact - trunc)) * n ** (nu - m)
+    if not 0 <= r <= stirling_unsigned(m, nu):
+        raise AssertionError(f"remainder {r} outside [0, A_{nu}] for n={n}, m={m}")
+    return trunc, r
 
 
 def stirling_by_enumeration(m, k):

@@ -14,7 +14,7 @@ import pytest
 from corrpois import (
     BoundReport,
     ProbVector,
-    build_phi3,
+    build_phi_nu,
     check_classic_chain,
     check_lower3,
     check_order2_bound,
@@ -24,14 +24,17 @@ from corrpois import (
     check_theta,
     equal_probs,
     factorial_moments_sn,
+    falling_factorial,
     fit_loglog,
     fit_rate,
     power_sums,
-    random_prob_vectors,
+    spec_phi3,
     theta,
 )
 from corrpois import bounds
 from corrpois.bounds import _digest, refined_lower, sandwich_sides
+
+from conftest import random_prob_vectors
 
 P345 = ProbVector((0.3, 0.4, 0.5))
 
@@ -122,6 +125,19 @@ class TestThetaRounding:
             assert r.inputs_digest == oracle_digest(p.probs)
 
 
+class TestFallingFactorial:
+    def test_values(self):
+        assert falling_factorial(5, 2) == 20.0
+        assert falling_factorial(3, 0) == 1.0
+        assert falling_factorial(2, 5) == 0.0
+
+    def test_rejects_negative(self):
+        with pytest.raises(ValueError):
+            falling_factorial(-1, 2)
+        with pytest.raises(ValueError):
+            falling_factorial(2, -1)
+
+
 class TestSandwich:
     def test_holds_for_hand_vector(self):
         reports = check_sandwich(P345, 15)
@@ -142,7 +158,7 @@ class TestSandwich:
         assert upper - mu(4) == pytest.approx(6 * ps[4], rel=1e-11)
 
     def test_upper_is_order3_moment(self):
-        phi = build_phi3(P345)
+        phi = build_phi_nu(spec_phi3(P345))
         ps = power_sums(P345, 4)
         for m in range(1, 12):
             _, upper = sandwich_sides(ps, m)

@@ -13,7 +13,6 @@ import pytest
 
 import corrpois
 from corrpois import (
-    build_phi2,
     build_phi_nu,
     c_constant,
     d2_exact_product,
@@ -45,7 +44,7 @@ class TestPmfCommand:
         r = run_cli("pmf", "--binomial", "10", "1", "--order", "2")
         assert r.returncode == 0
         payload = json.loads(r.stdout)
-        want = build_phi2(equal_probs(10, 1.0))
+        want = build_phi_nu(spec_phi2(equal_probs(10, 1.0)))
         assert payload["label"] == "phi2"
         assert payload["support_max"] == want.pmf.support_max
         assert np.allclose(payload["mass"], want.pmf.mass, rtol=1e-15)
@@ -204,7 +203,7 @@ class TestDistanceCommand:
         p = equal_probs(1000, 400.0)
         r = run_cli("pmf", "--binomial", "1000", "400", "--order", "2")
         assert r.returncode == 0
-        assert json.loads(r.stdout)["mass"] == build_phi2(p).pmf.mass.tolist()
+        assert json.loads(r.stdout)["mass"] == build_phi_nu(spec_phi2(p)).pmf.mass.tolist()
         r = run_cli("distance", "--metric", "tv", "--binomial", "1000", "400", "--order", "1")
         assert r.returncode == 0
         want = tv(poisson_binomial_pmf(p), build_phi_nu(spec_poisson(p.lam)).pmf)
@@ -779,8 +778,7 @@ def test_package_import_loads_no_submodule():
 def test_pmf_and_distance_load_no_bound_or_exact_table_module(argv):
     loaded = loaded_by_call(*argv)
     assert "corrpois.pmf" in loaded
-    assert not loaded & {"corrpois.bounds", "corrpois.binomial", "corrpois.charlier",
-                         "fractions", "hashlib"}
+    assert not loaded & {"corrpois.bounds", "corrpois.binomial", "fractions", "hashlib"}
     assert ("corrpois.corrected" in loaded) == (argv[-1] != "0")
 
 
@@ -794,8 +792,6 @@ def test_exact_tables_load_no_bound_or_distance_module(argv):
 def test_every_public_name_is_its_module_object():
     assert len(set(corrpois.__all__)) == len(corrpois.__all__)
     for name in corrpois.__all__:
-        # through the package first: a first import of corrpois.charlier would
-        # bind the module over the function of that name (``corrpois`` docstring)
         value = getattr(corrpois, name)
         module = sys.modules[f"corrpois.{corrpois._NAMES[name]}"]
         assert value is getattr(module, name)
@@ -808,9 +804,3 @@ def test_star_import_binds_every_name():
     assert all(namespace[name] is getattr(corrpois, name) for name in corrpois.__all__)
     with pytest.raises(AttributeError, match="no_such_name"):
         corrpois.no_such_name
-
-
-def test_charlier_stays_the_function_once_bounds_loads_its_module():
-    assert "corrpois.charlier" not in loaded_after("import corrpois.bounds")
-    loaded_after("import corrpois.bounds, corrpois, types\n"
-                 "assert not isinstance(corrpois.charlier, types.ModuleType)")

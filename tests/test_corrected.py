@@ -12,11 +12,7 @@ from hypothesis import strategies as st
 from corrpois import (
     CorrectionSpec,
     ProbVector,
-    build_phi2,
-    build_phi3,
-    build_phi3_tilde,
     build_phi_nu,
-    charlier_values,
     equal_probs,
     factorial_moments_sn,
     gamma_floats,
@@ -177,7 +173,7 @@ class TestMomentTail:
 
     def test_moments_computed_on_access(self):
         # e^(2 lam) overflows at lam = 400, yet the masses are fine
-        phi = build_phi2(equal_probs(1000, 400.0))
+        phi = build_phi_nu(spec_phi2(equal_probs(1000, 400.0)))
         assert phi.pmf.mass.size > 400
         with pytest.raises(OverflowError):
             phi.moments
@@ -191,7 +187,7 @@ class TestBuildPhi2:
         assert np.allclose(phi.pmf.mass, pois.mass, atol=0, rtol=1e-15)
 
     def test_hand_value_at_origin(self):
-        phi = build_phi2(ProbVector((0.5,)))
+        phi = build_phi_nu(spec_phi2(ProbVector((0.5,))))
         # gamma_2 = 1/2, P_2(0) = lam^2 = 0.25
         assert phi.pmf.mass[0] == pytest.approx(0.875 * math.exp(-0.5), rel=1e-13)
 
@@ -199,14 +195,14 @@ class TestBuildPhi2:
         for probs in [(0.5,), (0.1, 0.2, 0.3), (0.45, 0.45, 0.02, 0.3)]:
             p = ProbVector(probs)
             ps = power_sums(p, 2)
-            phi = build_phi2(p)
+            phi = build_phi_nu(spec_phi2(p))
             mean = pmf_moment(phi.pmf, 1)
             second = pmf_moment(phi.pmf, 2)
             var = second + mean - mean**2
             assert abs(var - (ps.lam - ps[2])) <= 1e-10
 
     def test_sums_to_one_within_tail(self):
-        phi = build_phi2(P123)
+        phi = build_phi_nu(spec_phi2(P123))
         assert abs(phi.pmf.total() - 1.0) <= phi.pmf.tail_bound + 1e-12
 
 
@@ -222,7 +218,7 @@ class TestBuildPhi3:
             (2 * l3 - 3 * l2**2) / (6 * lam**3),
             l2**2 / (8 * lam**4),
         ]
-        phi = build_phi3(P123, kmax=30)
+        phi = build_phi_nu(spec_phi3(P123), kmax=30)
         pois = poisson_pmf(lam, 30)
         for k in range(31):
             ff = [1.0]
@@ -234,7 +230,7 @@ class TestBuildPhi3:
     def test_closed_form_moments(self):
         ps = power_sums(P123, 3)
         lam, l2, l3 = ps.lam, ps[2], ps[3]
-        phi = build_phi3(P123)
+        phi = build_phi_nu(spec_phi3(P123))
         for m in range(11):
             f2 = m * (m - 1)
             f3 = f2 * (m - 2)
@@ -250,14 +246,14 @@ class TestBuildPhi3:
         rng = np.random.default_rng(31)
         for _ in range(25):
             p = ProbVector(tuple(rng.uniform(0, 0.6, rng.integers(1, 15)).tolist()))
-            phi = build_phi3(p)
+            phi = build_phi_nu(spec_phi3(p))
             mu = factorial_moments_sn(p)
             l4 = power_sums(p, 4)[4]
             gap = phi.moments(4) - mu(4)
             assert gap == pytest.approx(6.0 * l4, rel=1e-10, abs=1e-14)
 
     def test_moments_match_pmf_sums(self):
-        phi = build_phi3(P123)
+        phi = build_phi_nu(spec_phi3(P123))
         for m in range(11):
             direct = pmf_moment(phi.pmf, m)
             closed = phi.moments(m)
@@ -269,7 +265,7 @@ class TestBuildPhi3Tilde:
         rng = np.random.default_rng(41)
         for _ in range(20):
             p = ProbVector(tuple(rng.uniform(0, 0.7, rng.integers(1, 10)).tolist()))
-            phi = build_phi3_tilde(p)
+            phi = build_phi_nu(spec_phi3_tilde(p))
             mu = factorial_moments_sn(p)
             for m in range(4):
                 assert phi.moments(m) == pytest.approx(mu(m), rel=1e-12, abs=1e-15)
@@ -277,7 +273,7 @@ class TestBuildPhi3Tilde:
     def test_origin_value_equal_probs(self):
         n, lam = 50, 1.0
         p = equal_probs(n, lam)
-        phi = build_phi3_tilde(p)
+        phi = build_phi_nu(spec_phi3_tilde(p))
         fn = poisson_binomial_pmf(p)
         diff = fn.mass[0] - phi.pmf.mass[0]
         want = (1 - lam / n) ** n - math.exp(-lam) * (
@@ -307,7 +303,7 @@ class TestBuildPhiNu:
         spec = CorrectionSpec(2, equal_probs(n, lam).lam, gamma_floats(2, n),
                               "binomial-closed-form")
         via_table = build_phi_nu(spec, kmax=30)
-        via_probs = build_phi2(equal_probs(n, lam), kmax=30)
+        via_probs = build_phi_nu(spec_phi2(equal_probs(n, lam)), kmax=30)
         assert np.allclose(via_table.pmf.mass, via_probs.pmf.mass, atol=1e-13)
 
     def test_random_gamma_still_sums_to_one(self):
@@ -317,6 +313,20 @@ class TestBuildPhiNu:
             spec = CorrectionSpec(3, 1.5, gamma)
             phi = build_phi_nu(spec)
             assert abs(phi.pmf.total() - 1.0) <= phi.pmf.tail_bound + 1e-12
+
+
+def charlier_values(m, lam, kmax):
+    """P_m(k) for k = 0..kmax by the explicit sum
+
+        P_m(k) = sum_{j=0}^m (-1)^(m-j) C(m, j) lam^(m-j) (k)_j,
+
+    one compensated sum per point (``test_charlier`` checks it)."""
+    ks = np.arange(kmax + 1.0)
+    rows, ff = [], np.ones(ks.size)  # ff = (k)_j
+    for j in range(m + 1):
+        rows.append((-1.0) ** (m - j) * math.comb(m, j) * lam ** (m - j) * ff)
+        ff = ff * (ks - j)
+    return np.array([math.fsum(terms) for terms in np.array(rows).T.tolist()])
 
 
 def charlier_masses(spec, kmax):
@@ -487,7 +497,7 @@ class TestInvertMoments:
         assert np.max(np.abs(inv.mass - pmf.mass)) <= 1e-9
 
     def test_phi2_roundtrip(self):
-        phi = build_phi2(P123, kmax=35)
+        phi = build_phi_nu(spec_phi2(P123), kmax=35)
         inv = invert_moments(phi.moments, kmax=35)
         assert np.max(np.abs(inv.mass - phi.pmf.mass)) <= 1e-9
 

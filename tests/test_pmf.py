@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corrpois import (
+    FactorialMoments,
     ProbVector,
     SignedPmf,
     elementary_symmetric,
@@ -23,11 +24,10 @@ from corrpois import (
     poisson_binomial_pmf,
     poisson_pmf,
     power_sums,
-    random_prob_vectors,
 )
 from corrpois.pmf import _linear_product, _product_error, _sn
 
-from conftest import enumerated_factorial_moment, enumerated_pmf
+from conftest import enumerated_factorial_moment, enumerated_pmf, random_prob_vectors
 
 U = Fraction(1, 2**53)
 
@@ -423,6 +423,17 @@ class TestPinnedTreeBits:
 
 
 class TestFactorialMoments:
+    @pytest.mark.parametrize("weighted, order", [([math.nan, 0.5], 0), ([1.0, math.nan], 1)])
+    def test_nan_entry_refused_by_its_order(self, weighted, order):
+        with pytest.raises(ValueError, match=f"order {order} is NaN"):
+            FactorialMoments(np.array(weighted), 0.0)
+
+    def test_infinite_entry_raises_when_read(self):
+        mu = FactorialMoments(np.array([1.0, math.inf]), 0.0)
+        assert mu(0) == 1.0
+        with pytest.raises(OverflowError):
+            mu(1)
+
     def test_hand_value(self):
         mu = factorial_moments_sn(ProbVector((0.1, 0.2, 0.3)))
         assert mu(2) == pytest.approx(2.0 * 0.11, rel=1e-14)
