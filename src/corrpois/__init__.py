@@ -17,19 +17,21 @@ __version__ = "0.1.0"
 # submodule -> the public names it defines
 _EXPORTS = {
     "binomial": (
-        "GammaTable", "RationalPolynomial", "c_constant", "c_constant_series",
+        "GammaTable", "PUBLISHED_GAMMA_TABLE", "RationalPolynomial",
+        "SUSPECT_PUBLISHED_ENTRIES", "c_constant", "c_constant_series",
         "compare_with_published", "gamma_floats", "q_polynomial", "solve_gamma_table",
         "stirling_unsigned",
     ),
     "bounds": (
-        "BoundReport", "RateFit", "check_classic_chain", "check_lower3",
-        "check_order2_bound", "check_order3_bound", "check_sandwich",
-        "check_simplified_order3", "check_theta", "falling_factorial", "fit_loglog",
-        "fit_rate", "theta",
+        "BoundReport", "FitRefused", "RateFit", "SimplifiedOrder3Probe",
+        "check_classic_chain", "check_lower3", "check_order2_bound", "check_order3_bound",
+        "check_sandwich", "check_simplified_order3", "check_theta", "falling_factorial",
+        "fit_loglog", "fit_rate", "simplified_order3_differences", "theta",
     ),
     "corrected": (
-        "CorrectedMeasure", "CorrectionSpec", "build_phi_nu", "invert_moments", "spec_phi2",
-        "spec_phi3", "spec_for_order", "spec_phi3_tilde", "spec_poisson",
+        "CorrectedMeasure", "CorrectionSpec", "build_phi_nu", "gamma_from_power_sums",
+        "invert_moments", "spec_phi2", "spec_phi3", "spec_for_order", "spec_phi3_tilde",
+        "spec_poisson",
     ),
     "distances": (
         "DistanceResult", "certify_domination", "d2", "d2_exact_product", "d2_tilde",

@@ -379,6 +379,13 @@ def _linear_product(a: Sequence[float], b: Sequence[float], length: int) -> np.n
     coefficients that are zero in every factor: exact zeros add nothing,
     and far out the coefficients of a product of many factors underflow to
     zero, where the top levels would spend most of their O(n^2) products.
+    When every factor has the bits of every other (all p_i equal, as in the
+    binomial case), the array keeps one column and the count of factors it
+    stands for.  Every pair of a level then has the same product, so the
+    level computes it once, by the kernel the rule above picks for h =
+    count // 2 pairs, and an odd count carries the column: D products
+    instead of n - 1, each by the general tree's arithmetic, so with its
+    bits and the rounding below.
 
     Rounding.  Every term of P_j is a product of n nonnegative factor
     coefficients, so the error is relative: with u = 2^-53 and
@@ -405,16 +412,24 @@ def _linear_product(a: Sequence[float], b: Sequence[float], length: int) -> np.n
     2^-1076 (1 + g_K) in absolute terms.
     """
     cols = np.vstack((a, b))[:length]  # coefficient i of factor r at cols[i, r]
+    count = 1  # how many equal factors each column stands for
+    if _one_value(cols[-1]) and _one_value(cols[0]):  # b first: a is often all ones
+        cols, count = cols[:, :1], cols.shape[1]
     carried = np.ones(1)  # product of the factors carried so far; 1 is exact
-    while cols.shape[1] > 1:
-        if cols.shape[1] % 2:
+    while cols.shape[1] * count > 1:
+        if cols.shape[1] * count % 2:
             carried = _cut_zeros(np.convolve(cols[:, -1], carried)[:length])
-            cols = cols[:, :-1]
-        left, right = np.ascontiguousarray(cols[:, 0::2]), np.ascontiguousarray(cols[:, 1::2])
-        d, pairs = left.shape
+            cols, count = (cols, count - 1) if count > 1 else (cols[:, :-1], 1)
+        if count > 1:  # the one product of a level of count // 2 equal pairs
+            left = right = cols
+            pairs = count = count // 2
+        else:
+            left, right = np.ascontiguousarray(cols[:, 0::2]), np.ascontiguousarray(cols[:, 1::2])
+            pairs = left.shape[1]
+        d = left.shape[0]
         k = min(2 * d - 1, length)
         if pairs >= d:
-            cols = np.zeros((k, pairs))
+            cols = np.zeros((k, left.shape[1]))
             for i in range(d):
                 w = min(d, k - i)
                 cols[i:i + w] += left[i] * right[:w]
@@ -442,6 +457,14 @@ def _product_error(c: np.ndarray | float, n: int, ones: bool, big: float) -> np.
     return (g * np.abs(c) + under) / (1.0 - 2.0 * g)
 
 
+def _one_value(x: np.ndarray) -> bool:
+    """Whether the float64 array x is nonempty and every entry has the bits
+    of its first (so 0.0 and -0.0 differ); the first and last values are
+    compared first, which settles most unequal arrays at once."""
+    return (x.size > 0 and x.item(0) == x.item(-1)
+            and bool((x.view(np.int64) == x[:1].view(np.int64)).all()))
+
+
 def _cut_zeros(x: np.ndarray) -> np.ndarray:
     """x without the trailing coefficients (rows) that are zero in every
     factor (column); one is kept."""
@@ -463,7 +486,8 @@ def poisson_binomial_pmf(p: ProbVector) -> SignedPmf:
     f(k) at the largest K plus the underflow term at j = n, with B <= 2; the
     exact masses sum to 1, so ``tail_bound`` is that g_K plus n + 1 such
     underflow terms, read off n alone (0 for n = 0).  The masses come from
-    ``_sn``.
+    ``_sn``.  Equal p_i (the binomial case) cost the tree one product a
+    level, O(log n) convolutions, with the same bits.
     """
     bound = float(_product_error(1.0, p.n, False, 2.0 * (p.n + 1)))  # B <= 2, n + 1 entries
     return SignedPmf(_sn(p).array(False), bound, "poisson-binomial")
@@ -548,13 +572,21 @@ class _Sn:
         n (j - 1) 2^-1075.  Since fl(y x) <= y for x <= 1 and fsum is
         monotone, lambda_(j+1) <= lambda_j holds exactly.  np.power is not
         used: its last bit differs from libm pow, by platform.
+
+        When the n entries are equal, y is one float and lambda_j = fl(n y):
+        the fsum of n copies of y is the correctly rounded n y, and so is the
+        one product, as n < 2^53 is a float; the bits are those of the fsum,
+        subnormal y included, in O(1) per order instead of O(n).
         """
         if len(self.sums) < last:
             x = y = self.floats()
+            equal = _one_value(x)
+            if equal:
+                x = y = float(x[0])
             sums = list(self.sums)
             for j in range(1, last + 1):
                 if j > len(sums):
-                    sums.append(math.fsum(y.tolist()))
+                    sums.append(self.p.n * y if equal else math.fsum(y.tolist()))
                 y = y * x
             self.sums = tuple(sums)
         return self.sums[:last]

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import hashlib
+import importlib
 import json
 import math
 import re
@@ -796,6 +797,13 @@ def test_every_public_name_is_its_module_object():
         module = sys.modules[f"corrpois.{corrpois._NAMES[name]}"]
         assert value is getattr(module, name)
         assert name in module.__all__ and name in dir(corrpois)
+
+
+def test_every_module_exports_its_whole_all():
+    for module, names in corrpois._EXPORTS.items():
+        assert sorted(names) == sorted(importlib.import_module(f"corrpois.{module}").__all__)
+    from corrpois import FitRefused
+    assert FitRefused is sys.modules["corrpois.bounds"].FitRefused
 
 
 def test_star_import_binds_every_name():

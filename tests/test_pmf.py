@@ -25,7 +25,7 @@ from corrpois import (
     poisson_pmf,
     power_sums,
 )
-from corrpois.pmf import _linear_product, _product_error, _sn
+from corrpois.pmf import _cut_zeros, _linear_product, _product_error, _sn
 
 from conftest import enumerated_factorial_moment, enumerated_pmf, random_prob_vectors
 
@@ -336,6 +336,70 @@ class TestArrayFedTrees:
             if m < p.n:
                 assert (factorial_moments_sn(p, m).weighted.tobytes()
                         == _linear_product(ones, doubled, m + 1).tobytes())
+
+
+def level_loop_oracle(a, b, length):
+    """The product tree with no case for equal factors: every level multiplies
+    all its pairs, n - 1 products in all."""
+    cols = np.vstack((a, b))[:length]
+    carried = np.ones(1)
+    while cols.shape[1] > 1:
+        if cols.shape[1] % 2:
+            carried = _cut_zeros(np.convolve(cols[:, -1], carried)[:length])
+            cols = cols[:, :-1]
+        left, right = np.ascontiguousarray(cols[:, 0::2]), np.ascontiguousarray(cols[:, 1::2])
+        d, pairs = left.shape
+        k = min(2 * d - 1, length)
+        if pairs >= d:
+            cols = np.zeros((k, pairs))
+            for i in range(d):
+                w = min(d, k - i)
+                cols[i:i + w] += left[i] * right[:w]
+        else:
+            cols = _cut_zeros(np.array([np.convolve(x, y)[:k] for x, y in zip(left.T, right.T)]).T)
+    c = np.zeros(length)
+    top = np.convolve(cols[:, 0], carried)[:length] if cols.shape[1] else carried
+    c[:top.size] = top
+    return c
+
+
+class TestEqualFactorTrees:
+    """A tree of equal factors makes one product a level and keeps the bits
+    of the tree that makes them all."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.one_of(st.integers(0, 300), st.sampled_from([500, 1000, 1601, 4097])),
+           st.one_of(st.sampled_from([1e-100, 0.5, 1.0]), st.floats(1e-100, 1.0)),
+           st.sampled_from([None, 1, 16, 21]))
+    def test_bits_match_the_level_loop(self, n, p, length):
+        x = np.full(n, p)
+        length = n + 1 if length is None else length
+        with np.errstate(over="ignore", invalid="ignore"):  # (1, 2) factors overflow
+            for a, b in ((1.0 - x, x), (np.ones(n), 2.0 * x)):
+                assert (_linear_product(a, b, length).tobytes()
+                        == level_loop_oracle(a, b, length).tobytes())
+
+    def test_binomial_pmf_makes_logarithmically_many_convolutions(self, monkeypatch):
+        n = 10**5
+        calls = []
+        convolve = np.convolve
+        monkeypatch.setattr(np, "convolve", lambda *args: calls.append(1) or convolve(*args))
+        _sn.cache_clear()
+        poisson_binomial_pmf(equal_probs(n, 50.0))
+        assert 0 < len(calls) <= 2 * math.ceil(math.log2(n)) + 1
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 3000), st.one_of(st.floats(5e-324, 1.0), st.floats(5e-324, 1e-300),
+                                           st.sampled_from([5e-324, 2.0**-1022, 1e-160, 1.0])))
+    def test_power_sums_keep_the_fsum_bits(self, n, x):
+        p = ProbVector((x,) * n)
+        y = xs = np.array(p.probs)
+        want = []
+        for _ in range(12):
+            want.append(math.fsum(y.tolist()))
+            y = y * xs
+        _sn.cache_clear()
+        assert power_sums(p, 12).values == tuple(want)
 
 
 def pinned_vectors():
