@@ -238,13 +238,15 @@ class FactorialMoments:
 
     ``weighted[m]`` = 2^m mu_m / m! for m = 0..M (read-only, weighted[0] = 1)
     and ``tail`` bounds sum_{m>M} m |2^m mu_m / m!|: 0 when every later
-    moment vanishes, inf when nothing is known about them.  Calling the
-    object returns mu_m itself.  A NaN entry is refused, naming its order;
-    an infinite one is kept, and reading it raises OverflowError.
+    moment vanishes, inf when nothing is known about them.  ``root_bound``
+    is a proven b with |mu_m| <= b^m for every m, inf when none is known.
+    Calling the object returns mu_m itself.  A NaN entry is refused, naming
+    its order; an infinite one is kept, and reading it raises OverflowError.
     """
 
     weighted: np.ndarray
     tail: float
+    root_bound: float = math.inf
 
     def __post_init__(self) -> None:
         w = np.array(self.weighted, dtype=float)
@@ -256,6 +258,8 @@ class FactorialMoments:
             raise ValueError("mu(0) must equal 1")
         if not self.tail >= 0:
             raise ValueError("tail must be nonnegative")
+        if not self.root_bound >= 0:
+            raise ValueError("root_bound must be nonnegative")
         w.flags.writeable = False
         object.__setattr__(self, "weighted", w)
 
@@ -270,10 +274,13 @@ class FactorialMoments:
         longer small next to the entry: 1500 probabilities 5/1500 store
         subnormal entries at m = 287..296, and mu_296 read off them is 2.3 %
         low.  A 0.0 may stand for any mu_m below 2^-1074 m! / 2^m.  From m = 24
-        on, where m! / 2^m >= 2^52, such an entry may hide a normal mu_m, and
-        the read raises ValueError naming m (m = 287 for 1500 probabilities
-        5/1500; m = 1500 for 20/1500, where mu_m is about 1e1302).  Below
-        m = 24 it reads as stored.
+        on, where m! / 2^m >= 2^52, such an entry may hide a normal mu_m, so
+        it reads as 0.0 only where m log2 b <= -1076 (b = ``root_bound``):
+        then |mu_m| <= 2^-1076, whose correctly rounded value is 0.0, and the
+        rounding of the computed m log2 b, a few u of it, is far inside the
+        factor 2 to 2^-1075.  Elsewhere the read raises ValueError naming m
+        (m = 287 for 1500 probabilities 5/1500; m = 1500 for 20/1500, where
+        mu_m is about 1e1302).  Below m = 24 it reads as stored.
         """
         if m < 0:
             raise ValueError("moment order must be >= 0")
@@ -283,6 +290,8 @@ class FactorialMoments:
             raise ValueError(f"moments stored only up to order {self.weighted.size - 1}")
         w = float(self.weighted[m])
         if abs(w) < sys.float_info.min and m >= 24:
+            if self.root_bound == 0.0 or m * math.log2(self.root_bound) <= -1076:
+                return 0.0
             raise ValueError(f"factorial moment of order {m} underflowed below 2^-1022 in storage")
         if m <= 170:
             mu = w * math.ldexp(math.prod(range(2, m + 1), start=1.0), -m)
@@ -513,22 +522,22 @@ def factorial_moments_sn(p: ProbVector, mmax: int | None = None) -> FactorialMom
     """Factorial moments of S_n up to order min(mmax, n), zero past n.
 
     The weighted moments 2^m mu_m / m! = 2^m S_{n,m} are the coefficients of
-    prod_i (1 + 2 p_i x); doubling is exact, so each equals 2^m
-    ``elementary_symmetric(p, mmax)[m]`` bit for bit (short of underflow).
-    A different cut may change the last bit, since np.convolve's summation
-    order depends on the length of its rows, so a cut array is built on its
-    own and only the uncut one comes from ``_sn``.  The tail is 0 when
-    the array reaches n and unknown (inf) when mmax cuts it short.
+    prod_i (1 + 2 p_i x), the one uncut array of ``_sn``; doubling is exact,
+    so its entries equal 2^m ``elementary_symmetric(p, n)[m]`` bit for bit
+    (short of underflow).  A cut ``mmax < n`` is the first mmax + 1 entries
+    of that array, so every cut reads the uncut bits; ``elementary_symmetric``
+    cut short builds its own tree, whose last bits may differ, since
+    np.convolve's summation order depends on the length of its rows.  The
+    tail is 0 when the array reaches n and unknown (inf) when mmax cuts it
+    short.  ``root_bound`` is fsum(p) rounded up by 2u: at least the exact
+    sum lambda of the binary64 p_i, and mu_m = m! e_m <= lambda^m.
     """
     if mmax is None:
         mmax = p.n
     if mmax < 0:
         raise ValueError("mmax must be >= 0")
-    if mmax >= p.n:
-        return FactorialMoments(_sn(p).array(True), 0.0)
-    with np.errstate(over="ignore"):  # an overflowed entry raises when it is read
-        w = _linear_product(np.ones(p.n), 2.0 * _sn(p).floats(), mmax + 1)
-    return FactorialMoments(w, math.inf)
+    tail = 0.0 if mmax >= p.n else math.inf
+    return FactorialMoments(_sn(p).array(True)[:mmax + 1], tail, p.lam * (1.0 + 2.0**-52))
 
 
 class _Sn:
@@ -594,8 +603,8 @@ class _Sn:
     def array(self, moments: bool) -> np.ndarray:
         """The coefficients 0..n of prod_i ((1 - p_i) + p_i x), or with
         ``moments`` those of prod_i (1 + 2 p_i x), the weighted factorial
-        moments, so the pmf, the uncut moments and the direct differences of
-        ``distances`` read the same bits."""
+        moments, so the pmf, the moments at every cut and the direct
+        differences of ``distances`` read the same bits."""
         a = self.arrays.get(moments)
         if a is None:
             x = self.floats()

@@ -27,6 +27,8 @@ from corrpois import (
 )
 from corrpois import cli
 
+from conftest import random_prob_vectors
+
 
 def run_cli(*args, **kwargs):
     return subprocess.run([sys.executable, "-m", "corrpois", *args],
@@ -237,6 +239,21 @@ class TestBoundsCommand:
         payload = json.loads(r.stdout)
         assert len(payload["reports"]) == 10
         assert payload["all_hold"] is True
+
+    def test_sandwich_rows_do_not_depend_on_the_cut(self, tmp_path):
+        # the rows of m = 1..3 at --mmax 3 and --mmax 25 for n = 26, all but
+        # the digest, which hashes mmax
+        f = tmp_path / "p.txt"
+        f.write_text("\n".join(map(repr, random_prob_vectors(50)[0].probs)) + "\n")
+        rows = []
+        for mmax in ("3", "25"):
+            r = run_cli("bounds", "--check", "sandwich", "--probs", str(f), "--mmax", mmax,
+                        "--format", "csv")
+            assert (r.returncode, r.stderr) == (0, "")
+            rows.append([line.rsplit(",", 1)[0] for line in r.stdout.splitlines()[1:7]])
+        assert [row.split(",", 1)[0] for row in rows[0]] == [
+            f"mu-{side}[m={m}]" for m in (1, 2, 3) for side in ("lower2", "upper3")]
+        assert rows[0] == rows[1]
 
     def test_theta_single(self, probs_file):
         r = run_cli("bounds", "--check", "theta", "--probs", probs_file,

@@ -17,6 +17,8 @@ from corrpois import (
     FactorialMoments,
     ProbVector,
     SignedPmf,
+    check_lower3,
+    check_sandwich,
     elementary_symmetric,
     equal_probs,
     factorial_moments_sn,
@@ -335,7 +337,7 @@ class TestArrayFedTrees:
                     == _linear_product(ones, probs, m + 1).tobytes())
             if m < p.n:
                 assert (factorial_moments_sn(p, m).weighted.tobytes()
-                        == _linear_product(ones, doubled, m + 1).tobytes())
+                        == _linear_product(ones, doubled, p.n + 1)[:m + 1].tobytes())
 
 
 def level_loop_oracle(a, b, length):
@@ -486,6 +488,37 @@ class TestPinnedTreeBits:
         assert tuple(sha16(a) for a in arrays) == pins[name]
 
 
+class TestCutMoments:
+    """A cut of S_n's moments is a prefix of its one uncut array."""
+
+    @staticmethod
+    def assert_cuts_are_prefixes(p):
+        full = factorial_moments_sn(p).weighted
+        for m in range(p.n):
+            cut = factorial_moments_sn(p, m)
+            assert cut.weighted.tobytes() == full[:m + 1].tobytes(), m
+            assert cut.tail == math.inf
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.one_of(st.floats(0.0, 1.0), st.just(1.0)), max_size=60))
+    def test_every_cut_reads_the_uncut_bits(self, probs):
+        self.assert_cuts_are_prefixes(ProbVector(tuple(probs)))
+
+    @pytest.mark.parametrize("name", list(pinned_vectors()))
+    def test_pinned_vectors_cut_to_prefixes(self, name):
+        self.assert_cuts_are_prefixes(pinned_vectors()[name])
+
+    def test_bound_checks_build_no_tree_of_their_own(self, monkeypatch):
+        p = spread_probs(1318, 30.0)
+        factorial_moments_sn(p)
+        calls = []
+        monkeypatch.setattr("corrpois.pmf._linear_product",
+                            lambda *args: calls.append(1) or _linear_product(*args))
+        check_sandwich(p, 15)
+        check_lower3(p, 10)
+        assert calls == []
+
+
 class TestFactorialMoments:
     @pytest.mark.parametrize("weighted, order", [([math.nan, 0.5], 0), ([1.0, math.nan], 1)])
     def test_nan_entry_refused_by_its_order(self, weighted, order):
@@ -593,8 +626,12 @@ class TestFactorialMoments:
             w = float(fm.weighted[m])
             assert fm(m) == w * math.ldexp(math.factorial(m), -m)
         assert fm(23) == 0.0
+        # from m = 24 on, mu_m <= fsum(p)^m, about 1e-2350: 0.0 is its rounding
+        for m in range(24, 41):
+            assert fm(m) == 0.0
+        # with no bound on mu_m, a 0.0 at m = 24 may hide a normal mu_m
         with pytest.raises(ValueError, match="order 24 "):
-            fm(24)
+            FactorialMoments(np.array([1.0] + [0.0] * 24), 0.0)(24)
 
 
 class TestPowerSums:
