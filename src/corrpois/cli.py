@@ -389,8 +389,8 @@ def _build_parser() -> argparse.ArgumentParser:
                     choices=("tv", "d2", "d2tilde", "wass", "hellinger"))
     sp.add_argument("--order", type=int, default=1)
     sp.add_argument("--exact", action="store_true",
-                    help="accepted with --metric d2 only; every d2 now takes the same "
-                         "route, the difference kernel of S_n and the measure")
+                    help="accepted with --metric d2 only, and changes nothing: every "
+                         "d2 reads the same proven difference of S_n and the measure")
     sp.add_argument("--kmax", type=int, default=None,
                     help="support cutoff of the measure for hellinger (default auto)")
     sp.set_defaults(func=_cmd_distance)

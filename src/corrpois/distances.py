@@ -26,8 +26,11 @@ reads tv = (1/2) sum |Delta|, wass = sum_{m>=1} |sum_{k>=m} Delta_k|, d2 =
 (1/2) sum |D| and d2tilde = (1/2) sum m |D_m| off them, and
 ``certify_domination`` the signs of D.  Where all those signs agree, d2 is
 the closed form (1/2) |prod_i (1 + 2 p_i) - e^(2 lam) c(2)|.  Each array is
-built directly or from the kernel, whichever has the smaller proven error
-(``_difference``).
+built directly or from the kernel: the route with the lowest proven floor
+is advanced until the least error built is at or below every floor left
+(``_difference``).  The kernel gives up once eight times its rounding
+reaches the error to beat, so a direct array may stand where the kernel's
+proven error would be smaller.
 """
 
 from __future__ import annotations
@@ -269,26 +272,15 @@ def _difference(p: ProbVector, spec: CorrectionSpec, moments: bool) -> _Differen
     is moment-matched: the difference is taken to the measure with exact
     coefficients and the exact mean sum_i p_i, not to the one with the
     stored gamma and lam = fsum(p).
-    Other specs are taken as given.  Two builders serve, the direct
-    difference (``_direct``) and the kernel's (``_kernel``), and the one
-    with the smaller error is kept.  The kernel applies where 2 max p < 1
-    and the spec is matched or has lam = fsum(p) (module docstring).  Two
-    floors read off the inputs order them:
-
-    * The direct error is at least the share of S_n's array,
-      ``_product_error`` of half its sum: that sum is 1 for the pmf and
-      prod_i (1 + 2 p_i) >= e^(2 lambda_1 - 2 lambda_2) for the moments,
-      computed within g_K, and the half covers that and the rounding of the
-      exponent.
-    * ``_kernel`` gives up where its rounding bound reaches an eighth of its
-      goal, and that bound is at least ``_least``, so it meets no goal at or
-      below the kernel's floor, 8 times ``_least``.
-
-    Where the kernel applies and its floor is below the direct one, it comes
-    first, with that floor as its goal, and an error below the floor leaves
-    S_n's arrays unbuilt.  Otherwise the direct difference comes first, and
-    the kernel is built after it only where its floor is below the direct
-    error.  Raises OverflowError naming e^(2 lam) when D leaves binary64.
+    Other specs are taken as given.  Two routes serve, the direct difference
+    (``_direct_route``) and the kernel's (``_kernel``, where 2 max p < 1 and
+    the spec is matched or has lam = fsum(p)).  Each is a generator that
+    yields floors, proven bounds at or below which it beats no error, and
+    returns its difference.  The route with the lowest floor (the first
+    listed of equal ones) is advanced until the least error built is at or
+    below every remaining floor, and a later difference is kept only if its
+    error is strictly smaller, so each route is built at most once.  Raises
+    OverflowError naming e^(2 lam) when D leaves binary64.
     """
     nu, lam = spec.nu, spec.lam
     if moments and not 2.0 * lam < _LOG_MAX:
@@ -305,38 +297,38 @@ def _difference(p: ProbVector, spec: CorrectionSpec, moments: bool) -> _Differen
             majorant = _majorant(low) if matched else None
     # fsum rounds sum_i p_i - fsum(p) correctly, so this bounds 2.01 |that|
     gap = 2.03 * abs(math.fsum(p.probs + (-lams[0],)))
-    scale = math.exp(2.0 * lam) if moments else 1.0
-    kernel, least, floor = None, math.inf, 0.0
+    routes = [_direct_route(p, spec, moments, majorant, gap)]
+    if (p.n and max(p.probs) < 0.5 and 2 * nu + 8 <= _MAX_WEIGHT
+            and (matched or lam == lams[0])):
+        routes.append(_kernel(p, spec, moments, matched, gap))
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is checked below
-        if (p.n and max(p.probs) < 0.5 and 2 * nu + 8 <= _MAX_WEIGHT
-                and (matched or lam == lams[0])):
-            least = _least(p, nu, scale)
-            total = 0.5 * math.exp(2.0 * (lams[0] - lams[1])) if moments else 0.5
-            floor = float(_product_error(total, p.n, moments, 2.0 * scale))
-            if 8.0 * least < floor:
-                kernel = _kernel(p, spec, moments, matched, gap, floor / scale)
-        if kernel is not None and kernel.error < floor:
-            diff = kernel
-        else:
-            diff = _direct(p, spec, moments, majorant, gap)
-            if kernel is None and 8.0 * least < diff.error:
-                kernel = _kernel(p, spec, moments, matched, gap, diff.error / scale)
-            if kernel is not None and kernel.error < diff.error:
-                diff = kernel
+        floors, diff = {route: next(route) for route in routes}, None
+        while floors:
+            route = min(floors, key=floors.get)
+            if diff is not None and diff.error <= floors[route]:
+                break
+            try:
+                floors[route] = next(route)
+            except StopIteration as built:
+                del floors[route]
+                if diff is None or built.value.error < diff.error:
+                    diff = built.value
     if not (math.isfinite(diff.moment_error) and np.all(np.isfinite(diff.values))):
         raise OverflowError(_overflow(lam))
     return diff
 
 
-def _least(p: ProbVector, nu: int, scale: float) -> float:
-    """The least rounding bound the kernel can have, times the scale: at
-    least u (nu (nu + 7) + 2 nu + 10) A_nu(2), its weight-nu term at W >=
-    2 nu + 8, with m = nu (nu + 7) from the power sums' g_j bound
-    (``_series_powers``).  A_nu(2) has the terms |c_nu| 2^(nu+1) and
-    |c_1|^nu 4^nu / nu!, read off the power sums that the kernel reads."""
-    lams = _sn(p).power_sums(nu + 1)
-    return scale * _U * (nu * (nu + 7) + 2 * nu + 10) * max(
-        2.0 ** (nu + 1) * lams[nu] / (nu + 1), (2.0 * lams[1]) ** nu / math.factorial(nu))
+def _direct_route(p: ProbVector, spec: CorrectionSpec, moments: bool, *rest):
+    """The direct route of ``_difference`` (``rest`` are ``_direct``'s last
+    arguments).  Its floor is the share of S_n's array, ``_product_error``
+    of half its sum: that sum is 1 for the pmf and prod_i (1 + 2 p_i) >=
+    e^(2 lambda_1 - 2 lambda_2) for the moments, computed within g_K, and
+    the half covers that and the rounding of the exponent."""
+    lams = _sn(p).power_sums(2)
+    scale = math.exp(2.0 * spec.lam) if moments else 1.0
+    total = 0.5 * math.exp(2.0 * (lams[0] - lams[1])) if moments else 0.5
+    yield float(_product_error(total, p.n, moments, 2.0 * scale))
+    return _direct(p, spec, moments, *rest)
 
 
 def _mismatch(parts: np.ndarray, spec: CorrectionSpec) -> np.ndarray:
@@ -400,18 +392,21 @@ def _direct(p: ProbVector, spec: CorrectionSpec, moments: bool, majorant: np.nda
                        np.arange(diff.size) @ local + moment_tail + extra * (z + 2 * spec.nu))
 
 
-def _kernel(p: ProbVector, spec: CorrectionSpec, moments: bool, matched: bool, gap: float,
-            goal: float) -> _Difference | None:
-    """The difference from kappa cut at weight W, or None where the tail alone
-    cannot beat ``goal`` (the direct error or its floor, over e^(2 lam) for D):
-    pi_lam * kappa(x - 1) by Horner's rule for Delta, or a * (2^j kappa_j),
-    a_m = (2 lam)^m / m!, with ``moments`` for D.
+def _kernel(p: ProbVector, spec: CorrectionSpec, moments: bool, matched: bool, gap: float):
+    """The kernel route of ``_difference``: the difference from kappa cut at
+    weight W, pi_lam * kappa(x - 1) by Horner's rule for Delta, or a * (2^j
+    kappa_j), a_m = (2 lam)^m / m!, with ``moments`` for D.
 
     W is the first weight from 2 nu + 8 on (at most 128) whose tail is below
     the rounding bound of kappa; a first pass at 2 nu + 8 gives that bound,
-    from which the next W is read off the tail.  A pass whose rounding bound
-    is an eighth of the goal ends the attempt.  The power sums come from
-    ``pmf._sn``, so each pass sums only the orders not summed before.
+    from which the next W is read off the tail.  The power sums come from
+    ``pmf._sn``, so each pass sums only the orders not summed before.  Its
+    floors, each times e^(2 lam) for D, are in turn: eight times the least
+    rounding bound, u (nu (nu + 7) + 2 nu + 10) A_nu(2), the weight-nu term
+    at W >= 2 nu + 8, with A_nu(2) at least each of its terms |c_nu|
+    2^(nu+1) and |c_1|^nu 4^nu / nu!; T_128, below its error at every W; and
+    eight times each pass's rounding bound, as it gives up at an eighth of
+    the error to beat.
     With u = 2^-53, t = 2^-1074 and A_w(2) the weight-w part of the majorant
     at 2:
 
@@ -447,10 +442,13 @@ def _kernel(p: ProbVector, spec: CorrectionSpec, moments: bool, matched: bool, g
     """
     nu, n = spec.nu, p.n
     z = 2.0 * spec.lam if moments else spec.lam
-    scale = math.exp(z) * (1.0 + 4.0 * _U) if moments else 1.0
+    exp_z = math.exp(z) if moments else 1.0
+    scale = exp_z * (1.0 + 4.0 * _U) if moments else 1.0
+    lams = _sn(p).power_sums(nu + 1)
+    yield 8.0 * (exp_z * _U * (nu * (nu + 7) + 2 * nu + 10) * max(
+        2.0 ** (nu + 1) * lams[nu] / (nu + 1), (2.0 * lams[1]) ** nu / math.factorial(nu)))
     q, l2 = _radius_inputs(p)
-    if not _cauchy_tail(q, l2, _MAX_WEIGHT)[0] < goal:
-        return None
+    yield _cauchy_tail(q, l2, _MAX_WEIGHT)[0] * exp_z
     top = 2 * nu + 8
     while True:
         parts = _series_powers(_log_coefficients(_sn(p).power_sums(top + 1), top), top)
@@ -459,8 +457,7 @@ def _kernel(p: ProbVector, spec: CorrectionSpec, moments: bool, matched: bool, g
                                    for w in range(nu, top + 1))
                     + (n + 2) * (top + 2) ** 2 * 4.0 ** (top + 2)
                     * math.fsum(majorant) ** 2 * _TINY)
-        if 8.0 * rounding >= goal:
-            return None
+        yield 8.0 * rounding * exp_z
         if _cauchy_tail(q, l2, top)[0] <= rounding or top == _MAX_WEIGHT:
             break
         low, top = top + 1, _MAX_WEIGHT  # the first weight whose tail is below the rounding

@@ -539,6 +539,23 @@ class TestDifferenceKernel:
         res = sn_distance(p, spec_poisson(p.lam), "tv")
         assert abs(res.value - exact_distances(p.probs, 1)["tv"]) <= res.truncation_error
 
+    def test_a_kernel_set_aside_resumes_its_passes(self, monkeypatch):
+        # the kernel comes first and gives up at the direct floor; once the
+        # direct error is known it resumes where it stopped, so no pass repeats
+        from corrpois import distances
+
+        tops = []
+        series_powers = distances._series_powers
+
+        def counted(c, top):
+            tops.append(top)
+            return series_powers(c, top)
+
+        monkeypatch.setattr(distances, "_series_powers", counted)
+        p = ProbVector((0.03514499955188444, 0.09960489912592446))
+        d2_exact_product(p, spec_phi2(p))
+        assert tops == [12, 26]
+
     def test_large_n_builds_no_sn_array(self, monkeypatch):
         # at n = 10^5 bounds on the power sums alone already call for the
         # kernel, so neither S_n's pmf nor its factorial moments are built
