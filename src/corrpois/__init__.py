@@ -34,13 +34,13 @@ _EXPORTS = {
         "spec_poisson",
     ),
     "distances": (
-        "DistanceResult", "certify_domination", "d2", "d2_exact_product", "d2_tilde",
-        "hellinger", "sn_distance", "tv", "wasserstein",
+        "DistanceResult", "certify_domination", "d2", "d2_exact_product", "hellinger",
+        "sn_distance", "tv",
     ),
     "pmf": (
-        "FactorialMoments", "PowerSums", "ProbVector", "SignedPmf",
-        "elementary_symmetric", "equal_probs", "factorial_moments_sn", "load_probs",
-        "poisson_binomial_pmf", "poisson_pmf", "poisson_tail_bound", "power_sums",
+        "FactorialMoments", "PowerSums", "ProbVector", "SignedPmf", "equal_probs",
+        "factorial_moments_sn", "load_probs", "poisson_binomial_pmf", "poisson_pmf",
+        "poisson_tail_bound", "power_sums",
     ),
 }
 _NAMES = {name: module for module, names in _EXPORTS.items() for name in names}

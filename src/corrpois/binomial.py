@@ -21,8 +21,8 @@ Everything in this module is exact: arbitrary-precision integers and
     C_nu(lam) = lam^(nu+1) e^(2 lam) Q_(nu-1)(lam)
 
 bound the order-two factorial moment distance for the binomial case by
-C_nu(lam) n^(-nu); the Q polynomials obey an exact integral recurrence and
-an equivalent differential one, both implemented on coefficients.
+C_nu(lam) n^(-nu); the Q polynomials come from an exact integral recurrence
+on their coefficients, and obey an equivalent differential one.
 """
 
 from __future__ import annotations
@@ -80,15 +80,6 @@ class RationalPolynomial:
     def scale(self, s) -> "RationalPolynomial":
         s = Fraction(s)
         return RationalPolynomial(tuple(c * s for c in self.coeffs))
-
-    def derivative(self) -> "RationalPolynomial":
-        if len(self.coeffs) == 1:
-            return RationalPolynomial((Fraction(0),))
-        return RationalPolynomial(tuple(i * c for i, c in enumerate(self.coeffs) if i > 0))
-
-    def shift_up(self) -> "RationalPolynomial":
-        """Multiply by the variable."""
-        return RationalPolynomial((Fraction(0),) + self.coeffs)
 
     def eval_float(self, x: float) -> float:
         acc = 0.0

@@ -95,12 +95,13 @@ class CorrectionSpec:
         Here a_m = (2 lam)^m / m! = e^(2 lam) pi_(2 lam)(m): w = a * c, c =
         ``_moment_kernel``, from ``_measure``, cut past every correction
         degree and the first unmatched moment, with the tail e^(2 lam) times
-        ``_truncation``'s index-weighted bound, which that build computed.
+        ``_truncation``'s index-weighted bound, which that build computed, and
+        as ``rounding`` its bound on sum_m |e_m| (``_poisson_convolution``).
         Raises OverflowError when e^(2 lam) exceeds binary64 (lam above about
         354).
         """
-        weighted, _, _, tail = _measure(self, True)
-        return FactorialMoments(weighted, tail)
+        weighted, rounding, _, tail = _measure(self, True)
+        return FactorialMoments(weighted, tail, rounding=rounding)
 
 
 def spec_poisson(lam: float) -> CorrectionSpec:
@@ -411,7 +412,8 @@ def invert_moments(moments: FactorialMoments, kmax: int) -> SignedPmf:
     past M move the masses by at most their tail in l1, and row m > kmax
     puts 1 - s_m, s_m = sum_{k <= kmax} |r_m(k)|, past kmax.  With u =
     2^-53, g_n = n u / (1 - n u) and W = sum_m |w_m|, ``tail_bound`` is
-    sum_{m > kmax} |w_m| (1 - s_m), the moments' tail and the rounding:
+    sum_{m > kmax} |w_m| (1 - s_m), the moments' tail and ``rounding`` (so
+    it holds against the exact law) and the rounding of the inversion:
 
     * Pascal's rule r_(m+1)(k) = (r_m(k - 1) - r_m(k)) / 2 subtracts two
       terms of opposite sign, one rounding, and halves exactly above
@@ -425,9 +427,7 @@ def invert_moments(moments: FactorialMoments, kmax: int) -> SignedPmf:
       that adds at most (kmax + 1)(M + 1)(W + 1) 2^-1074.
 
     g_(4M+kmax+8) W covers the three g terms and leaves 5u W >= 5u for the
-    fsum of W and the bound's own operations.  The rounding is against the
-    law of the stored moments: S_n's moments carry a product tree's
-    rounding that ``FactorialMoments`` does not record.
+    fsum of W and the bound's own operations.
     """
     if kmax < 0:
         raise ValueError("kmax must be >= 0")
@@ -441,6 +441,6 @@ def invert_moments(moments: FactorialMoments, kmax: int) -> SignedPmf:
     mass = moments.weighted @ rows
     rest = np.abs(moments.weighted[kmax + 1:]) @ (1.0 - np.abs(rows[kmax + 1:]).sum(axis=1))
     size, top = math.fsum(np.abs(moments.weighted).tolist()), 4 * len(rows) + kmax + 4
-    error = (top * 2.0**-53 * size / (1.0 - top * 2.0**-53) + moments.tail
+    error = (top * 2.0**-53 * size / (1.0 - top * 2.0**-53) + moments.tail + moments.rounding
              + (kmax + 1) * len(rows) * (size + 1.0) * 2.0**-1074)
     return SignedPmf(mass, float(rest) + error, "inverted")

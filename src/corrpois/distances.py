@@ -1,15 +1,16 @@
 """Distances between finitely supported (possibly signed) mass functions,
 and between S_n and a corrected measure.
 
-Pointwise metrics (total variation, Hellinger, Wasserstein) work directly on
-truncated mass vectors and report the truncation honestly.
-The factorial-moment distances
+The pointwise metrics (total variation, Hellinger) work directly on
+truncated mass vectors and report the truncation honestly.  The
+factorial-moment distances
 
     d2      = (1/2) sum_m 2^m / m!       |mu_m(g1) - mu_m(g2)|
     d2tilde =       sum_m 2^(m-1)/(m-1)! |mu_m(g1) - mu_m(g2)|
 
-are stronger than total variation (d_tv <= d2) and are sums over stored
-weighted moments 2^m mu_m / m! with proven tail bounds.
+are stronger than total variation (d_tv <= d2) and d_W <= d2tilde; ``d2``
+sums two sequences of stored weighted moments 2^m mu_m / m! with their
+proven tails and rounding.
 
 Between S_n and the measure of a spec whose mean is lam = fsum(p), the
 generating functions differ by
@@ -49,11 +50,9 @@ __all__ = [
     "DistanceResult",
     "tv",
     "d2",
-    "d2_tilde",
     "d2_exact_product",
     "sn_distance",
     "certify_domination",
-    "wasserstein",
     "hellinger",
 ]
 
@@ -68,13 +67,10 @@ _LOG_MAX = math.log(sys.float_info.max)
 class DistanceResult:
     """A distance value and ``truncation_error``, a bound on its gap to the
     distance between the exact laws.  ``tv`` and ``hellinger`` read it off
-    the inputs' ``tail_bound``s, which hold their cuts and their rounding,
-    and add their own rounding.  It covers less for two other functions:
-    ``wasserstein``'s omits the index-weighted mass past both supports, and
-    ``d2`` and ``d2_tilde`` of two moment sequences read it off their tails,
-    which hold the cuts only (``FactorialMoments`` records no rounding).
-    ``sn_distance`` gives the proven error of the difference and of its
-    reading; use it for S_n against a corrected measure."""
+    the inputs' ``tail_bound``s, ``d2`` off the moments' ``tail`` and
+    ``rounding``, which hold their cuts and their rounding, and each adds
+    its own rounding.  ``sn_distance`` gives the proven error of the
+    difference and of its reading."""
 
     value: float
     truncation_error: float
@@ -136,55 +132,22 @@ def hellinger(g1: SignedPmf, g2: SignedPmf) -> DistanceResult:
     return DistanceResult(value, error * _SLACK, "pointwise")
 
 
-def wasserstein(g1: SignedPmf, g2: SignedPmf) -> DistanceResult:
-    """Transportation distance as the L1 gap of the tail functions.
-
-    sum_{m>=1} |T1(m) - T2(m)| with T(m) = sum_{k>=m} g(k), computed by
-    reverse cumulative sums over the joint support.  Each retained tail is
-    off by at most the input's tail bound, whence the recorded truncation
-    error.  It omits the terms past both supports, sum_{k>K} (k - K)|f(k)|
-    for the exact laws' mass f there, which ``tail_bound`` does not bound:
-    ``wasserstein(poisson_pmf(50, 0), poisson_pmf(1, 0))`` reads 0.0 +/- 4.9,
-    while the distance is 49.  ``sn_distance(p, spec, "wass")`` is proven.
-    """
-    a, b = _aligned(g1.mass, g2.mass)
-    ta = np.cumsum(a[::-1])[::-1]
-    tb = np.cumsum(b[::-1])[::-1]
-    value = math.fsum(np.abs(ta[1:] - tb[1:]).tolist())
-    per = g1.tail_bound + g2.tail_bound
-    return DistanceResult(value, (a.size + 2) * per, "pointwise")
-
-
-def _moment_distance(m1: FactorialMoments, m2: FactorialMoments, tilde: bool) -> DistanceResult:
-    """(1/2) sum_m |w1_m - w2_m|, times m for d2tilde, over the weighted
-    moments w_m = 2^m mu_m / m! with the shorter array zero-padded.
+def d2(m1: FactorialMoments, m2: FactorialMoments) -> DistanceResult:
+    """Order-two factorial moment distance, (1/2) sum_m |w1_m - w2_m| over
+    the weighted moments w_m = 2^m mu_m / m! with the shorter array
+    zero-padded.
 
     Each omitted term is bounded by its sequence's tail, sum_{m>M} m |w_m|,
-    so half the sum of the two tails bounds the truncation, and only that:
-    the rounding of the stored moments is not counted.  At
-    ``equal_probs(20000, 1)``, order 8, ``d2`` reads 2.43e-16 +/- 1.1e-36
-    while the proven ``sn_distance(p, spec, "d2")`` reads 7.86e-32.
+    and each stored entry's rounding by its ``rounding``, so half of the four
+    bounds the gap to the exact laws' d2; like ``tv`` it adds 2u of the
+    value for the differences and the fsum.
     """
     a, b = _aligned(m1.weighted, m2.weighted)
-    gap = np.abs(a - b)
-    if tilde:
-        gap *= np.arange(gap.size)
+    value = 0.5 * math.fsum(np.abs(a - b).tolist())
     tail = 0.5 * (m1.tail + m2.tail)
+    error = tail + 0.5 * (m1.rounding + m2.rounding) + 2.0 * _U * value
     note = "" if math.isfinite(tail) else "moment tail unbounded: a sequence was cut short"
-    return DistanceResult(0.5 * math.fsum(gap.tolist()), tail, "moment-series", note)
-
-
-def d2(m1: FactorialMoments, m2: FactorialMoments) -> DistanceResult:
-    """Order-two factorial moment distance from two moment sequences; its
-    error bounds their truncation only (``_moment_distance``), so S_n
-    against a corrected measure goes through ``sn_distance``."""
-    return _moment_distance(m1, m2, tilde=False)
-
-
-def d2_tilde(m1: FactorialMoments, m2: FactorialMoments) -> DistanceResult:
-    """The (m-1)!-weighted variant dominating the Wasserstein distance, with
-    the error of ``d2``: the truncation only."""
-    return _moment_distance(m1, m2, tilde=True)
+    return DistanceResult(value, error * _SLACK, "moment-series", note)
 
 
 def certify_domination(p: ProbVector, spec: CorrectionSpec) -> int:

@@ -29,7 +29,6 @@ __all__ = [
     "FactorialMoments",
     "poisson_pmf",
     "poisson_binomial_pmf",
-    "elementary_symmetric",
     "factorial_moments_sn",
     "power_sums",
     "poisson_tail_bound",
@@ -240,6 +239,8 @@ class FactorialMoments:
     and ``tail`` bounds sum_{m>M} m |2^m mu_m / m!|: 0 when every later
     moment vanishes, inf when nothing is known about them.  ``root_bound``
     is a proven b with |mu_m| <= b^m for every m, inf when none is known.
+    ``rounding`` bounds sum_{m<=M} |weighted[m] - 2^m mu_m / m!|, mu_m the
+    exact law's: 0 for an array taken as exact.
     Calling the object returns mu_m itself.  A NaN entry is refused, naming
     its order; an infinite one is kept, and reading it raises OverflowError.
     """
@@ -247,6 +248,7 @@ class FactorialMoments:
     weighted: np.ndarray
     tail: float
     root_bound: float = math.inf
+    rounding: float = 0.0
 
     def __post_init__(self) -> None:
         w = np.array(self.weighted, dtype=float)
@@ -260,6 +262,8 @@ class FactorialMoments:
             raise ValueError("tail must be nonnegative")
         if not self.root_bound >= 0:
             raise ValueError("root_bound must be nonnegative")
+        if not self.rounding >= 0:
+            raise ValueError("rounding must be nonnegative")
         w.flags.writeable = False
         object.__setattr__(self, "weighted", w)
 
@@ -371,14 +375,13 @@ def _poisson_masses(lam: float, kmax: int) -> np.ndarray:
     return np.ldexp(mass, -scale) if scale else mass
 
 
-def _linear_product(a: Sequence[float], b: Sequence[float], length: int) -> np.ndarray:
-    """Coefficients 0..length-1 of P(x) = prod_i (a_i + b_i x), for a_i, b_i >= 0.
+def _linear_product(a: Sequence[float], b: Sequence[float]) -> np.ndarray:
+    """Coefficients 0..n of P(x) = prod_i (a_i + b_i x), for a_i, b_i >= 0.
 
     A pairwise tree: the n factors are the columns of a 2 x n array stored
     coefficient-major (row i holds coefficient i of every factor), each level
-    multiplies columns 2r and 2r+1 truncated at ``length``, and an odd last
-    column is carried up unchanged, so D = ceil(log2 n) levels do all the
-    work.  The carried column is held apart from the array: padded with
+    multiplies columns 2r and 2r+1, and an odd last column is carried up
+    unchanged, so D = ceil(log2 n) levels do all the work.  The carried column is held apart from the array: padded with
     zeros, it would meet an overflowed coefficient as inf * 0 = NaN.  A
     level of h pairs of d coefficients copies its left and right factors
     into two contiguous d x h arrays and takes, where h >= d, d row updates,
@@ -420,14 +423,14 @@ def _linear_product(a: Sequence[float], b: Sequence[float], length: int) -> np.n
     a_i + b_i).  So c_j is also off by at most (n - 1)(j + 1)(j + 2) B
     2^-1076 (1 + g_K) in absolute terms.
     """
-    cols = np.vstack((a, b))[:length]  # coefficient i of factor r at cols[i, r]
+    cols = np.vstack((a, b))  # coefficient i of factor r at cols[i, r]
     count = 1  # how many equal factors each column stands for
     if _one_value(cols[-1]) and _one_value(cols[0]):  # b first: a is often all ones
         cols, count = cols[:, :1], cols.shape[1]
     carried = np.ones(1)  # product of the factors carried so far; 1 is exact
     while cols.shape[1] * count > 1:
         if cols.shape[1] * count % 2:
-            carried = _cut_zeros(np.convolve(cols[:, -1], carried)[:length])
+            carried = _cut_zeros(np.convolve(cols[:, -1], carried))
             cols, count = (cols, count - 1) if count > 1 else (cols[:, :-1], 1)
         if count > 1:  # the one product of a level of count // 2 equal pairs
             left = right = cols
@@ -436,16 +439,14 @@ def _linear_product(a: Sequence[float], b: Sequence[float], length: int) -> np.n
             left, right = np.ascontiguousarray(cols[:, 0::2]), np.ascontiguousarray(cols[:, 1::2])
             pairs = left.shape[1]
         d = left.shape[0]
-        k = min(2 * d - 1, length)
         if pairs >= d:
-            cols = np.zeros((k, left.shape[1]))
+            cols = np.zeros((2 * d - 1, left.shape[1]))
             for i in range(d):
-                w = min(d, k - i)
-                cols[i:i + w] += left[i] * right[:w]
+                cols[i:i + d] += left[i] * right
         else:
-            cols = _cut_zeros(np.array([np.convolve(x, y)[:k] for x, y in zip(left.T, right.T)]).T)
-    c = np.zeros(length)
-    top = np.convolve(cols[:, 0], carried)[:length] if cols.shape[1] else carried
+            cols = _cut_zeros(np.array([np.convolve(x, y) for x, y in zip(left.T, right.T)]).T)
+    c = np.zeros(len(a) + 1)
+    top = np.convolve(cols[:, 0], carried) if cols.shape[1] else carried
     c[:top.size] = top
     return c
 
@@ -502,60 +503,45 @@ def poisson_binomial_pmf(p: ProbVector) -> SignedPmf:
     return SignedPmf(_sn(p).array(False), bound, "poisson-binomial")
 
 
-def elementary_symmetric(p: ProbVector, mmax: int) -> np.ndarray:
-    """Elementary symmetric functions S_{n,m} of the probabilities, m = 0..mmax.
-
-    These are the coefficients of prod_i (1 + p_i x), by the pairwise tree
-    of ``_linear_product``; entries with m > n are exactly zero.  Every a_i
-    is 1, so S_{n,m} is within g_K, K = m - 1 + m ceil(log2 n), of the
-    exact value for the binary64 p_i (plus an underflow term), and S_{n,1}
-    is a pairwise sum.
-    """
-    if mmax < 0:
-        raise ValueError("mmax must be >= 0")
-    e = _linear_product(np.ones(p.n), _sn(p).floats(), mmax + 1)
-    e.flags.writeable = False
-    return e
-
-
 def factorial_moments_sn(p: ProbVector, mmax: int | None = None) -> FactorialMoments:
     """Factorial moments of S_n up to order min(mmax, n), zero past n.
 
-    The weighted moments 2^m mu_m / m! = 2^m S_{n,m} are the coefficients of
-    prod_i (1 + 2 p_i x), the one uncut array of ``_sn``; doubling is exact,
-    so its entries equal 2^m ``elementary_symmetric(p, n)[m]`` bit for bit
-    (short of underflow).  A cut ``mmax < n`` is the first mmax + 1 entries
-    of that array, so every cut reads the uncut bits; ``elementary_symmetric``
-    cut short builds its own tree, whose last bits may differ, since
-    np.convolve's summation order depends on the length of its rows.  The
-    tail is 0 when the array reaches n and unknown (inf) when mmax cuts it
-    short.  ``root_bound`` is fsum(p) rounded up by 2u: at least the exact
-    sum lambda of the binary64 p_i, and mu_m = m! e_m <= lambda^m.
+    The weighted moments 2^m mu_m / m! = 2^m S_{n,m}, S_{n,m} the elementary
+    symmetric functions of the p_i, are the coefficients of prod_i (1 + 2 p_i
+    x), the one array of ``_sn``.  A cut ``mmax < n`` is its first mmax + 1
+    entries, so every cut reads the same bits.  The tail is 0 when the array
+    reaches n and unknown (inf) when mmax cuts it short.  ``root_bound`` is
+    fsum(p) rounded up by 2u: at least the exact sum lambda of the binary64
+    p_i, and mu_m = m! e_m <= lambda^m.  ``rounding`` is the whole array's
+    (``_Sn.rounding``), which bounds every cut's too.
     """
     if mmax is None:
         mmax = p.n
     if mmax < 0:
         raise ValueError("mmax must be >= 0")
     tail = 0.0 if mmax >= p.n else math.inf
-    return FactorialMoments(_sn(p).array(True)[:mmax + 1], tail, p.lam * (1.0 + 2.0**-52))
+    sn = _sn(p)
+    return FactorialMoments(sn.array(True)[:mmax + 1], tail, p.lam * (1.0 + 2.0**-52),
+                            sn.rounding())
 
 
 class _Sn:
     """What one vector's exact layer shares among its callers: the
     probabilities as one float array and S_n's two full-length arrays, all
-    read-only, and the power sums lambda_1..lambda_j computed so far, each
-    built on first use.  A longer run of power sums replaces the tuple, so a
-    tuple handed out never changes, and a build that raises leaves the
-    record as it was.
+    read-only, the moments' rounding bound, and the power sums
+    lambda_1..lambda_j computed so far, each built on first use.  A longer
+    run of power sums replaces the tuple, so a tuple handed out never
+    changes, and a build that raises leaves the record as it was.
     """
 
-    __slots__ = ("p", "sums", "arrays", "probs")
+    __slots__ = ("p", "sums", "arrays", "probs", "moment_rounding")
 
     def __init__(self, p: ProbVector) -> None:
         self.p = p
         self.sums: tuple[float, ...] = ()
         self.arrays: dict[bool, np.ndarray] = {}
         self.probs: np.ndarray | None = None
+        self.moment_rounding: float | None = None
 
     def floats(self) -> np.ndarray:
         """p.probs as a float64 array; 1.0 - x and 2.0 * x on it round as
@@ -610,12 +596,32 @@ class _Sn:
             x = self.floats()
             if moments:
                 with np.errstate(over="ignore"):  # an overflowed entry raises when it is read
-                    a = _linear_product(np.ones(x.size), 2.0 * x, x.size + 1)
+                    a = _linear_product(np.ones(x.size), 2.0 * x)
             else:
-                a = _linear_product(1.0 - x, x, x.size + 1)
+                a = _linear_product(1.0 - x, x)
             a.flags.writeable = False
             self.arrays[moments] = a
         return a
+
+    def rounding(self) -> float:
+        """A bound on sum_m |w_m - exact w_m| over ``array(True)``.
+
+        Each entry's ``_product_error`` is linear in its |w_m|, so for these
+        nonnegative entries their sum is that error of fsum(w) with n + 1
+        underflow terms, B <= prod_i (1 + 2 p_i) <= e^(2 lam), whose rounding
+        the factor 2 covers.  fsum is within u of the entries' sum, which
+        the largest K covers: for n >= 2 every entry's K_m is at most K -
+        floor(n / 2).  inf where e^(2 lam) or the sum leaves binary64.
+        """
+        if self.moment_rounding is None:
+            n = self.p.n
+            try:
+                size = math.fsum(self.array(True).tolist())
+                big = 2.0 * math.exp(2.0 * self.p.lam) * (n + 1)
+            except OverflowError:
+                size = big = math.inf
+            self.moment_rounding = float(_product_error(size, n, True, big))
+        return self.moment_rounding
 
 
 @functools.lru_cache(maxsize=2)  # the last two vectors

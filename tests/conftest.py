@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from corrpois import ProbVector, corrected, distances, pmf
+from corrpois.binomial import RationalPolynomial
 from corrpois.corrected import gamma_from_power_sums
 
 # Single shared corpus for the randomized verification suites: sizes up to
@@ -55,6 +56,17 @@ def corpus():
 def corpus_wide():
     """Smaller corpus with entries up to 0.9 for the Hellinger checks."""
     return random_prob_vectors(300, nmax=30, pmax=0.9, seed=2)
+
+
+def q_derivative(q):
+    """The derivative of a ``RationalPolynomial``: lam Q' is
+    ``q_shift_up(q_derivative(q))`` in the Q polynomials' recurrence."""
+    return RationalPolynomial(tuple(i * c for i, c in enumerate(q.coeffs) if i > 0))
+
+
+def q_shift_up(q):
+    """A ``RationalPolynomial`` multiplied by its variable."""
+    return RationalPolynomial((Fraction(0),) + q.coeffs)
 
 
 def enumerate_outcomes(probs):

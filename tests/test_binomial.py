@@ -16,6 +16,8 @@ from corrpois import (
 )
 from corrpois.binomial import RationalPolynomial
 
+from conftest import q_derivative, q_shift_up
+
 
 def falling_factorial_remainder(n: int, m: int, nu: int) -> tuple[int, Fraction]:
     """Truncate the (n)_m expansion after nu alternating terms.
@@ -249,10 +251,10 @@ class TestQPolynomials:
         # lam Q'_nu + (nu+2) Q_nu = 2 lam Q'_{nu-1} + 2 (nu+1+2lam) Q_{nu-1}
         for nu in range(1, 11):
             qn, qp = q_polynomial(nu), q_polynomial(nu - 1)
-            lhs = qn.derivative().shift_up() + qn.scale(nu + 2)
-            rhs = (qp.derivative().shift_up().scale(2)
+            lhs = q_shift_up(q_derivative(qn)) + qn.scale(nu + 2)
+            rhs = (q_shift_up(q_derivative(qp)).scale(2)
                    + qp.scale(2 * (nu + 1))
-                   + qp.shift_up().scale(4))
+                   + q_shift_up(qp).scale(4))
             assert lhs.coeffs == rhs.coeffs, nu
 
     def test_order_two_factorization(self):

@@ -30,6 +30,8 @@ from corrpois import (
 from corrpois.corrected import _cutoff, gamma_from_power_sums
 from corrpois.pmf import poisson_tail_bound
 
+from conftest import _exact_sn, random_prob_vectors
+
 P123 = ProbVector((0.1, 0.2, 0.3))
 
 
@@ -517,6 +519,14 @@ class TestInvertMoments:
             gap = math.fsum(np.abs(inv.mass - whole.mass[:kmax + 1]).tolist())
             beyond = math.fsum(np.abs(whole.mass[kmax + 1:]).tolist())
             assert gap + beyond <= inv.tail_bound + whole.tail_bound, kmax
+
+    def test_bound_holds_against_the_exact_law(self):
+        # S_n's moments carry the product tree's rounding, which the bound adds
+        for p in random_prob_vectors(30, nmax=60, pmax=0.9, seed=43):
+            inv = invert_moments(factorial_moments_sn(p), p.n)
+            pmf, _, den = _exact_sn(p.probs)
+            gap = sum(abs(Fraction(x) - Fraction(f, den)) for x, f in zip(inv.mass.tolist(), pmf))
+            assert gap <= Fraction(inv.tail_bound), p.n
 
     def test_roundtrip_within_both_bounds(self):
         # the alternating sums lose up to 0.24 here (n = 400, p below 0.1)

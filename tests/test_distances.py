@@ -24,7 +24,6 @@ from corrpois import (
     certify_domination,
     d2,
     d2_exact_product,
-    d2_tilde,
     equal_probs,
     factorial_moments_sn,
     fit_rate,
@@ -39,20 +38,13 @@ from corrpois import (
     spec_phi3_tilde,
     spec_poisson,
     tv,
-    wasserstein,
 )
 
 from corrpois.corrected import gamma_from_power_sums
 
-from conftest import clear_caches, exact_d2_oracle, exact_distances
+from conftest import clear_caches, exact_d2_oracle, exact_distances, random_prob_vectors
 
 P123 = ProbVector((0.1, 0.2, 0.3))
-
-
-def point_mass(at, size):
-    mass = np.zeros(size)
-    mass[at] = 1.0
-    return SignedPmf(mass, 0.0, f"delta{at}")
 
 
 def three_point_pairs(seed, count):
@@ -152,6 +144,27 @@ class TestD2:
             val = d2(factorial_moments_sn(p), spec_poisson(ps.lam).moments()).value
             assert val <= math.exp(2 * ps.lam) * ps[2] * (1 + 1e-9)
 
+    @pytest.mark.parametrize("n, lam, nu", [(1000, 1.0, 5), (1000, 5.0, 5), (20000, 1.0, 8)])
+    def test_error_covers_the_gap_to_sn_distance(self, n, lam, nu):
+        # before the moments recorded their rounding, d2 at (20000, 1, 8) read
+        # 2.4e-16 +/- 1.1e-36 against the proven 7.9e-32
+        p = equal_probs(n, lam)
+        spec = spec_for_order(p, nu)
+        a = d2(factorial_moments_sn(p), spec.moments())
+        b = sn_distance(p, spec, "d2")
+        assert abs(a.value - b.value) <= a.truncation_error + b.truncation_error
+
+    def test_error_covers_the_gap_to_the_exact_law(self):
+        # the exact d2 between S_n and the measure of the spec as stored
+        for p in random_prob_vectors(10, seed=47):
+            for spec in (spec_poisson(p.lam), spec_phi2(p), spec_phi3(p)):
+                got = d2(factorial_moments_sn(p), spec.moments())
+                exact = Fraction(exact_distances(p.probs, spec.nu, spec)["d2"])
+                assert abs(Fraction(got.value) - exact) <= Fraction(got.truncation_error)
+                proven = sn_distance(p, spec, "d2")
+                assert (abs(got.value - proven.value)
+                        <= got.truncation_error + proven.truncation_error)
+
     def test_truncated_moments_leave_the_tail_unbounded(self):
         mu = factorial_moments_sn(P123, mmax=1)
         pois = spec_poisson(P123.lam).moments()
@@ -216,15 +229,9 @@ class TestD2ExactProduct:
 
 
 class TestD2Tilde:
-    def test_identical_moments(self):
-        mu = factorial_moments_sn(P123)
-        assert d2_tilde(mu, mu).value == 0.0
-
     def test_single_indicator_closed_form(self):
         p = 0.5
-        mu = factorial_moments_sn(ProbVector((p,)))
-        pois = spec_poisson(p).moments()
-        got = d2_tilde(mu, pois)
+        got = sn_distance(ProbVector((p,)), spec_poisson(p), "d2tilde")
         want = p * (math.exp(2 * p) - 1.0)
         assert got.value == pytest.approx(want, rel=1e-13)
         assert got.value == pytest.approx(0.859141, abs=1e-6)
@@ -234,26 +241,17 @@ class TestD2Tilde:
         for _ in range(20):
             p = ProbVector(tuple(rng.uniform(0, 0.5, rng.integers(1, 12)).tolist()))
             ps = power_sums(p, 2)
-            val = d2_tilde(factorial_moments_sn(p), spec_poisson(ps.lam).moments()).value
+            val = sn_distance(p, spec_poisson(ps.lam), "d2tilde").value
             assert val <= 2 * (1 + ps.lam) * math.exp(2 * ps.lam) * ps[2] * (1 + 1e-9)
 
 
 class TestWasserstein:
-    def test_identical(self):
-        pmf = poisson_pmf(1.0, 20)
-        assert wasserstein(pmf, pmf).value == 0.0
-
-    def test_point_masses(self):
-        assert wasserstein(point_mass(0, 4), point_mass(3, 4)).value == pytest.approx(3.0)
-
     def test_dominated_by_d2_tilde(self):
         rng = np.random.default_rng(79)
         for _ in range(25):
             p = ProbVector(tuple(rng.uniform(0, 0.8, rng.integers(1, 13)).tolist()))
-            fn = poisson_binomial_pmf(p)
-            pois = poisson_pmf(p.lam, fn.support_max + 80)
-            dw = wasserstein(fn, pois).value
-            dt = d2_tilde(factorial_moments_sn(p), spec_poisson(p.lam).moments()).value
+            dw = sn_distance(p, spec_poisson(p.lam), "wass").value
+            dt = sn_distance(p, spec_poisson(p.lam), "d2tilde").value
             assert dw <= dt * (1 + 1e-9) + 1e-12
 
 
@@ -338,18 +336,16 @@ class TestWeightedL1:
 class TestMetricAxioms:
     def test_nonnegative_and_zero_on_equal(self):
         fn = poisson_binomial_pmf(P123)
-        for metric in (tv, wasserstein):
-            assert metric(fn, fn).value == 0.0
+        assert tv(fn, fn).value == 0.0
 
     def test_symmetry(self):
         fn = poisson_binomial_pmf(P123)
         pois = poisson_pmf(P123.lam, 40)
-        for metric in (tv, wasserstein, hellinger):
+        for metric in (tv, hellinger):
             assert metric(fn, pois).value == metric(pois, fn).value
         mu1 = factorial_moments_sn(P123)
         mu2 = spec_poisson(P123.lam).moments()
         assert d2(mu1, mu2).value == d2(mu2, mu1).value
-        assert d2_tilde(mu1, mu2).value == d2_tilde(mu2, mu1).value
 
     def test_tv_le_d2_against_corrections(self):
         rng = np.random.default_rng(101)

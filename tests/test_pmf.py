@@ -19,7 +19,6 @@ from corrpois import (
     SignedPmf,
     check_lower3,
     check_sandwich,
-    elementary_symmetric,
     equal_probs,
     factorial_moments_sn,
     load_probs,
@@ -246,58 +245,63 @@ class TestPoissonBinomial:
 
 
 class TestElementarySymmetric:
+    """S_n's weighted moments 2^m S_{n,m}, S_{n,m} the elementary symmetric
+    functions of the p_i, and its pmf, by the product tree."""
+
     def test_pairs_by_hand(self):
-        e = elementary_symmetric(ProbVector((0.1, 0.2, 0.3)), 2)
-        assert e[2] == pytest.approx(0.1 * 0.2 + 0.1 * 0.3 + 0.2 * 0.3, rel=1e-15)
+        w = factorial_moments_sn(ProbVector((0.1, 0.2, 0.3))).weighted
+        assert w[2] == pytest.approx(4 * (0.1 * 0.2 + 0.1 * 0.3 + 0.2 * 0.3), rel=1e-15)
 
     def test_order_zero_is_one(self):
-        assert elementary_symmetric(ProbVector((0.4, 0.9)), 0)[0] == 1.0
+        assert factorial_moments_sn(ProbVector((0.4, 0.9)), 0).weighted.tolist() == [1.0]
 
     def test_beyond_n_is_zero(self):
-        e = elementary_symmetric(ProbVector((0.1, 0.2, 0.3)), 4)
-        assert e[4] == 0.0
+        mu = factorial_moments_sn(ProbVector((0.1, 0.2, 0.3)), 4)
+        assert mu.weighted.size == 4 and mu.tail == 0.0
+        assert mu(4) == 0.0
 
     def test_within_tree_bound_of_exact_product(self):
         rng = np.random.default_rng(11)
         for _ in range(60):
             n = int(rng.integers(1, 201))
             p = ProbVector(tuple(rng.uniform(0.0, 1.0, n).tolist()))
-            exact = exact_linear_product([1.0] * p.n, p.probs)
-            big = math.prod(1 + Fraction(x) for x in p.probs)
+            exact = exact_linear_product([1.0] * p.n, [2.0 * x for x in p.probs])
+            big = math.prod(1 + 2 * Fraction(x) for x in p.probs)
+            seen = set()
             for mmax in (0, 3, p.n, p.n + 5):
-                got = elementary_symmetric(p, mmax)
-                assert got.size == mmax + 1
-                assert_within_tree_bound(got, exact, p.n, ones=True, big=big)
+                got = factorial_moments_sn(p, mmax).weighted
+                assert got.size == min(mmax, p.n) + 1
+                assert_within_tree_bound(got, exact, p.n, ones=True, big=big, seen=seen)
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.one_of(st.floats(0.0, 1.0), st.just(1.0)), max_size=60))
     def test_tree_bound_at_every_cut(self, probs):
         p = ProbVector(tuple(probs))
         n, q = p.n, [Fraction(x) for x in p.probs]
-        sym = exact_linear_product([1] * n, q)
-        doubled = [x * 2**m for m, x in enumerate(sym)]
+        doubled = exact_linear_product([1] * n, [2 * x for x in q])
         a = [1.0 - x for x in p.probs]
         dist = exact_linear_product([1 - x for x in q], q)
-        big_sym = math.prod(1 + x for x in q)
         big_doubled = math.prod(1 + 2 * x for x in q)
         big_dist = math.prod(max(1, Fraction(x) + y) for x, y in zip(a, q))
-        seen = (set(), set(), set())
+        seen = (set(), set())
         for length in range(1, n + 3):
-            assert_within_tree_bound(elementary_symmetric(p, length - 1), sym, n,
-                                     ones=True, big=big_sym, seen=seen[0])
             assert_within_tree_bound(factorial_moments_sn(p, length - 1).weighted, doubled, n,
-                                     ones=True, big=big_doubled, seen=seen[1])
-            assert_within_tree_bound(_linear_product(a, p.probs, length), dist, n,
-                                     ones=False, pmf=True, big=big_dist, seen=seen[2])
+                                     ones=True, big=big_doubled, seen=seen[0])
+        assert_within_tree_bound(_linear_product(a, p.probs), dist, n,
+                                 ones=False, pmf=True, big=big_dist, seen=seen[1])
         mass = poisson_binomial_pmf(p).mass
         assert mass.size == n + 1
-        assert_within_tree_bound(mass, dist, n, ones=False, pmf=True, big=big_dist, seen=seen[2])
+        assert_within_tree_bound(mass, dist, n, ones=False, pmf=True, big=big_dist, seen=seen[1])
         # the bound that the distances to a corrected measure add for S_n's arrays
         for got, exact, ones, big in ((mass, dist, False, 2.0),
                                       (factorial_moments_sn(p).weighted, doubled, True,
                                        2.0 * float(big_doubled))):
             bound = _product_error(got, n, ones, big).tolist()
             assert all(abs(Fraction(c) - e) <= b for c, e, b in zip(got.tolist(), exact, bound))
+        # the moments' recorded rounding, which d2 and invert_moments add
+        fm = factorial_moments_sn(p)
+        gap = sum(abs(Fraction(c) - e) for c, e in zip(fm.weighted.tolist(), doubled))
+        assert gap <= Fraction(fm.rounding)
 
     def test_first_moment_is_a_pairwise_sum(self):
         # ceil(log2 10^5) = 17 levels, against 10^5 sequential additions
@@ -330,37 +334,33 @@ class TestArrayFedTrees:
         probs = list(p.probs)
         ones, doubled = [1.0] * p.n, [2.0 * x for x in probs]
         assert (_sn(p).array(False).tobytes()
-                == _linear_product([1.0 - x for x in probs], probs, p.n + 1).tobytes())
-        assert _sn(p).array(True).tobytes() == _linear_product(ones, doubled, p.n + 1).tobytes()
+                == _linear_product([1.0 - x for x in probs], probs).tobytes())
+        assert _sn(p).array(True).tobytes() == _linear_product(ones, doubled).tobytes()
         for m in sorted({0, 3, 15, max(p.n - 1, 0)}):
-            assert (elementary_symmetric(p, m).tobytes()
-                    == _linear_product(ones, probs, m + 1).tobytes())
             if m < p.n:
                 assert (factorial_moments_sn(p, m).weighted.tobytes()
-                        == _linear_product(ones, doubled, p.n + 1)[:m + 1].tobytes())
+                        == _linear_product(ones, doubled)[:m + 1].tobytes())
 
 
-def level_loop_oracle(a, b, length):
+def level_loop_oracle(a, b):
     """The product tree with no case for equal factors: every level multiplies
     all its pairs, n - 1 products in all."""
-    cols = np.vstack((a, b))[:length]
+    cols = np.vstack((a, b))
+    c = np.zeros(cols.shape[1] + 1)
     carried = np.ones(1)
     while cols.shape[1] > 1:
         if cols.shape[1] % 2:
-            carried = _cut_zeros(np.convolve(cols[:, -1], carried)[:length])
+            carried = _cut_zeros(np.convolve(cols[:, -1], carried))
             cols = cols[:, :-1]
         left, right = np.ascontiguousarray(cols[:, 0::2]), np.ascontiguousarray(cols[:, 1::2])
         d, pairs = left.shape
-        k = min(2 * d - 1, length)
         if pairs >= d:
-            cols = np.zeros((k, pairs))
+            cols = np.zeros((2 * d - 1, pairs))
             for i in range(d):
-                w = min(d, k - i)
-                cols[i:i + w] += left[i] * right[:w]
+                cols[i:i + d] += left[i] * right
         else:
-            cols = _cut_zeros(np.array([np.convolve(x, y)[:k] for x, y in zip(left.T, right.T)]).T)
-    c = np.zeros(length)
-    top = np.convolve(cols[:, 0], carried)[:length] if cols.shape[1] else carried
+            cols = _cut_zeros(np.array([np.convolve(x, y) for x, y in zip(left.T, right.T)]).T)
+    top = np.convolve(cols[:, 0], carried) if cols.shape[1] else carried
     c[:top.size] = top
     return c
 
@@ -371,15 +371,12 @@ class TestEqualFactorTrees:
 
     @settings(max_examples=120, deadline=None)
     @given(st.one_of(st.integers(0, 300), st.sampled_from([500, 1000, 1601, 4097])),
-           st.one_of(st.sampled_from([1e-100, 0.5, 1.0]), st.floats(1e-100, 1.0)),
-           st.sampled_from([None, 1, 16, 21]))
-    def test_bits_match_the_level_loop(self, n, p, length):
+           st.one_of(st.sampled_from([1e-100, 0.5, 1.0]), st.floats(1e-100, 1.0)))
+    def test_bits_match_the_level_loop(self, n, p):
         x = np.full(n, p)
-        length = n + 1 if length is None else length
         with np.errstate(over="ignore", invalid="ignore"):  # (1, 2) factors overflow
             for a, b in ((1.0 - x, x), (np.ones(n), 2.0 * x)):
-                assert (_linear_product(a, b, length).tobytes()
-                        == level_loop_oracle(a, b, length).tobytes())
+                assert _linear_product(a, b).tobytes() == level_loop_oracle(a, b).tobytes()
 
     def test_binomial_pmf_makes_logarithmically_many_convolutions(self, monkeypatch):
         n = 10**5
@@ -432,42 +429,41 @@ def dot_kernel_probe():
 
 
 # First 16 hex digits of the SHA-256 of the bytes of the pmf, the uncut
-# weighted moments, the moments at mmax = 15 and elementary_symmetric(p, 20),
-# one table per dot kernel (set by OPENBLAS_CORETYPE): a rewrite of the tree
+# weighted moments and the moments at mmax = 15, one table per dot kernel (set by OPENBLAS_CORETYPE): a rewrite of the tree
 # that keeps its summation order keeps these bits.
 PINNED_TREE_BITS = {
     "4e62fc9ba73bd7a6": {  # SkylakeX (AVX-512)
-        "n1": ("b809631d87d9aa07", "d0f6f2a0c48d41e7", "d0f6f2a0c48d41e7", "2a23b0eb574df55a"),
-        "n2": ("7cfc575be78c86ed", "9b287808f0c54b62", "9b287808f0c54b62", "2d6480e6724dedd6"),
-        "n3": ("6d07580b5e879629", "34e36177416aa4e5", "34e36177416aa4e5", "5936e3be4a072cd1"),
-        "n31": ("5ba9c30462c5b79d", "6ac323157355d983", "7aaaa3caa545b036", "a0e8dad766eda761"),
-        "n500": ("716968081308620b", "ad2daf0726d2415f", "6452d732ebb6845f", "927ecbe72561a583"),
-        "n1601": ("62e70ff42efe466b", "25ca9255f52e7ea3", "0c0e5efb840decf7", "196e17b32aa218fc"),
-        "one": ("96502d849be97074", "e3bc8af9547aaf78", "073f04b6fcb79895", "ba3daa56ffbe3db6"),
-        "equal": ("72b866ceb25bcd5d", "e965f28e7edfccfb", "be5206a4c76b4c93", "ec6832997dc997a3"),
-        "tiny": ("50288093a18f8c64", "4f59294e053ffe4b", "9428b24e049d2708", "0dcd86646035e8fa"),
+        "n1": ("b809631d87d9aa07", "d0f6f2a0c48d41e7", "d0f6f2a0c48d41e7"),
+        "n2": ("7cfc575be78c86ed", "9b287808f0c54b62", "9b287808f0c54b62"),
+        "n3": ("6d07580b5e879629", "34e36177416aa4e5", "34e36177416aa4e5"),
+        "n31": ("5ba9c30462c5b79d", "6ac323157355d983", "7aaaa3caa545b036"),
+        "n500": ("716968081308620b", "ad2daf0726d2415f", "6452d732ebb6845f"),
+        "n1601": ("62e70ff42efe466b", "25ca9255f52e7ea3", "0c0e5efb840decf7"),
+        "one": ("96502d849be97074", "e3bc8af9547aaf78", "073f04b6fcb79895"),
+        "equal": ("72b866ceb25bcd5d", "e965f28e7edfccfb", "be5206a4c76b4c93"),
+        "tiny": ("50288093a18f8c64", "4f59294e053ffe4b", "9428b24e049d2708"),
     },
     "468a345f40f0299a": {  # Haswell and Zen (AVX2)
-        "n1": ("b809631d87d9aa07", "d0f6f2a0c48d41e7", "d0f6f2a0c48d41e7", "2a23b0eb574df55a"),
-        "n2": ("7cfc575be78c86ed", "9b287808f0c54b62", "9b287808f0c54b62", "2d6480e6724dedd6"),
-        "n3": ("6d07580b5e879629", "34e36177416aa4e5", "34e36177416aa4e5", "5936e3be4a072cd1"),
-        "n31": ("3e16502310703db7", "824dd4cce00d9f07", "257be0408b0fe2b4", "3170c73685c4fb03"),
-        "n500": ("bbff0d12da6b30c5", "6e6b4cd0c9609fdc", "12de4507ff578584", "c2dd80a63a4049d2"),
-        "n1601": ("dd99dcad14b927da", "e9476652838c8bde", "8027d5797cf39bd9", "6f78075a66464ad5"),
-        "one": ("c5bc13ccd96e0b8a", "390755d8a8dc0639", "ecc2ff2707cecc23", "d9f2f550b2f07d42"),
-        "equal": ("d93204cfe01bc124", "7d32c7e77e8ae5b7", "c897dfd5c4135fdb", "5f934727e1c1a217"),
-        "tiny": ("50288093a18f8c64", "4f59294e053ffe4b", "9428b24e049d2708", "0dcd86646035e8fa"),
+        "n1": ("b809631d87d9aa07", "d0f6f2a0c48d41e7", "d0f6f2a0c48d41e7"),
+        "n2": ("7cfc575be78c86ed", "9b287808f0c54b62", "9b287808f0c54b62"),
+        "n3": ("6d07580b5e879629", "34e36177416aa4e5", "34e36177416aa4e5"),
+        "n31": ("3e16502310703db7", "824dd4cce00d9f07", "257be0408b0fe2b4"),
+        "n500": ("bbff0d12da6b30c5", "6e6b4cd0c9609fdc", "12de4507ff578584"),
+        "n1601": ("dd99dcad14b927da", "e9476652838c8bde", "8027d5797cf39bd9"),
+        "one": ("c5bc13ccd96e0b8a", "390755d8a8dc0639", "ecc2ff2707cecc23"),
+        "equal": ("d93204cfe01bc124", "7d32c7e77e8ae5b7", "c897dfd5c4135fdb"),
+        "tiny": ("50288093a18f8c64", "4f59294e053ffe4b", "9428b24e049d2708"),
     },
     "40a9ad54100b8746": {  # Sandybridge (AVX)
-        "n1": ("b809631d87d9aa07", "d0f6f2a0c48d41e7", "d0f6f2a0c48d41e7", "2a23b0eb574df55a"),
-        "n2": ("7cfc575be78c86ed", "9b287808f0c54b62", "9b287808f0c54b62", "2d6480e6724dedd6"),
-        "n3": ("6d07580b5e879629", "34e36177416aa4e5", "34e36177416aa4e5", "5936e3be4a072cd1"),
-        "n31": ("3e16502310703db7", "824dd4cce00d9f07", "257be0408b0fe2b4", "3170c73685c4fb03"),
-        "n500": ("3442f44d676e347e", "811d1178bff529de", "12de4507ff578584", "c2dd80a63a4049d2"),
-        "n1601": ("20260347db35ed1e", "35a3b53bc2b98e9f", "8027d5797cf39bd9", "6f78075a66464ad5"),
-        "one": ("c5bc13ccd96e0b8a", "390755d8a8dc0639", "ecc2ff2707cecc23", "d9f2f550b2f07d42"),
-        "equal": ("4c91a26e82295d1a", "3f54f6e7147bf798", "c897dfd5c4135fdb", "5f934727e1c1a217"),
-        "tiny": ("50288093a18f8c64", "4f59294e053ffe4b", "9428b24e049d2708", "0dcd86646035e8fa"),
+        "n1": ("b809631d87d9aa07", "d0f6f2a0c48d41e7", "d0f6f2a0c48d41e7"),
+        "n2": ("7cfc575be78c86ed", "9b287808f0c54b62", "9b287808f0c54b62"),
+        "n3": ("6d07580b5e879629", "34e36177416aa4e5", "34e36177416aa4e5"),
+        "n31": ("3e16502310703db7", "824dd4cce00d9f07", "257be0408b0fe2b4"),
+        "n500": ("3442f44d676e347e", "811d1178bff529de", "12de4507ff578584"),
+        "n1601": ("20260347db35ed1e", "35a3b53bc2b98e9f", "8027d5797cf39bd9"),
+        "one": ("c5bc13ccd96e0b8a", "390755d8a8dc0639", "ecc2ff2707cecc23"),
+        "equal": ("4c91a26e82295d1a", "3f54f6e7147bf798", "c897dfd5c4135fdb"),
+        "tiny": ("50288093a18f8c64", "4f59294e053ffe4b", "9428b24e049d2708"),
     },
 }
 
@@ -484,7 +480,7 @@ class TestPinnedTreeBits:
         p = pinned_vectors()[name]
         with np.errstate(over="ignore"):
             arrays = (poisson_binomial_pmf(p).mass, factorial_moments_sn(p).weighted,
-                      factorial_moments_sn(p, 15).weighted, elementary_symmetric(p, 20))
+                      factorial_moments_sn(p, 15).weighted)
         assert tuple(sha16(a) for a in arrays) == pins[name]
 
 
@@ -576,7 +572,7 @@ class TestFactorialMoments:
         rng = np.random.default_rng(23)
         p = ProbVector(tuple(rng.uniform(0, 1, 40).tolist()))
         fm = factorial_moments_sn(p)
-        e = elementary_symmetric(p, p.n)
+        e = _linear_product(np.ones(p.n), np.array(p.probs))
         assert fm.weighted.tolist() == [math.ldexp(x, m) for m, x in enumerate(e.tolist())]
         assert fm.tail == 0.0
         assert factorial_moments_sn(p, 5).tail == math.inf
