@@ -38,7 +38,7 @@ _EXPORTS = {
         "sn_distance", "tv",
     ),
     "pmf": (
-        "FactorialMoments", "PowerSums", "ProbVector", "SignedPmf", "equal_probs",
+        "FactorialMoments", "InputError", "PowerSums", "ProbVector", "SignedPmf", "equal_probs",
         "factorial_moments_sn", "load_probs", "poisson_binomial_pmf", "poisson_pmf",
         "poisson_tail_bound", "power_sums",
     ),

@@ -36,6 +36,7 @@ from types import MappingProxyType
 from typing import Mapping
 
 from .corrected import MAX_ORDER, gamma_from_power_sums
+from .pmf import InputError
 
 __all__ = [
     "RationalPolynomial",
@@ -160,10 +161,11 @@ def solve_gamma_table(nu: int) -> GammaTable:
 
     By the weight grading of the module docstring, the n^(-w) coefficient of
     gamma_j is gamma_j at order w + 1 minus gamma_j at order w, both from
-    ``gamma_from_power_sums`` on unit power sums.
+    ``gamma_from_power_sums`` on unit power sums.  An order outside
+    2..MAX_ORDER raises InputError.
     """
     if not 2 <= nu <= MAX_ORDER:
-        raise ValueError(f"supported truncation orders are 2..{MAX_ORDER}")
+        raise InputError(f"nu must be between 2 and {MAX_ORDER}, got {nu}")
     by_order = [gamma_from_power_sums([Fraction(1)] * nu, order) for order in range(1, nu + 1)]
     polys = {j: RationalPolynomial((0, *(b.get(j, 0) - a.get(j, 0)
                                          for a, b in zip(by_order, by_order[1:]))))
@@ -261,7 +263,10 @@ def q_polynomial(nu: int) -> RationalPolynomial:
     return q
 
 
-def c_constant_series(nu: int, lam: float, rel_tol: float = 1e-14) -> tuple[float, float]:
+_SERIES_REL_TOL = 1e-14  # c_constant_series stops at a term this small next to the sum
+
+
+def c_constant_series(nu: int, lam: float) -> tuple[float, float]:
     """The distance constant as the series (1/2) sum_m (2 lam)^m / m! A_nu(m-1).
 
     Returns (value, tail_bound); the tail bound is twice the last retained
@@ -270,7 +275,7 @@ def c_constant_series(nu: int, lam: float, rel_tol: float = 1e-14) -> tuple[floa
     if nu < 1:
         raise ValueError("nu must be >= 1")
     if not 0 < lam < math.inf:
-        raise ValueError("lam must be finite and positive")
+        raise ValueError(f"lam must be finite and positive, got {lam!r}")
     total = 0.0
     w = 1.0  # (2 lam)^m / m!
     m = 0
@@ -284,7 +289,7 @@ def c_constant_series(nu: int, lam: float, rel_tol: float = 1e-14) -> tuple[floa
             row[j] += m * row[j - 1]
         m += 1
         if m > nu + 2:  # a term 0 here has underflowed, as all later ones do
-            if m > 4 * lam + 2 * nu + 4 and term <= 0.5 * last and term <= rel_tol * total:
+            if m > 4 * lam + 2 * nu + 4 and term <= 0.5 * last and term <= _SERIES_REL_TOL * total:
                 return 0.5 * total, term
             last = term
         if m > 10_000:
@@ -301,7 +306,7 @@ def c_constant(nu: int, lam: float) -> float:
     if nu < 1:
         raise ValueError("nu must be >= 1")
     if not 0 < lam < math.inf:
-        raise ValueError("lam must be finite and positive")
+        raise ValueError(f"lam must be finite and positive, got {lam!r}")
     value = lam ** (nu + 1) * math.exp(2.0 * lam) * q_polynomial(nu - 1).eval_float(lam)
     if not math.isfinite(value):
         raise OverflowError(f"C_{nu}(lam) exceeds binary64 at lam = {lam!r}")

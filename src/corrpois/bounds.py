@@ -24,7 +24,9 @@ convergence-rate fits for the equal-probability case.
 ``check_simplified_order3`` (Remark 2) builds the report
 ``simplified-order3-limit-gap``, |n^2 d_n - e^(-lam) lam^4/8| <= 5% of that
 limit for the last difference d_n its fit kept.  A rate fit refuses too few
-usable points with ``FitRefused``, a ValueError.
+usable points with ``FitRefused``, a ValueError.  An order, index, cut or
+grid outside its documented range is refused with ``pmf.InputError``
+before any work.
 """
 
 from __future__ import annotations
@@ -37,9 +39,11 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .corrected import MAX_ORDER, build_phi_nu, spec_for_order, spec_phi2, spec_phi3, spec_poisson
+from .corrected import (_checked_order, build_phi_nu, spec_for_order, spec_phi2, spec_phi3,
+                        spec_poisson)
 from .distances import _SLACK, _U, d2_exact_product, hellinger, sn_distance
 from .pmf import (
+    InputError,
     PowerSums,
     ProbVector,
     _sn,
@@ -141,8 +145,9 @@ class RateFit:
 
 def theta(j: int, m: int, s: int, ps: PowerSums) -> float:
     """The alternating power-sum combination theta_j(m, s), nonnegative for
-    probabilities in [0, 1].  Requires power sums up to order m + s; its
-    rounding is bounded by ``check_theta``, which decides the sign."""
+    probabilities in [0, 1].  Requires 0 <= j <= m and s >= 1 (InputError)
+    and power sums up to order m + s; its rounding is bounded by
+    ``check_theta``, which decides the sign."""
     return _theta(j, m, s, ps, 0)[0]
 
 
@@ -166,10 +171,7 @@ def _theta(j: int, m: int, s: int, ps: PowerSums, n: int) -> tuple[float, float]
     ``under`` where it is subnormal.  ``_SLACK`` covers the rest of the
     bound's arithmetic.
     """
-    if not 0 <= j <= m:
-        raise ValueError("require 0 <= j <= m")
-    if s < 1:
-        raise ValueError("require s >= 1")
+    _check_indices(j, m, s)
     if ps.order < m + s:
         raise ValueError(f"power sums up to order {m + s} needed, have {ps.order}")
     powers = [1.0]
@@ -187,10 +189,22 @@ def _theta(j: int, m: int, s: int, ps: PowerSums, n: int) -> tuple[float, float]
     return value, error * _SLACK
 
 
+def _check_indices(j: int, m: int, s: int) -> None:
+    """InputError, naming the first index out of range, unless 0 <= j <= m
+    and s >= 1."""
+    for name, value, low in (("j", j, 0), ("m", m, 0), ("s", s, 1)):
+        if value < low:
+            raise InputError(f"{name} must be >= {low}, got {value}")
+    if j > m:
+        raise InputError(f"j must be <= m, got {j} > {m}")
+
+
 def check_theta(p: ProbVector, at: tuple[int, int, int] | None = None) -> list[BoundReport]:
     """One report -e <= theta_j(m, s), e its rounding bound (``_theta``):
-    at ``at`` = (j, m, s), or else at the first (j, m, s) over m = 0..8,
-    j = 0..m, s = 1..4 whose theta is least."""
+    at ``at`` = (j, m, s), checked first (``_check_indices``), or else at the
+    first (j, m, s) over m = 0..8, j = 0..m, s = 1..4 whose theta is least."""
+    if at is not None:
+        _check_indices(*at)
     digest = _digest({"probs": _probs_hex(p)})
     ps = power_sums(p, 12 if at is None else at[1] + at[2])
     grid = [at] if at else [(j, m, s) for m in range(9) for j in range(m + 1) for s in range(1, 5)]
@@ -253,9 +267,10 @@ def refined_lower(ps: PowerSums, m: int) -> float:
 
 
 def check_sandwich(p: ProbVector, mmax: int) -> list[BoundReport]:
-    """Two-sided factorial moment sandwich for m = 1..mmax."""
+    """Two-sided factorial moment sandwich for m = 1..mmax (InputError unless
+    mmax >= 1)."""
     if mmax < 1:
-        raise ValueError("mmax must be >= 1")
+        raise InputError(f"mmax must be >= 1, got {mmax}")
     ps = power_sums(p, 4)
     mu = factorial_moments_sn(p, mmax)
     digest = _digest({"probs": _probs_hex(p), "mmax": mmax})
@@ -269,9 +284,10 @@ def check_sandwich(p: ProbVector, mmax: int) -> list[BoundReport]:
 
 
 def check_lower3(p: ProbVector, mmax: int) -> list[BoundReport]:
-    """Refined lower bound (with the lambda_4 term) for m = 1..mmax."""
+    """Refined lower bound (with the lambda_4 term) for m = 1..mmax
+    (InputError unless mmax >= 1)."""
     if mmax < 1:
-        raise ValueError("mmax must be >= 1")
+        raise InputError(f"mmax must be >= 1, got {mmax}")
     ps = power_sums(p, 4)
     mu = factorial_moments_sn(p, mmax)
     digest = _digest({"probs": _probs_hex(p), "mmax": mmax})
@@ -351,7 +367,7 @@ def fit_loglog(grid: Sequence[int], distances: Sequence[float],
                order: int | str) -> RateFit:
     """Ordinary least squares of log(distance) on log(n).
 
-    The grid must hold strictly increasing sizes >= 1 (ValueError).  Only
+    The grid must hold strictly increasing sizes >= 1 (InputError).  Only
     positive distances are fitted: the fit's ``note`` counts the distances
     that underflowed to 0 and the negative values it dropped, and says when
     an r^2 below 0.98 marks the fit unreliable.  Fewer than 3 points left is
@@ -390,11 +406,11 @@ def rate_distance(order: int | str, n: int, lam: float, metric: str) -> float:
 
 
 def _checked_grid(n_grid: Sequence[int]) -> list[int]:
-    """The grid as a list, or ValueError naming it unless its sizes are at
+    """The grid as a list, or InputError naming it unless its sizes are at
     least 1 and strictly increasing."""
     grid = list(n_grid)
     if any(n < 1 for n in grid) or any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ValueError(f"grid {grid} must hold sizes >= 1 in strictly increasing order")
+        raise InputError(f"grid {grid} must hold sizes >= 1 in strictly increasing order")
     return grid
 
 
@@ -405,20 +421,20 @@ def fit_rate(lam: float, orders: Iterable[int | str], n_grid: Sequence[int],
     For each order, builds the corrected measure at every n in the grid,
     computes the chosen metric against Bin(n, lam/n), and fits
     log(distance) against log(n) (``fit_loglog``).  The mean must be finite
-    and positive, the metric ``tv`` or ``d2``, each order 1..MAX_ORDER or
-    "3t", and the grid entries strictly increasing and at least 2 lam so the
-    probabilities stay small; each is checked (ValueError) before any point
+    and positive and the metric ``tv`` or ``d2`` (ValueError), the grid
+    entries strictly increasing sizes >= 1 and each order 1..MAX_ORDER or
+    "3t" (InputError, in that order), and every size at least 2 lam so the
+    probabilities stay small (ValueError); each is checked before any point
     is computed.
     """
     if not 0 < lam < math.inf:
-        raise ValueError("lam must be finite and positive")
+        raise ValueError(f"lam must be finite and positive, got {lam!r}")
     if metric not in ("tv", "d2"):
         raise ValueError(f"unknown metric: {metric!r}")
-    orders = list(orders)
-    unknown = [order for order in orders if order != "3t" and order not in range(1, MAX_ORDER + 1)]
-    if unknown:
-        raise ValueError(f"unsupported order: {unknown[0]!r}")
     grid = _checked_grid(n_grid)
+    orders = list(orders)
+    for order in orders:
+        _checked_order(order)
     if any(n < 2 * lam for n in grid):
         raise ValueError("every grid entry must be >= 2*lam")
     return [fit_loglog(grid, [rate_distance(order, n, lam, metric) for n in grid], order)
@@ -439,9 +455,9 @@ def _series(first: float, ratio, k: int) -> float:
 def simplified_order3_differences(lam: float, n_grid: Sequence[int]) -> list[float]:
     """f_n(0) - simplified(0) at each n of the grid, for Bin(n, lam/n).
 
-    Refuses (ValueError) a mean that is not finite and positive, a grid that
-    is not strictly increasing sizes >= 1 reaching 10^3, and a size n < lam,
-    whose lam/n is no probability.
+    Refuses a mean that is not finite and positive (ValueError), a grid that
+    is not strictly increasing sizes >= 1 reaching 10^3 (InputError), and a
+    size n < lam, whose lam/n is no probability (ValueError).
 
     With a = lam/n, f_n(0) = (1 - a)^n = e^(-lam) e^x for
     x = lam + n log(1 - a) = -lam sum_{k>=2} a^(k-1)/k, and the simplified
@@ -454,10 +470,10 @@ def simplified_order3_differences(lam: float, n_grid: Sequence[int]) -> list[flo
     whose numerator is exact there (Sterbenz); at n = lam, f_n(0) = 0.
     """
     if not 0 < lam < math.inf:
-        raise ValueError("lam must be finite and positive")
+        raise ValueError(f"lam must be finite and positive, got {lam!r}")
     grid = _checked_grid(n_grid)
     if max(grid) < 1000:
-        raise ValueError("grid must reach at least 10^3")
+        raise InputError("grid must reach at least 10^3")
     if grid[0] < lam:
         raise ValueError(f"probability outside [0, 1]: {lam / grid[0]!r}")
     diffs = []

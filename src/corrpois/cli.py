@@ -9,12 +9,16 @@ vectors of 31 or more entries the last bits of S_n's arrays follow the
 OpenBLAS dot kernel behind ``np.convolve``.
 
 Exit codes: 0 success (for bounds: every check holds), 1 some bound check
-fails, 2 input error (an unreadable or malformed file or flag), 3 domain
-error or numeric overflow (every other refusal the library raises as
+fails, 2 input error (an unreadable or malformed file or flag, or an
+argument the library refuses as outside its range, ``pmf.InputError``), 3
+domain error or numeric overflow (every other refusal the library raises as
 ValueError or OverflowError), 4 metric domain error, 5 insufficient data (a
 rate fit's refusal, ``bounds.FitRefused``).  Every refusal prints one
 ``error:`` line on stderr and nothing on stdout; ``main`` decides the code,
-from ``CliError`` or the library's exception.
+from ``CliError`` or the library's exception.  Each range rule is checked
+once, in the library; this module checks only what the library does not
+see: flag combinations, ``--atol``/``--rtol``, the cap on qpoly's ``--nu``,
+Hellinger's signed orders, and the parsing of files and flags.
 
 Each handler imports, when it runs, only the package's modules its subcommand
 calls, and loading this module loads none of them.
@@ -35,7 +39,6 @@ import numpy as np
 
 if TYPE_CHECKING:
     from .bounds import BoundReport
-    from .corrected import CorrectionSpec
     from .pmf import ProbVector
 
 __all__ = ["main", "entrypoint"]
@@ -138,28 +141,6 @@ def _load_vector(args: argparse.Namespace) -> ProbVector:
     return pmf.equal_probs(n, lam)
 
 
-def _check_lambda(lam: float) -> None:
-    if not 0 < lam < math.inf:
-        raise CliError(3, f"--lambda must be finite and positive, got {lam!r}")
-
-
-def _check_order(order: int) -> None:
-    from .corrected import MAX_ORDER
-    if not 1 <= order <= MAX_ORDER:
-        raise CliError(2, f"unsupported order: {order} (orders 1..{MAX_ORDER} are supported)")
-
-
-def _check_at_least(flag: str, value: int | None, low: int) -> None:
-    if value is not None and value < low:
-        raise CliError(2, f"{flag} must be >= {low}, got {value}")
-
-
-def _spec_for_order(p: ProbVector, order: int) -> CorrectionSpec:
-    from . import corrected
-    _check_order(order)
-    return corrected.spec_for_order(p, order)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -174,8 +155,7 @@ def _cmd_pmf(args: argparse.Namespace) -> int:
         out = pmf.poisson_binomial_pmf(p)
     else:
         from . import corrected
-        _check_at_least("--kmax", args.kmax, 0)
-        out = corrected.build_phi_nu(_spec_for_order(p, args.order), args.kmax).pmf
+        out = corrected.build_phi_nu(corrected.spec_for_order(p, args.order), args.kmax).pmf
     payload = {
         "support_max": out.support_max,
         "mass": out.mass,
@@ -193,14 +173,13 @@ def _cmd_distance(args: argparse.Namespace) -> int:
         raise CliError(2, "--exact applies only to --metric d2")
     if args.kmax is not None and args.metric != "hellinger":
         raise CliError(2, "--kmax applies only to --metric hellinger")
-    _check_at_least("--kmax", args.kmax, 0)
     if args.metric == "hellinger" and args.order >= 2:
         raise CliError(4, "Hellinger distance is undefined for signed corrected measures "
                           f"(order {args.order})")
-    spec = _spec_for_order(p, args.order)
-    if args.metric == "hellinger":
-        result = distances.hellinger(pmf.poisson_binomial_pmf(p),
-                                     corrected.build_phi_nu(spec, args.kmax).pmf)
+    spec = corrected.spec_for_order(p, args.order)
+    if args.metric == "hellinger":  # the measure first: it refuses a --kmax below 0
+        measure = corrected.build_phi_nu(spec, args.kmax).pmf
+        result = distances.hellinger(pmf.poisson_binomial_pmf(p), measure)
     else:
         result = distances.sn_distance(p, spec, args.metric)
     if not math.isfinite(result.value):
@@ -220,34 +199,22 @@ def _retolerated(reports: list[BoundReport], args: argparse.Namespace) -> list[B
 
 
 def _theta_at(args: argparse.Namespace) -> tuple[int, int, int] | None:
-    """--j, --m and --s, checked, or None when none is given."""
-    explicit = [x is not None for x in (args.j, args.m, args.s)]
-    if not any(explicit):
+    """--j, --m and --s, or None when none is given."""
+    at = (args.j, args.m, args.s)
+    if at == (None, None, None):
         return None
-    if not all(explicit):
+    if None in at:
         raise CliError(2, "--j, --m and --s must be given together")
-    for flag, value, low in (("--j", args.j, 0), ("--m", args.m, 0), ("--s", args.s, 1)):
-        _check_at_least(flag, value, low)
-    if args.j > args.m:
-        raise CliError(2, f"--j must be <= --m, got {args.j} > {args.m}")
-    return args.j, args.m, args.s
+    return at
 
 
 def _remark2(bounds: ModuleType, args: argparse.Namespace) -> tuple[list[BoundReport], dict]:
     if args.lam is None:
         raise CliError(2, "--check remark2 requires --lambda")
-    _check_lambda(args.lam)
     grid = _parse_grid(args.n_grid) if args.n_grid else None  # None: the library's grid
-    if grid and grid[-1] < 1000:
-        raise CliError(2, "grid must reach at least 10^3")
     probe = bounds.check_simplified_order3(args.lam, grid)
     return [probe.report], {"fit": probe.fit, "n2_scaled_last": probe.n2_scaled_last,
                             "limit": probe.limit}
-
-
-def _mmax(args: argparse.Namespace) -> int:
-    _check_at_least("--mmax", args.mmax, 1)
-    return args.mmax
 
 
 # --check NAME: the library's reports, and the payload fields written before
@@ -256,8 +223,8 @@ _CHECKS: dict[str, Callable[[ModuleType, argparse.Namespace],
                             tuple[list[BoundReport], dict]]] = {
     "theorem2": lambda b, a: (b.check_order2_bound(_load_vector(a)), {}),
     "theorem3": lambda b, a: (b.check_order3_bound(_load_vector(a)), {}),
-    "sandwich": lambda b, a: (b.check_sandwich(_load_vector(a), _mmax(a)), {}),
-    "lower3": lambda b, a: (b.check_lower3(_load_vector(a), _mmax(a)), {}),
+    "sandwich": lambda b, a: (b.check_sandwich(_load_vector(a), a.mmax), {}),
+    "lower3": lambda b, a: (b.check_lower3(_load_vector(a), a.mmax), {}),
     "theta": lambda b, a: (b.check_theta(_load_vector(a), _theta_at(a)), {}),
     "remark2": _remark2,
     "classic": lambda b, a: (b.check_classic_chain(_load_vector(a)), {}),
@@ -282,9 +249,6 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
 
 def _cmd_gamma_table(args: argparse.Namespace) -> int:
     from . import binomial
-    from .corrected import MAX_ORDER
-    if not 2 <= args.nu <= MAX_ORDER:
-        raise CliError(2, f"--nu must be between 2 and {MAX_ORDER}")
     table = binomial.solve_gamma_table(args.nu)
     payload = table.to_json_dict()
     if args.compare_paper:
@@ -305,7 +269,6 @@ def _cmd_qpoly(args: argparse.Namespace) -> int:
         "coefficients": [str(c) for c in q.coeffs],
     }
     if args.lam is not None:
-        _check_lambda(args.lam)
         payload["c_order"] = args.nu + 1
         try:
             payload["c_value"] = binomial.c_constant(args.nu + 1, args.lam)
@@ -317,15 +280,9 @@ def _cmd_qpoly(args: argparse.Namespace) -> int:
 
 def _parse_grid(text: str) -> tuple[int, ...]:
     try:
-        grid = tuple(int(tok) for tok in text.split(","))
+        return tuple(int(tok) for tok in text.split(","))
     except ValueError as exc:
         raise CliError(2, f"--n-grid expects comma-separated integers: {exc}") from exc
-    if not grid:
-        raise CliError(2, "--n-grid must not be empty")
-    _check_at_least("--n-grid entry", min(grid), 1)
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise CliError(2, f"--n-grid must be strictly increasing, got {text}")
-    return grid
 
 
 def _parse_orders(text: str) -> tuple[int | str, ...]:
@@ -339,13 +296,11 @@ def _parse_orders(text: str) -> tuple[int | str, ...]:
                 orders.append(int(tok))
             except ValueError as exc:
                 raise CliError(2, f"--orders expects integers or 3t: {tok!r}") from exc
-            _check_order(orders[-1])
     return tuple(orders)
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:
     from . import binomial, bounds
-    _check_lambda(args.lam)
     grid = _parse_grid(args.n_grid)
     fits = bounds.fit_rate(args.lam, _parse_orders(args.orders), grid, args.metric)
     rows = []
@@ -443,9 +398,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         return args.func(args)
     except CliError as exc:
         code, reason = exc.code, str(exc)
-    except ValueError as exc:  # the library's refusal of a domain, or of a rate fit
+    except ValueError as exc:  # the library's refusal of an argument, a domain or a rate fit
+        pmf = sys.modules.get(f"{__package__}.pmf")  # loaded by every library call
         bounds = sys.modules.get(f"{__package__}.bounds")  # loaded if a fit ran
-        code = 5 if bounds and isinstance(exc, bounds.FitRefused) else 3
+        code = (5 if bounds and isinstance(exc, bounds.FitRefused)
+                else 2 if pmf and isinstance(exc, pmf.InputError) else 3)
         reason = str(exc)
     except OverflowError as exc:
         code, reason = 3, f"numeric overflow: {exc}"

@@ -35,7 +35,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .pmf import FactorialMoments, ProbVector, SignedPmf, _poisson_masses, _sn, poisson_tail_bound
+from .pmf import (FactorialMoments, InputError, ProbVector, SignedPmf, _poisson_masses, _sn,
+                  poisson_tail_bound)
 
 __all__ = [
     "CorrectionSpec",
@@ -200,19 +201,24 @@ def spec_for_order(p: ProbVector, order: int | str) -> CorrectionSpec:
 
     Orders 1..MAX_ORDER match the factorial moments of S_n up to that order,
     for any probabilities; "3t" is order 3 without its gamma_4.  Every other
-    order raises ValueError, and so does a mean whose power lam^(2 order - 2)
-    falls below the normal floating-point range, where the coefficients
-    would lose their precision or divide by zero.  The spec comes from
-    ``_matched``.
+    order raises InputError (``_checked_order``), and a mean whose power
+    lam^(2 order - 2) falls below the normal floating-point range, where the
+    coefficients would lose their precision or divide by zero, raises
+    ValueError.  The spec comes from ``_matched``.
     """
-    nu = 3 if order == "3t" else order
-    if nu not in range(1, MAX_ORDER + 1):
-        raise ValueError(f"unsupported order: {order!r}")
-    spec = _matched(p, int(nu))[1]
+    spec = _matched(p, _checked_order(order))[1]
     if order == "3t":
         return CorrectionSpec(3, spec.lam, {j: g for j, g in spec.gamma.items() if j != 4},
                               MOMENT_MATCHED)
     return spec
+
+
+def _checked_order(order: int | str) -> int:
+    """The nu of an order 1..MAX_ORDER or "3t", or InputError naming it."""
+    nu = 3 if order == "3t" else order
+    if nu not in range(1, MAX_ORDER + 1):
+        raise InputError(f"unsupported order: {order!r} (orders 1..{MAX_ORDER} are supported)")
+    return int(nu)
 
 
 @functools.lru_cache(maxsize=8)  # a vector's specs of orders 1 to 3, and more
@@ -251,9 +257,12 @@ def build_phi_nu(spec: CorrectionSpec, kmax: int | None = None) -> CorrectedMeas
     """Corrected measure of arbitrary order from an explicit coefficient spec.
 
     The masses on 0..K and their tail bound are ``_charlier_masses``', read
-    through ``_measure`` at its own cut unless ``kmax`` fixes K.  The pmf is
-    labelled ``phi<nu>``, or ``poisson`` for an order above 1 with no correction.
+    through ``_measure`` at its own cut unless ``kmax`` fixes K, which must
+    be at least 0 (InputError).  The pmf is labelled ``phi<nu>``, or
+    ``poisson`` for an order above 1 with no correction.
     """
+    if kmax is not None and kmax < 0:
+        raise InputError(f"kmax must be >= 0, got {kmax}")
     built = _measure(spec, False) if kmax is None else _charlier_masses(spec, kmax)
     label = f"phi{spec.nu}" if spec.gamma or spec.nu == 1 else "poisson"
     return CorrectedMeasure(spec, SignedPmf(built[0], built[1], label))

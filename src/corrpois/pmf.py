@@ -17,12 +17,13 @@ import functools
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 __all__ = [
+    "InputError",
     "ProbVector",
     "PowerSums",
     "SignedPmf",
@@ -37,34 +38,35 @@ __all__ = [
 ]
 
 
+class InputError(ValueError):
+    """An argument outside its function's documented range, refused at the
+    function's entry before any work; the message names the argument and
+    the refused value."""
+
+
 @dataclass(frozen=True)
 class ProbVector:
     """Success probabilities of independent 0-1 indicators.
 
     Entries equal to zero are exactly neutral for every downstream quantity
-    and only bloat n, so they are dropped at construction; ``dropped_zeros``
-    records how many were removed.  Entries equal to one are legal: they pass
-    through the product of ``poisson_binomial_pmf`` as a deterministic shift.
-    The hash and ``lam`` are computed on first use and kept: every cache
-    keyed on a vector hashes it.
+    and only bloat n, so they are dropped at construction: vectors that
+    differ only in their zeros are equal.  Entries equal to one are legal:
+    they pass through the product of ``poisson_binomial_pmf`` as a
+    deterministic shift.  The hash and ``lam`` are computed on first use and
+    kept: every cache keyed on a vector hashes it.
     """
 
     probs: tuple[float, ...]
-    dropped_zeros: int = field(init=False, default=0)
 
     def __post_init__(self) -> None:
         kept: list[float] = []
-        dropped = 0
         for x in self.probs:
             x = float(x)
             if math.isnan(x) or x < 0.0 or x > 1.0:
                 raise ValueError(f"probability outside [0, 1]: {x!r}")
-            if x == 0.0:
-                dropped += 1
-            else:
+            if x != 0.0:
                 kept.append(x)
         object.__setattr__(self, "probs", tuple(kept))
-        object.__setattr__(self, "dropped_zeros", dropped)
 
     @property
     def n(self) -> int:
@@ -75,11 +77,11 @@ class ProbVector:
 
     def __getstate__(self) -> dict:
         # a copy computes its own hash and mean: hashes may differ between builds
-        return {"probs": self.probs, "dropped_zeros": self.dropped_zeros}
+        return {"probs": self.probs}
 
     @functools.cached_property
     def _hash(self) -> int:
-        return hash((self.probs, self.dropped_zeros))
+        return hash(self.probs)
 
     @functools.cached_property
     def lam(self) -> float:
@@ -98,7 +100,8 @@ def load_probs(path: str) -> ProbVector:
     """Read a probability vector from a file.
 
     Two formats are accepted: a JSON array of numbers, or plain text with one
-    decimal per line.  Values outside [0, 1] are rejected.
+    decimal per line.  Values outside [0, 1] are rejected, and a JSON
+    integer beyond binary64 is refused naming the file.
     """
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
@@ -111,6 +114,11 @@ def load_probs(path: str) -> ProbVector:
             isinstance(v, (int, float)) and not isinstance(v, bool) for v in values
         ):
             raise ValueError(f"JSON probability file must be an array of numbers: {path}")
+        try:
+            values = [float(v) for v in values]
+        except OverflowError:
+            raise ValueError(f"JSON probability file holds an integer beyond binary64: "
+                             f"{path}") from None
     else:
         values = []
         for lineno, line in enumerate(stripped.splitlines(), start=1):
@@ -121,7 +129,7 @@ def load_probs(path: str) -> ProbVector:
                 values.append(float(line))
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: not a decimal: {line!r}") from None
-    return ProbVector(tuple(float(v) for v in values))
+    return ProbVector(tuple(values))
 
 
 @dataclass(frozen=True)

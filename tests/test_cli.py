@@ -127,6 +127,13 @@ class TestPmfCommand:
         assert r.returncode == 0
         assert json.loads(r.stdout)["support_max"] == 3
 
+    def test_json_integer_beyond_binary64_is_input_error(self, tmp_path):
+        f = tmp_path / "p.json"
+        f.write_text(f"[{10**400}]")
+        r = run_cli("pmf", "--probs", str(f), "--order", "0")
+        assert (r.returncode, r.stdout) == (2, "")
+        assert r.stderr == f"error: JSON probability file holds an integer beyond binary64: {f}\n"
+
     def test_unknown_flag_rejected(self):
         r = run_cli("pmf", "--binomial", "4", "1", "--bogus")
         assert r.returncode == 2
@@ -387,9 +394,9 @@ class TestScanCommand:
     @pytest.mark.parametrize("command", [("scan", "--orders", "2"),
                                          ("bounds", "--check", "remark2")])
     @pytest.mark.parametrize("grid, reason", [
-        ("8,8,16", "--n-grid must be strictly increasing, got 8,8,16"),
-        ("16,8,32", "--n-grid must be strictly increasing, got 16,8,32"),
-        ("0,8,16", "--n-grid entry must be >= 1, got 0"),
+        ("8,8,16", "grid [8, 8, 16] must hold sizes >= 1 in strictly increasing order"),
+        ("16,8,32", "grid [16, 8, 32] must hold sizes >= 1 in strictly increasing order"),
+        ("0,8,16", "grid [0, 8, 16] must hold sizes >= 1 in strictly increasing order"),
     ])
     def test_grid_outside_range_is_input_error(self, command, grid, reason):
         # refused before any point is computed
@@ -463,7 +470,8 @@ def test_lambda_must_be_finite_and_positive(args):
     assert r.returncode == 3
     assert r.stdout == ""
     assert len(r.stderr.strip().splitlines()) == 1
-    assert "--lambda must be finite and positive" in r.stderr
+    lam = float(args[args.index("--lambda") + 1])
+    assert r.stderr == f"error: lam must be finite and positive, got {lam!r}\n"
 
 
 class TestEdgeInputsPinned:
@@ -607,7 +615,7 @@ def test_kmax_applies_only_to_corrected_orders():
 def test_flag_below_its_range_is_input_error(args, low):
     r = run_cli(*args, str(low - 1))
     assert (r.returncode, r.stdout) == (2, "")
-    assert r.stderr == f"error: {args[-1]} must be >= {low}, got {low - 1}\n"
+    assert r.stderr == f"error: {args[-1].lstrip('-')} must be >= {low}, got {low - 1}\n"
     assert run_cli(*args, str(low)).returncode == 0
 
 
@@ -615,7 +623,7 @@ def test_theta_index_above_its_order_is_input_error():
     r = run_cli("bounds", "--check", "theta", "--binomial", "20", "1",
                 "--j", "2", "--m", "1", "--s", "1")
     assert (r.returncode, r.stdout) == (2, "")
-    assert r.stderr == "error: --j must be <= --m, got 2 > 1\n"
+    assert r.stderr == "error: j must be <= m, got 2 > 1\n"
 
 
 @pytest.mark.parametrize("flag", ["--atol", "--rtol"])

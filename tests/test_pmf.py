@@ -78,7 +78,6 @@ class TestProbVector:
         p = ProbVector((0.0, 0.3, 0.0, 0.7))
         assert p.probs == (0.3, 0.7)
         assert p.n == 2
-        assert p.dropped_zeros == 2
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
@@ -114,6 +113,11 @@ class TestProbVector:
         assert _sn.cache_info().hits == hits + 1
         assert _sn(a) is _sn(b)
 
+    def test_vectors_differing_only_in_zeros_are_equal_and_share_a_record(self):
+        a, b = ProbVector((0.1, 0.0)), ProbVector((0.1,))
+        assert a == b and hash(a) == hash(b)
+        assert _sn(a) is _sn(b)
+
     @pytest.mark.parametrize("copy_of", [lambda p: pickle.loads(pickle.dumps(p)), copy.deepcopy],
                              ids=["pickle", "deepcopy"])
     def test_copies_compute_their_own_hash_and_mean(self, copy_of):
@@ -122,7 +126,7 @@ class TestProbVector:
         hash(p), p.lam
         vars(p)["lam"] = -1.0  # a kept value, as from another build, is not carried
         q = copy_of(p)
-        assert q == fresh and q.dropped_zeros == 1
+        assert q == fresh
         assert hash(q) == hash(fresh)
         assert q.lam == math.fsum((0.1, 0.2, 0.3))
 
@@ -725,3 +729,11 @@ class TestLoadProbs:
         f.write_text("0.5\nhello\n")
         with pytest.raises(ValueError):
             load_probs(str(f))
+
+    def test_json_integer_beyond_binary64_names_the_file(self, tmp_path):
+        f = tmp_path / "p.json"
+        f.write_text(f"[0.5, {10**400}]")
+        with pytest.raises(ValueError) as refusal:
+            load_probs(str(f))
+        assert str(refusal.value) == ("JSON probability file holds an integer beyond binary64: "
+                                      f"{f}")
